@@ -39,7 +39,7 @@ from .dynamics import (
     residue_indicator_orbit,
     rotation_two_points_liouville,
 )
-from .kernels import COMPILED_AVAILABLE, active_backend
+from .kernels import active_backend
 from .sieve import (
     FactorCountSegment,
     OmegaProfile,

@@ -178,8 +178,19 @@ def _cmd_weyl(args):
     return ("beta", "N", "re", "im", "modulus"), rows, {"limit": args.limit}
 
 
+MAX_GRID_POINTS = 10**5
+
+
 def _parse_grid(spec: str):
-    lo, hi, step = (float(part) for part in spec.split(":"))
+    """Points lo, lo + step, ... <= hi of a 'lo:hi:step' spec."""
+    try:
+        lo, hi, step = (float(part) for part in spec.split(":"))
+    except ValueError:
+        raise InvalidRangeError(f"grid {spec!r} is not lo:hi:step") from None
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0:
+        raise InvalidRangeError(f"grid {spec!r} needs finite bounds and step > 0")
+    if (hi - lo) / step >= MAX_GRID_POINTS:
+        raise InvalidRangeError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
     points = []
     x = lo
     while x <= hi + 1e-12:

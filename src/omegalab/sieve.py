@@ -7,6 +7,7 @@ any worker count.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -22,6 +23,7 @@ from .errors import InvalidRangeError, InvalidResidueError, RangeTooLargeError
 # Omega(n) <= log2(n) < 64 for every feasible n, so one byte per integer.
 MAX_OMEGA = 64
 DEFAULT_SEGMENT_LENGTH = 1 << 22
+REDUCE_BLOCK = 1 << 16  # integers per pi_k/harmonic reduction step
 HARD_LIMIT = 10**10
 
 CACHE_MAGIC = b"OMG1"
@@ -124,11 +126,15 @@ def write_segment_file(path: str, lo: int, hi: int, counts: np.ndarray) -> None:
 
 
 def read_segment_file(path: str) -> tuple[int, int, np.ndarray]:
+    """(lo, hi, counts) from a segment file; InvalidRangeError if malformed."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CACHE_MAGIC:
             raise InvalidRangeError(f"{path}: bad magic {magic!r}")
-        lo, hi = struct.unpack("<QQ", fh.read(16))
+        header = fh.read(16)
+        if len(header) != 16:
+            raise InvalidRangeError(f"{path}: truncated header")
+        lo, hi = struct.unpack("<QQ", header)
         counts = np.frombuffer(fh.read(), dtype=np.uint8)
     if len(counts) != hi - lo:
         raise InvalidRangeError(f"{path}: truncated segment")
@@ -144,21 +150,42 @@ def _cache_path(lo: int, hi: int) -> str:
 
 
 def _cache_read(lo: int, hi: int) -> np.ndarray | None:
+    """Cached counts for [lo, hi), or None on a miss.
+
+    A missing, unreadable, truncated or foreign file (bad magic, or a
+    header naming another range) is a miss: the caller sieves again and
+    rewrites the file.
+    """
     if _cache_dir() is None:
         return None
-    path = _cache_path(lo, hi)
-    if not os.path.exists(path):
+    try:
+        file_lo, file_hi, counts = read_segment_file(_cache_path(lo, hi))
+    except (OSError, InvalidRangeError):
         return None
-    _, _, counts = read_segment_file(path)
+    if (file_lo, file_hi) != (lo, hi):
+        return None
     return counts
 
 
 def _cache_write(lo: int, hi: int, counts: np.ndarray) -> None:
+    """Write the segment file atomically: a temporary file, then os.replace.
+
+    Readers, and other processes writing the same segment, see either no
+    file or a whole one.
+    """
     directory = _cache_dir()
     if directory is None:
         return
     os.makedirs(directory, exist_ok=True)
-    write_segment_file(_cache_path(lo, hi), lo, hi, counts)
+    path = _cache_path(lo, hi)
+    tmp = f"{path}.{os.getpid()}.tmp"  # one writer per process and path
+    try:
+        write_segment_file(tmp, lo, hi, counts)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +194,14 @@ def _cache_write(lo: int, hi: int, counts: np.ndarray) -> None:
 
 
 def segment_spans(n_max: int, segment_length: int | None = None):
-    """Spans (lo, hi) covering 1..n_max, each of the configured length."""
-    length = segment_length or DEFAULT_SEGMENT_LENGTH
+    """Spans (lo, hi) covering 1..n_max, each of the configured length.
+
+    segment_length None means DEFAULT_SEGMENT_LENGTH; any other value must
+    be a positive integer.
+    """
+    length = DEFAULT_SEGMENT_LENGTH if segment_length is None else segment_length
+    if length < 1:
+        raise InvalidRangeError(f"segment length must be >= 1, got {length}")
     return [(lo, min(lo + length, n_max + 1)) for lo in range(1, n_max + 1, length)]
 
 
@@ -183,14 +216,22 @@ def map_segments(n_max, chunk_fn, workers=1, segment_length=None):
 
 
 def _profile_chunk(span):
+    """(pik, inv) of one span: counts and sums of 1/n by Omega(n).
+
+    Reduced in blocks of REDUCE_BLOCK integers so that no segment-sized
+    temporary is built.  np.add.at adds the weights in index order, as a
+    weighted bincount over the whole span does, so inv is bit-identical
+    to that reference.
+    """
     lo, hi = span
-    seg = sieve_segment(lo, hi)
-    pik = np.bincount(seg.counts, minlength=MAX_OMEGA + 1).astype(np.int64)
-    inv = np.bincount(
-        seg.counts,
-        weights=1.0 / np.arange(lo, hi, dtype=np.float64),
-        minlength=MAX_OMEGA + 1,
-    )
+    counts = sieve_segment(lo, hi).counts
+    pik = np.zeros(MAX_OMEGA + 1, dtype=np.int64)
+    inv = np.zeros(MAX_OMEGA + 1, dtype=np.float64)
+    for b in range(lo, hi, REDUCE_BLOCK):
+        e = min(b + REDUCE_BLOCK, hi)
+        block = counts[b - lo : e - lo]
+        pik += np.bincount(block, minlength=MAX_OMEGA + 1)
+        np.add.at(inv, block, 1.0 / np.arange(b, e, dtype=np.float64))
     return pik, inv
 
 
@@ -224,6 +265,8 @@ def omega_profile(N: int, workers: int = 1, segment_length: int | None = None) -
         pik += chunk_pik
         inv += chunk_inv
     k_max = max(int(math.log2(N)), 0)
+    if int(pik[: k_max + 1].sum()) != N:
+        raise InvalidRangeError(f"pi_k counts do not partition [1, {N}]")
     return OmegaProfile(N, pik[: k_max + 1].copy(), inv[: k_max + 1].copy())
 
 

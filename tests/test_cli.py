@@ -189,3 +189,33 @@ def test_precision_flag(capsys):
     _, rows3 = parse_csv(out3)
     _, rows12 = parse_csv(out12)
     assert len(rows3[0][4]) < len(rows12[0][4])
+
+
+@pytest.mark.parametrize("length", ["-5", "0"])
+def test_nonpositive_segment_length_is_usage_error(capsys, length):
+    code, out = run(capsys, "pik", "--limit", "1000", "--segment-length", length, "--quiet")
+    assert code == EXIT_USAGE
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "grid", ["0:1:0", "0:1:-0.5", "a:b", "0:1", "0:1:0.1:2", "0:inf:1", "nan:1:0.1", "0:1:1e-9"]
+)
+def test_bad_grid_is_usage_error(capsys, grid):
+    code, out = run(capsys, "erdos-kac", "--limit", "1000", f"--grid={grid}", "--quiet")
+    assert code == EXIT_USAGE
+    assert out == ""
+
+
+def test_truncated_cache_file_is_resieved(capsys, tmp_path, monkeypatch):
+    _, fresh = run(capsys, "pik", "--limit", "5000", "--segment-length", "2048", "--quiet")
+    monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
+    run(capsys, "pik", "--limit", "5000", "--segment-length", "2048", "--quiet")
+    victim = sorted(tmp_path.iterdir())[0]
+    victim.write_bytes(victim.read_bytes()[:-100])
+    code, out = run(capsys, "pik", "--limit", "5000", "--segment-length", "2048", "--quiet")
+    assert code == EXIT_OK
+    assert out == fresh
+    code, out = run(capsys, "pik", "--limit", "5000", "--segment-length", "2048", "--quiet")
+    assert code == EXIT_OK
+    assert out == fresh

@@ -1,5 +1,6 @@
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -17,8 +18,12 @@ from omegalab import (
     sieve_segment,
 )
 from omegalab.errors import InvalidRangeError, InvalidResidueError, RangeTooLargeError
-from omegalab.kernels import omega_segment_fallback
+from omegalab.kernels import omega_segment
 from omegalab.sieve import (
+    HARD_LIMIT,
+    MAX_OMEGA,
+    REDUCE_BLOCK,
+    _profile_chunk,
     base_primes,
     read_segment_file,
     segment_spans,
@@ -63,20 +68,50 @@ def test_sieve_matches_trial_division_to_one_million():
         assert np.array_equal(seg.counts.astype(np.int64), bulk_omega_oracle(lo, hi + 1))
 
 
-def test_backends_agree_on_awkward_ranges():
-    for lo, hi in [(1, 1000), (10**6 - 17, 10**6 + 500), (2**31 - 100, 2**31 + 100)]:
-        primes = base_primes(int(math.isqrt(hi - 1)))
-        a = sieve_segment(lo, hi).counts
-        b = omega_segment_fallback(lo, hi, primes)
-        assert np.array_equal(a, b)
+def assert_kernel_matches_oracle(lo, hi):
+    counts = omega_segment(lo, hi, base_primes(math.isqrt(hi - 1)))
+    assert counts.dtype == np.uint8
+    assert np.array_equal(counts.astype(np.int64), bulk_omega_oracle(lo, hi))
 
 
-def test_forced_fallback_env(monkeypatch):
-    from omegalab import kernels
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (1, 2),
+        (1, 5),
+        (1, 1 << 12),
+        (1, 1000),
+        (10**6 - 17, 10**6 + 500),
+        # lo just below 2 * sqrt(hi): a short prefix with per-element thresholds
+        (2 * math.isqrt(10**6) - 5, 10**6),
+        (2**31 - 2**12, 2**31 + 2**12),
+        (2**32 - 2**12, 2**32 + 2**12),
+        (HARD_LIMIT - 2**14, HARD_LIMIT + 1),
+    ],
+)
+def test_kernel_edge_spans_match_oracle(lo, hi):
+    assert_kernel_matches_oracle(lo, hi)
 
-    monkeypatch.setenv("OMEGALAB_FORCE_FALLBACK", "1")
-    assert kernels.active_backend() == "fallback"
-    monkeypatch.delenv("OMEGALAB_FORCE_FALLBACK")
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, HARD_LIMIT), st.integers(1, 1 << 12))
+def test_kernel_random_spans_match_oracle(lo, length):
+    assert_kernel_matches_oracle(lo, min(lo + length, HARD_LIMIT + 1))
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(1, 3 * REDUCE_BLOCK // 2), (10**7 + 3, 10**7 + 3 + 2 * REDUCE_BLOCK + 777)],
+)
+def test_profile_chunk_matches_whole_segment_bincount(lo, hi):
+    counts = sieve_segment(lo, hi).counts
+    pik, inv = _profile_chunk((lo, hi))
+    ref_pik = np.bincount(counts, minlength=MAX_OMEGA + 1)
+    ref_inv = np.bincount(
+        counts, weights=1.0 / np.arange(lo, hi, dtype=np.float64), minlength=MAX_OMEGA + 1
+    )
+    assert np.array_equal(pik, ref_pik)
+    assert inv.tobytes() == ref_inv.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -160,6 +195,35 @@ def test_segment_cache_env(tmp_path, monkeypatch):
     assert np.array_equal(seg.counts, again.counts)
 
 
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda data: data[:-1],  # truncated counts
+        lambda data: data[:10],  # truncated header
+        lambda data: b"XXXX" + data[4:],  # bad magic
+        lambda data: data[:4] + struct.pack("<QQ", 4000, 5000) + data[20:],  # other range
+    ],
+)
+def test_segment_cache_damaged_file_is_a_miss(tmp_path, monkeypatch, damage):
+    monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
+    fresh = sieve_segment(5000, 6000).counts.copy()
+    (path,) = tmp_path.iterdir()
+    path.write_bytes(damage(path.read_bytes()))
+    assert np.array_equal(sieve_segment(5000, 6000).counts, fresh)
+    assert read_segment_file(str(path))[:2] == (5000, 6000)  # rewritten whole
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temporary left
+
+
+def test_segment_spans_rejects_nonpositive_length():
+    assert segment_spans(10) == [(1, 11)]
+    assert segment_spans(10, 4) == [(1, 5), (5, 9), (9, 11)]
+    for bad in (0, -5):
+        with pytest.raises(InvalidRangeError):
+            segment_spans(10, bad)
+        with pytest.raises(InvalidRangeError):
+            omega_profile(10, segment_length=bad)
+
+
 def test_factor_count_segment_accessor():
     seg = FactorCountSegment(lo=10, hi=20, counts=sieve_segment(10, 20).counts)
     assert seg.omega(12) == 3
@@ -172,3 +236,16 @@ def test_profile_worker_counts_agree_at_1e6(profile_1e6):
         prof = omega_profile(10**6, workers=workers)
         assert np.array_equal(prof.pik, profile_1e6.pik)
         assert prof.inv_weights.tobytes() == profile_1e6.inv_weights.tobytes()
+
+
+def test_profile_checks_partition_identity(monkeypatch):
+    from omegalab import sieve
+
+    def lossy_chunk(span):
+        pik, inv = _profile_chunk(span)
+        pik[1] -= 1
+        return pik, inv
+
+    monkeypatch.setattr(sieve, "_profile_chunk", lossy_chunk)
+    with pytest.raises(InvalidRangeError):
+        omega_profile(1000)
