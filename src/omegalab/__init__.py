@@ -48,6 +48,7 @@ from .sieve import (
     liouville,
     omega_oracle,
     omega_profile,
+    omega_profiles,
     pi_k_histogram,
     residue_class_density,
     sieve_segment,

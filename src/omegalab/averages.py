@@ -10,7 +10,6 @@ phi-normalized sum.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -27,7 +26,7 @@ from .errors import (
     InvalidRangeError,
 )
 from .normal import normal_mass
-from .sieve import OmegaProfile, map_segments, omega_profile, sieve_segment
+from .sieve import OmegaProfile, _resolve_profile, map_segments, sieve_segment
 
 
 class AverageScheme(Enum):
@@ -55,14 +54,6 @@ def _fsum_complex(values) -> complex:
     return complex(math.fsum(re for re, _ in pairs), math.fsum(im for _, im in pairs))
 
 
-def _resolve_profile(N, profile, workers, segment_length) -> OmegaProfile:
-    if profile is not None:
-        if profile.N != N:
-            raise InvalidRangeError(f"profile is for N={profile.N}, not {N}")
-        return profile
-    return omega_profile(N, workers, segment_length)
-
-
 def _orbit_values(orbit: ObservableOrbit, k_max: int) -> np.ndarray:
     return np.array([orbit.value_at(k) for k in range(k_max + 1)], dtype=complex)
 
@@ -79,11 +70,9 @@ def average_along_omega(
     scheme: AverageScheme = AverageScheme.CESARO,
     *,
     profile: OmegaProfile | None = None,
-    workers: int = 1,
-    segment_length: int | None = None,
 ) -> complex:
     """Scheme-average of n -> g(T^{Omega(n)} x) over [1, N]."""
-    prof = _resolve_profile(N, profile, workers, segment_length)
+    prof = _resolve_profile(N, profile)
     values = _orbit_values(orbit, prof.k_max)
     if scheme is AverageScheme.CESARO:
         return _dot(prof.pik.astype(np.float64), values) / N
@@ -95,17 +84,10 @@ def weyl_sum(
     N: int,
     *,
     profile: OmegaProfile | None = None,
-    workers: int = 1,
-    segment_length: int | None = None,
 ) -> complex:
     """(1/N) sum_{n<=N} e^{2 pi i beta Omega(n)}."""
     return average_along_omega(
-        exponential_orbit(beta),
-        N,
-        AverageScheme.CESARO,
-        profile=profile,
-        workers=workers,
-        segment_length=segment_length,
+        exponential_orbit(beta), N, AverageScheme.CESARO, profile=profile
     )
 
 
@@ -212,8 +194,6 @@ def ek_report(
     grid: Sequence[float],
     *,
     profile: OmegaProfile | None = None,
-    workers: int = 1,
-    segment_length: int | None = None,
 ) -> EKReport:
     """K_N(A, B)/N against the Gaussian mass, per consecutive grid cell (A, B).
 
@@ -221,7 +201,7 @@ def ek_report(
     is a valid sub-probability distribution over the grid span.
     """
     norm = EKNormalizer(N)
-    prof = _resolve_profile(N, profile, workers, segment_length)
+    prof = _resolve_profile(N, profile)
     pik = _adjusted_pik(prof)
     z = norm.normalize(np.arange(len(pik), dtype=np.float64))
     pairs = grid_cells(grid)
@@ -240,12 +220,10 @@ def ek_weighted_average(
     N: int,
     *,
     profile: OmegaProfile | None = None,
-    workers: int = 1,
-    segment_length: int | None = None,
 ) -> float:
     """(1/N) sum F(phi(n)); tends to the Gaussian integral of F."""
     norm = EKNormalizer(N)
-    prof = _resolve_profile(N, profile, workers, segment_length)
+    prof = _resolve_profile(N, profile)
     pik = _adjusted_pik(prof)
     values = np.array([F(norm.normalize(k)) for k in range(len(pik))])
     return float(math.fsum(pik * values)) / N
@@ -257,12 +235,10 @@ def correlation_sum(
     N: int,
     *,
     profile: OmegaProfile | None = None,
-    workers: int = 1,
-    segment_length: int | None = None,
 ) -> complex:
     """(1/N) sum F(phi(n)) g(T^{Omega(n)} x); limit is (Gaussian integral of F) * space mean."""
     norm = EKNormalizer(N)
-    prof = _resolve_profile(N, profile, workers, segment_length)
+    prof = _resolve_profile(N, profile)
     pik = _adjusted_pik(prof)
     weights = pik * np.array([F(norm.normalize(k)) for k in range(len(pik))])
     return _dot(weights, _orbit_values(orbit, len(pik) - 1)) / N
@@ -274,13 +250,11 @@ def shifted_omega_average(
     shift: int = 0,
     *,
     profile: OmegaProfile | None = None,
-    workers: int = 1,
-    segment_length: int | None = None,
 ) -> complex:
     """Cesaro average of n -> a(Omega(n) + shift) over [1, N]."""
     if shift < 0:
         raise InvalidRangeError("shift must be >= 0")
-    prof = _resolve_profile(N, profile, workers, segment_length)
+    prof = _resolve_profile(N, profile)
     values = np.array([a(k + shift) for k in range(prof.k_max + 1)], dtype=complex)
     return _dot(prof.pik.astype(np.float64), values) / N
 

@@ -22,9 +22,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-HARD_CAP = sieve.HARD_LIMIT
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -42,22 +39,22 @@ def main(argv=None) -> int:
     return EXIT_OK
 
 
-def _common(sub):
-    sub.add_argument("--workers", type=int, default=1)
-    sub.add_argument("--segment-length", type=int, default=sieve.DEFAULT_SEGMENT_LENGTH)
-    sub.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
+def _output_args(sub, table=True):
+    """--out and --quiet; subcommands that emit a table also get --json and --precision."""
+    if table:
+        sub.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
+        sub.add_argument("--precision", type=int, default=12, help="significant digits")
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
-    sub.add_argument("--precision", type=int, default=12, help="significant digits")
     sub.add_argument("--quiet", action="store_true", help="suppress progress output")
 
 
-def _limit_arg(sub, required=True):
-    sub.add_argument("--limit", type=int, required=required)
+def _sieve_args(sub):
+    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--segment-length", type=int, default=sieve.DEFAULT_SEGMENT_LENGTH)
 
 
-def _check_cap(limit: int) -> None:
-    if limit > HARD_CAP:
-        raise RangeTooLargeError(f"limit {limit} exceeds the hard cap {HARD_CAP}")
+def _limit_arg(sub):
+    sub.add_argument("--limit", type=int, required=True)
 
 
 def _progress(args, message: str) -> None:
@@ -65,34 +62,34 @@ def _progress(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _profile(args, n):
-    _check_cap(n)
+def _profiles(args, checkpoints):
+    """Profiles at each checkpoint, from one pass over [1, max(checkpoints)]."""
+    n = max(checkpoints)
+    sieve._check_limit(n + 1)  # before any span list is built
     spans = sieve.segment_spans(n, args.segment_length)
     _progress(args, f"sieving [1, {n}] in {len(spans)} segments "
                     f"({args.workers} workers)")
-    return sieve.omega_profile(n, args.workers, args.segment_length)
+    return sieve.omega_profiles(checkpoints, args.workers, args.segment_length)
+
+
+def _profile(args, n):
+    return _profiles(args, [n])[0]
 
 
 def _fmt(value, precision):
     if isinstance(value, float):
         return format(value, f".{precision}g")
-    if isinstance(value, complex):
-        return format(value.real, f".{precision}g") + (
-            f"+{format(value.imag, f'.{precision}g')}j"
-            if value.imag >= 0
-            else f"{format(value.imag, f'.{precision}g')}j"
-        )
     return value
 
 
 def _emit(args, header, rows, meta):
-    precision = getattr(args, "precision", 12)
+    precision = args.precision
     if args.json:
         payload = {
             "meta": {"subcommand": args.subcommand, "version": __version__, **meta},
             "rows": [dict(zip(header, row)) for row in rows],
         }
-        text = json.dumps(payload, indent=2, default=_json_default) + "\n"
+        text = json.dumps(payload, indent=2) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -107,19 +104,12 @@ def _emit(args, header, rows, meta):
         sys.stdout.write(text)
 
 
-def _json_default(obj):
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns (header, rows, meta)
 # ---------------------------------------------------------------------------
 
 
 def _cmd_sieve(args):
-    _check_cap(args.hi)
     seg = sieve.sieve_segment(args.lo, args.hi)
     rows = [
         (n, int(seg.counts[n - args.lo]), sieve.liouville(int(seg.counts[n - args.lo])))
@@ -148,27 +138,13 @@ def _cmd_pnt(args):
     checkpoints = list(_decades(args.limit)) if args.stride == "decade" else [args.limit]
     rows = []
     orbit = dynamics.rotation_two_points_liouville()
-    for n in checkpoints:
-        prof = _profile(args, n)
+    for n, prof in zip(checkpoints, _profiles(args, checkpoints)):
         ces = averages.average_along_omega(orbit, n, AverageScheme.CESARO, profile=prof)
         log = averages.average_along_omega(
             orbit, n, AverageScheme.LOGARITHMIC, profile=prof
         )
         rows.append((n, ces.real, log.real))
     return ("N", "cesaro_liouville", "log_liouville"), rows, {"limit": args.limit}
-
-
-def _cmd_logpnt(args):
-    checkpoints = list(_decades(args.limit)) if args.stride == "decade" else [args.limit]
-    rows = []
-    orbit = dynamics.rotation_two_points_liouville()
-    for n in checkpoints:
-        prof = _profile(args, n)
-        log = averages.average_along_omega(
-            orbit, n, AverageScheme.LOGARITHMIC, profile=prof
-        )
-        rows.append((n, log.real))
-    return ("N", "log_liouville"), rows, {"limit": args.limit}
 
 
 def _cmd_weyl(args):
@@ -211,14 +187,17 @@ def _cmd_erdos_kac(args):
 
 
 def _parse_bump(spec: str, ramp: float):
-    lo, hi = (float(part) for part in spec.split(","))
+    try:
+        lo, hi = (float(part) for part in spec.split(","))
+    except ValueError:
+        raise InvalidRangeError(f"bump {spec!r} is not lo,hi") from None
     return averages.smoothed_indicator(lo, hi, ramp)
 
 
 def _cmd_correlate(args):
-    prof = _profile(args, args.limit)
     orbit = dynamics.parse_system(args.system)
     F = _parse_bump(args.bump, args.ramp)
+    prof = _profile(args, args.limit)
     value = averages.correlation_sum(F, orbit, args.limit, profile=prof)
     ek = averages.ek_weighted_average(F, args.limit, profile=prof)
     product = ek * orbit.space_mean
@@ -297,9 +276,9 @@ class _AlreadyEmitted(Exception):
 
 
 def _cmd_invariance(args):
-    prof = _profile(args, args.limit)
     F = _parse_bump(args.bump, args.ramp)
     a = _parse_arith(args.a)
+    prof = _profile(args, args.limit)
     gap = twosets.invariance_gap(F, a, args.limit, profile=prof)
     return ("N", "gap"), [(args.limit, gap)], {"limit": args.limit, "a": args.a}
 
@@ -331,8 +310,8 @@ def _cmd_counterexample(args):
 
 
 def _cmd_shifted(args):
-    prof = _profile(args, args.limit)
     a = _parse_arith(args.a)
+    prof = _profile(args, args.limit)
     value = averages.shifted_omega_average(a, args.limit, args.shift, profile=prof)
     return (
         ("N", "shift", "re", "im"),
@@ -351,36 +330,34 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("sieve", help="Omega(n) over a range")
     sub.add_argument("--lo", type=int, required=True)
     sub.add_argument("--hi", type=int, required=True)
-    _common(sub)
+    _output_args(sub)
     sub.set_defaults(handler=_cmd_sieve)
 
     sub = subs.add_parser("pik", help="pi_k histogram")
     _limit_arg(sub)
-    _common(sub)
+    _output_args(sub)
+    _sieve_args(sub)
     sub.set_defaults(handler=_cmd_pik)
 
     sub = subs.add_parser("pnt", help="Liouville averages")
     _limit_arg(sub)
     sub.add_argument("--stride", choices=["decade", "single"], default="single")
-    _common(sub)
+    _output_args(sub)
+    _sieve_args(sub)
     sub.set_defaults(handler=_cmd_pnt)
-
-    sub = subs.add_parser("logpnt", help="logarithmic Liouville averages")
-    _limit_arg(sub)
-    sub.add_argument("--stride", choices=["decade", "single"], default="single")
-    _common(sub)
-    sub.set_defaults(handler=_cmd_logpnt)
 
     sub = subs.add_parser("weyl", help="exponential sum along Omega(n)")
     _limit_arg(sub)
     sub.add_argument("--beta", type=float, required=True)
-    _common(sub)
+    _output_args(sub)
+    _sieve_args(sub)
     sub.set_defaults(handler=_cmd_weyl)
 
     sub = subs.add_parser("erdos-kac", help="empirical vs Gaussian distribution")
     _limit_arg(sub)
     sub.add_argument("--grid", default="-3:3:0.25", help="lo:hi:step")
-    _common(sub)
+    _output_args(sub)
+    _sieve_args(sub)
     sub.set_defaults(handler=_cmd_erdos_kac)
 
     sub = subs.add_parser("correlate", help="test-function-weighted orbit average")
@@ -388,21 +365,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--system", default="liouville")
     sub.add_argument("--bump", default="-1,1", help="plateau lo,hi")
     sub.add_argument("--ramp", type=float, default=1.0)
-    _common(sub)
+    _output_args(sub)
+    _sieve_args(sub)
     sub.set_defaults(handler=_cmd_correlate)
 
     sub = subs.add_parser("weights", help="exact vs estimated weights per k")
     _limit_arg(sub)
     sub.add_argument("--C", type=float, default=3.0)
-    sub.add_argument("--compare", action="store_true")
-    _common(sub)
+    _output_args(sub)
+    _sieve_args(sub)
     sub.set_defaults(handler=_cmd_weights)
 
     sub = subs.add_parser("extrapolate", help="Gaussian-weight virtual-N average")
     sub.add_argument("--loglogn", type=float, required=True)
     sub.add_argument("--C", type=float, default=3.0)
     sub.add_argument("--blocks", required=True, help="JSON array of [lo, hi] pairs")
-    _common(sub)
+    _output_args(sub)
     sub.set_defaults(handler=_cmd_extrapolate)
 
     sub = subs.add_parser("twosets", help="matched prime / 2-almost-prime sets")
@@ -414,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the best pair even if the coupling target was not reached",
     )
-    _common(sub)
+    _output_args(sub, table=False)
     sub.set_defaults(handler=_cmd_twosets)
 
     sub = subs.add_parser("invariance", help="shift-invariance gap")
@@ -422,7 +400,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--a", default="parity")
     sub.add_argument("--bump", default="-2,2")
     sub.add_argument("--ramp", type=float, default=1.0)
-    _common(sub)
+    _output_args(sub)
+    _sieve_args(sub)
     sub.set_defaults(handler=_cmd_invariance)
 
     sub = subs.add_parser("counterexample", help="oscillating block averages")
@@ -431,14 +410,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--mode", choices=["extrapolate", "sieve"], default="extrapolate")
     sub.add_argument("--limit", type=int, default=10**6)
     sub.add_argument("--blocks", default=None)
-    _common(sub)
+    _output_args(sub)
+    _sieve_args(sub)
     sub.set_defaults(handler=_cmd_counterexample)
 
     sub = subs.add_parser("shifted", help="average of a(Omega(n) + shift)")
     _limit_arg(sub)
     sub.add_argument("--shift", type=int, default=0)
     sub.add_argument("--a", default="parity")
-    _common(sub)
+    _output_args(sub)
+    _sieve_args(sub)
     sub.set_defaults(handler=_cmd_shifted)
 
     return parser

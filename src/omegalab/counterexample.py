@@ -10,13 +10,12 @@ computation is paired with Gaussian-weight checkpoints at virtual N.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import mpmath
 
 from .errors import BlockOverflowError, InvalidIntervalError, InvalidRangeError
-from .sieve import OmegaProfile, omega_profile
+from .sieve import OmegaProfile, _resolve_profile
 from .weights import GaussianWindowSpec, extrapolated_average
 
 MAX_BLOCK_BOUND = 2**62
@@ -155,14 +154,9 @@ def average_along_omega_blocks(
     N: int,
     *,
     profile: OmegaProfile | None = None,
-    workers: int = 1,
-    segment_length: int | None = None,
 ) -> float:
     """Cesaro average of a(Omega(n)) over [1, N], exactly sum_k pi_k(N) a(k) / N."""
-    if profile is None:
-        profile = omega_profile(N, workers, segment_length)
-    elif profile.N != N:
-        raise InvalidRangeError(f"profile is for N={profile.N}, not {N}")
+    profile = _resolve_profile(N, profile)
     hits = sum(int(profile.pik[k]) for k in range(profile.k_max + 1) if seq(k))
     return hits / N
 

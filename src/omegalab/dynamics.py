@@ -129,21 +129,27 @@ def parse_system(spec: str) -> ObservableOrbit:
 
     Supported: ``liouville``, ``rot:m=3,r=1``, ``exp:beta=0.5``,
     ``circle:alpha=0.618`` (observable e^{2 pi i x}, space mean 0).
+    A missing or non-numeric argument raises UnknownSystemError.
     """
     name, _, args = spec.partition(":")
-    kv = dict(part.split("=", 1) for part in args.split(",") if part)
+    kv = dict(part.partition("=")[::2] for part in args.split(",") if part)
+
+    def number(key, kind=float):
+        try:
+            return kind(kv[key])
+        except (KeyError, ValueError):
+            raise UnknownSystemError(f"system spec {spec!r} needs a numeric {key}") from None
+
     if name == "liouville":
         return rotation_two_points_liouville()
     if name == "rot":
-        return residue_indicator_orbit(int(kv["m"]), int(kv["r"]))
+        return residue_indicator_orbit(number("m", int), number("r", int))
     if name == "exp":
-        return exponential_orbit(float(kv["beta"]))
+        return exponential_orbit(number("beta"))
     if name == "circle":
-        alpha = float(kv["alpha"])
-        start = float(kv.get("start", 0.0))
         return CircleRotation(
-            alpha=alpha,
-            start=start,
+            alpha=number("alpha"),
+            start=number("start") if "start" in kv else 0.0,
             g=lambda x: cmath.exp(2j * math.pi * x),
             space_mean=0.0,
             bound=1.0,

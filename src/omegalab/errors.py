@@ -13,6 +13,10 @@ class RangeTooLargeError(OmegalabError):
     """Requested range exceeds the configured global limit."""
 
 
+class CacheWriteError(OmegalabError):
+    """The segment cache (OMEGALAB_CACHE) could not be created or written."""
+
+
 class InvalidResidueError(OmegalabError, ValueError):
     """Residue r outside [0, m) or m < 1."""
 

@@ -18,7 +18,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import kernels
-from .errors import InvalidRangeError, InvalidResidueError, RangeTooLargeError
+from .errors import CacheWriteError, InvalidRangeError, InvalidResidueError, RangeTooLargeError
 
 # Omega(n) <= log2(n) < 64 for every feasible n, so one byte per integer.
 MAX_OMEGA = 64
@@ -171,21 +171,25 @@ def _cache_write(lo: int, hi: int, counts: np.ndarray) -> None:
     """Write the segment file atomically: a temporary file, then os.replace.
 
     Readers, and other processes writing the same segment, see either no
-    file or a whole one.
+    file or a whole one.  A cache directory that cannot be created or
+    written raises CacheWriteError.
     """
     directory = _cache_dir()
     if directory is None:
         return
-    os.makedirs(directory, exist_ok=True)
     path = _cache_path(lo, hi)
     tmp = f"{path}.{os.getpid()}.tmp"  # one writer per process and path
     try:
-        write_segment_file(tmp, lo, hi, counts)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+        os.makedirs(directory, exist_ok=True)
+        try:
+            write_segment_file(tmp, lo, hi, counts)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise CacheWriteError(f"cannot write the segment cache {directory}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +219,14 @@ def map_segments(n_max, chunk_fn, workers=1, segment_length=None):
         return list(pool.map(chunk_fn, spans))
 
 
-def _profile_chunk(span):
-    """(pik, inv) of one span: counts and sums of 1/n by Omega(n).
+def _reduce(counts: np.ndarray, lo: int, hi: int):
+    """(pik, inv) of [lo, hi) from counts[i] = Omega(lo + i).
 
     Reduced in blocks of REDUCE_BLOCK integers so that no segment-sized
     temporary is built.  np.add.at adds the weights in index order, as a
-    weighted bincount over the whole span does, so inv is bit-identical
+    weighted bincount over the whole range does, so inv is bit-identical
     to that reference.
     """
-    lo, hi = span
-    counts = sieve_segment(lo, hi).counts
     pik = np.zeros(MAX_OMEGA + 1, dtype=np.int64)
     inv = np.zeros(MAX_OMEGA + 1, dtype=np.float64)
     for b in range(lo, hi, REDUCE_BLOCK):
@@ -233,6 +235,19 @@ def _profile_chunk(span):
         pik += np.bincount(block, minlength=MAX_OMEGA + 1)
         np.add.at(inv, block, 1.0 / np.arange(b, e, dtype=np.float64))
     return pik, inv
+
+
+def _profile_chunk(span, cuts=()):
+    """(pik, inv) of one span: counts and sums of 1/n by Omega(n).
+
+    Then, for each cut N inside the span (lo <= N < hi - 1) in the order
+    of cuts, the (pik, inv) of [lo, N], reduced in the same blocks as a
+    span that ends at N + 1.
+    """
+    lo, hi = span
+    counts = sieve_segment(lo, hi).counts
+    parts = [_reduce(counts, lo, n + 1) for n in cuts if lo <= n < hi - 1]
+    return (*_reduce(counts, lo, hi), *parts)
 
 
 @dataclass(frozen=True)
@@ -255,19 +270,57 @@ class OmegaProfile:
         return float(math.fsum(self.inv_weights))
 
 
-def omega_profile(N: int, workers: int = 1, segment_length: int | None = None) -> OmegaProfile:
-    if N < 1:
-        raise InvalidRangeError("N must be >= 1")
-    chunks = map_segments(N, _profile_chunk, workers, segment_length)
+def omega_profiles(
+    checkpoints, workers: int = 1, segment_length: int | None = None
+) -> list[OmegaProfile]:
+    """The profile at every N in checkpoints, from one pass over [1, max N].
+
+    Each result is bit-identical to a pass that ends at its N: whole spans
+    are added in segment order, then the part of the span that holds N,
+    reduced in the same blocks.  Results follow the order of checkpoints.
+    """
+    checkpoints = list(checkpoints)
+    if not checkpoints or min(checkpoints) < 1:
+        raise InvalidRangeError("checkpoints must be a non-empty list of N >= 1")
+    n_max = max(checkpoints)
+    _check_limit(n_max + 1)  # before the span list is built
+    spans = segment_spans(n_max, segment_length)
+    wanted = set(checkpoints)
+    cuts = sorted(wanted - {hi - 1 for _, hi in spans})
+    chunk_fn = partial(_profile_chunk, cuts=tuple(cuts)) if cuts else _profile_chunk
+    chunks = map_segments(n_max, chunk_fn, workers, segment_length)
     pik = np.zeros(MAX_OMEGA + 1, dtype=np.int64)
     inv = np.zeros(MAX_OMEGA + 1, dtype=np.float64)
-    for chunk_pik, chunk_inv in chunks:  # merged in segment order
+    totals = {}
+    for (lo, hi), (chunk_pik, chunk_inv, *parts) in zip(spans, chunks):  # segment order
+        inside = [n for n in cuts if lo <= n < hi - 1]
+        for n, (part_pik, part_inv) in zip(inside, parts):
+            totals[n] = pik + part_pik, inv + part_inv
         pik += chunk_pik
         inv += chunk_inv
+        if hi - 1 in wanted:
+            totals[hi - 1] = pik.copy(), inv.copy()
+    return [_profile_at(n, *totals[n]) for n in checkpoints]
+
+
+def _profile_at(N: int, pik: np.ndarray, inv: np.ndarray) -> OmegaProfile:
     k_max = max(int(math.log2(N)), 0)
     if int(pik[: k_max + 1].sum()) != N:
         raise InvalidRangeError(f"pi_k counts do not partition [1, {N}]")
     return OmegaProfile(N, pik[: k_max + 1].copy(), inv[: k_max + 1].copy())
+
+
+def omega_profile(N: int, workers: int = 1, segment_length: int | None = None) -> OmegaProfile:
+    return omega_profiles([N], workers, segment_length)[0]
+
+
+def _resolve_profile(N: int, profile, workers: int = 1, segment_length=None) -> OmegaProfile:
+    """profile when given (it must be for N), else omega_profile(N)."""
+    if profile is None:
+        return omega_profile(N, workers, segment_length)
+    if profile.N != N:
+        raise InvalidRangeError(f"profile is for N={profile.N}, not {N}")
+    return profile
 
 
 @dataclass(frozen=True)
@@ -296,8 +349,7 @@ def pi_k_histogram(
     profile: OmegaProfile | None = None,
 ) -> PiKHistogram:
     """Exact pi_k(N) for all k, independent of segmentation and worker count."""
-    if profile is None:
-        profile = omega_profile(N, workers, segment_length)
+    profile = _resolve_profile(N, profile, workers, segment_length)
     counts = {k: int(v) for k, v in enumerate(profile.pik)}
     return PiKHistogram(N, counts)
 
@@ -341,7 +393,6 @@ def residue_class_density(
     """|{n <= N : Omega(n) = r mod m}| / N."""
     if m < 1 or not 0 <= r < m:
         raise InvalidResidueError(f"residue {r} mod {m} is invalid")
-    if profile is None:
-        profile = omega_profile(N, workers, segment_length)
+    profile = _resolve_profile(N, profile, workers, segment_length)
     ks = np.arange(len(profile.pik))
     return int(profile.pik[ks % m == r].sum()) / N

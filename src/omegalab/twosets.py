@@ -11,18 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .averages import AverageScheme, EKNormalizer, RealTestFunction
+from .averages import AverageScheme, EKNormalizer, RealTestFunction, _adjusted_pik
 from .errors import (
     EmptySetError,
     InvalidPError,
     InvalidRangeError,
     SearchExhaustedError,
 )
-from .sieve import OmegaProfile, base_primes, omega_oracle, omega_profile
+from .sieve import OmegaProfile, _resolve_profile, base_primes, omega_oracle
 
 MAX_SET_SIZE = 50_000  # keeps the quadratic coupling pass under a minute
 
@@ -295,19 +294,10 @@ def invariance_gap(
     N: int,
     *,
     profile: OmegaProfile | None = None,
-    workers: int = 1,
-    segment_length: int | None = None,
 ) -> float:
     """|E_[N] F(phi(n)) a(Omega(n)) - E_[N] F(phi(n)) a(Omega(n)+1)|."""
     norm = EKNormalizer(N)
-    if profile is None:
-        profile = omega_profile(N, workers, segment_length)
-    elif profile.N != N:
-        raise InvalidRangeError(f"profile is for N={profile.N}, not {N}")
-    pik = profile.pik.astype(np.float64).copy()
-    pik[0] -= 1  # n = 1
-    if N >= 2:
-        pik[1] -= 1  # n = 2
+    pik = _adjusted_pik(_resolve_profile(N, profile))
     fvals = np.array([F(norm.normalize(k)) for k in range(len(pik))])
     a0 = np.array([complex(a(k)) for k in range(len(pik))])
     a1 = np.array([complex(a(k + 1)) for k in range(len(pik))])

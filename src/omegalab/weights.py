@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidRangeError, WindowRangeError
-from .sieve import OmegaProfile, omega_profile
+from .sieve import OmegaProfile, _resolve_profile
 
 
 @dataclass(frozen=True)
@@ -79,14 +79,9 @@ def exact_weights(
     N: int,
     *,
     profile: OmegaProfile | None = None,
-    workers: int = 1,
-    segment_length: int | None = None,
 ) -> WeightVector:
     """w_k = pi_k(N)/N over the full realized k-range; sums to 1 exactly."""
-    if profile is None:
-        profile = omega_profile(N, workers, segment_length)
-    elif profile.N != N:
-        raise InvalidRangeError(f"profile is for N={profile.N}, not {N}")
+    profile = _resolve_profile(N, profile)
     return WeightVector(
         k_lo=0,
         k_hi=profile.k_max,
@@ -189,14 +184,10 @@ def approximation_report(
     C: float = 3.0,
     *,
     profile: OmegaProfile | None = None,
-    workers: int = 1,
-    segment_length: int | None = None,
 ) -> ApproximationReport:
     """Total-variation and max relative error of the Gaussian weights vs exact."""
     window = window_for(N, C)
-    exact = exact_weights(
-        N, profile=profile, workers=workers, segment_length=segment_length
-    )
+    exact = exact_weights(N, profile=profile)
     gauss = gaussian_weights(window)
     tv = 0.0
     max_rel = 0.0

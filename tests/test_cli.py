@@ -1,10 +1,13 @@
+import argparse
 import csv
 import io
 import json
 
 import pytest
 
+from omegalab import AverageScheme, average_along_omega, cli, sieve
 from omegalab.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
+from omegalab.dynamics import rotation_two_points_liouville
 
 
 def run(capsys, *argv):
@@ -43,6 +46,20 @@ def test_pnt_decades(capsys):
     assert [r[0] for r in rows] == ["10", "100", "1000"]
 
 
+def test_pnt_decades_equal_per_checkpoint_averages(capsys):
+    code, out = run(
+        capsys, "pnt", "--limit", "123456", "--stride", "decade", "--json", "--quiet"
+    )
+    assert code == EXIT_OK
+    rows = json.loads(out)["rows"]
+    assert [row["N"] for row in rows] == [10, 100, 1000, 10**4, 10**5, 123456]
+    orbit = rotation_two_points_liouville()
+    for row in rows:
+        ces = average_along_omega(orbit, row["N"], AverageScheme.CESARO)
+        log = average_along_omega(orbit, row["N"], AverageScheme.LOGARITHMIC)
+        assert (row["cesaro_liouville"], row["log_liouville"]) == (ces.real, log.real)
+
+
 def test_weyl_output(capsys):
     code, out = run(capsys, "weyl", "--limit", "1000", "--beta", "0.5", "--quiet")
     assert code == EXIT_OK
@@ -69,6 +86,20 @@ def test_correlate_systems(capsys):
 def test_correlate_unknown_system(capsys):
     code, _ = run(capsys, "correlate", "--limit", "100", "--system", "bogus", "--quiet")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("spec", ["rot:m=3", "rot:m=x,r=1", "exp:"])
+def test_correlate_bad_system_arguments(capsys, spec):
+    code, out = run(capsys, "correlate", "--limit", "100", f"--system={spec}", "--quiet")
+    assert code == EXIT_USAGE
+    assert out == ""
+
+
+@pytest.mark.parametrize("bump", ["1", "a,b", "1,2,3"])
+def test_correlate_bad_bump(capsys, bump):
+    code, out = run(capsys, "correlate", "--limit", "100", f"--bump={bump}", "--quiet")
+    assert code == EXIT_USAGE
+    assert out == ""
 
 
 def test_weights_table(capsys):
@@ -171,6 +202,28 @@ def test_limit_over_cap_is_resource_error(capsys):
     assert code == EXIT_RESOURCE
 
 
+def test_limit_is_checked_before_spans_are_built(capsys, monkeypatch):
+    real_spans = sieve.segment_spans
+
+    def guarded_spans(n_max, segment_length=None):
+        assert n_max <= sieve.HARD_LIMIT, "span list built past the limit"
+        return real_spans(n_max, segment_length)
+
+    monkeypatch.setattr(sieve, "segment_spans", guarded_spans)
+    code, out = run(capsys, "pik", "--limit", str(10**18), "--quiet")
+    assert code == EXIT_RESOURCE
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv", [["logpnt", "--limit", "100"], ["weights", "--limit", "100", "--compare"]]
+)
+def test_removed_subcommand_and_option_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+
+
 def test_out_file(capsys, tmp_path):
     out_path = tmp_path / "table.csv"
     code, out = run(
@@ -219,3 +272,76 @@ def test_truncated_cache_file_is_resieved(capsys, tmp_path, monkeypatch):
     code, out = run(capsys, "pik", "--limit", "5000", "--segment-length", "2048", "--quiet")
     assert code == EXIT_OK
     assert out == fresh
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_unwritable_cache_is_usage_error(capsys, tmp_path, monkeypatch, workers):
+    blocker = tmp_path / "cache"
+    blocker.write_bytes(b"")
+    monkeypatch.setenv("OMEGALAB_CACHE", str(blocker))
+    code, out = run(
+        capsys, "pik", "--limit", "100", "--segment-length", "50", "--workers", workers,
+        "--quiet",
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+
+
+class RecordingNamespace(argparse.Namespace):
+    """A Namespace that records the names of the attributes read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self.__dict__["_reads"] = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_every_declared_option_is_read(capsys, tmp_path):
+    """Each subcommand's handler and _emit read every option it declares."""
+    blocks = tmp_path / "blocks.json"
+    blocks.write_text(json.dumps([[1, 13], [19, 35]]))
+    runs = {
+        "sieve": [["--lo", "1", "--hi", "11"]],
+        "pik": [["--limit", "1000"]],
+        "pnt": [["--limit", "1000", "--stride", "decade"]],
+        "weyl": [["--limit", "1000", "--beta", "0.5"]],
+        "erdos-kac": [["--limit", "1000"]],
+        "correlate": [["--limit", "1000"]],
+        "weights": [["--limit", "1000"]],
+        "extrapolate": [["--loglogn", "27", "--blocks", str(blocks)]],
+        "twosets": [["--limit", "1000", "--epsilon", "0.05", "--rho", "1.05",
+                     "--allow-partial"]],
+        "invariance": [["--limit", "1000"]],
+        # --C is read only in extrapolate mode, --limit only in sieve mode.
+        "counterexample": [["--mode", "sieve", "--limit", "1000"], ["--kmax", "3"]],
+        "shifted": [["--limit", "1000"]],
+    }
+    parser = cli._build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == set(runs)
+    unread = {}
+    for name, argvs in runs.items():
+        declared = {
+            action.dest
+            for action in subparsers.choices[name]._actions
+            if action.option_strings and action.dest not in ("help", "quiet")
+        }
+        read = set()
+        for argv in argvs:
+            args = parser.parse_args([name, *argv, "--quiet"], namespace=RecordingNamespace())
+            args._reads.clear()
+            try:
+                header, rows, meta = args.handler(args)
+            except cli._AlreadyEmitted:
+                pass
+            else:
+                cli._emit(args, header, rows, meta)
+            read |= args._reads
+        if declared - read:
+            unread[name] = sorted(declared - read)
+    capsys.readouterr()
+    assert unread == {}

@@ -84,3 +84,11 @@ def test_parse_system_variants():
 def test_parse_system_unknown():
     with pytest.raises(UnknownSystemError):
         parse_system("torus:dim=2")
+
+
+@pytest.mark.parametrize(
+    "spec", ["rot:m=3", "rot:m=x,r=1", "rot:m", "exp:", "exp:beta=", "circle:alpha=0.1,start=y"]
+)
+def test_parse_system_bad_arguments(spec):
+    with pytest.raises(UnknownSystemError):
+        parse_system(spec)

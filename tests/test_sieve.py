@@ -13,11 +13,17 @@ from omegalab import (
     liouville,
     omega_oracle,
     omega_profile,
+    omega_profiles,
     pi_k_histogram,
     residue_class_density,
     sieve_segment,
 )
-from omegalab.errors import InvalidRangeError, InvalidResidueError, RangeTooLargeError
+from omegalab.errors import (
+    CacheWriteError,
+    InvalidRangeError,
+    InvalidResidueError,
+    RangeTooLargeError,
+)
 from omegalab.kernels import omega_segment
 from omegalab.sieve import (
     HARD_LIMIT,
@@ -249,3 +255,57 @@ def test_profile_checks_partition_identity(monkeypatch):
     monkeypatch.setattr(sieve, "_profile_chunk", lossy_chunk)
     with pytest.raises(InvalidRangeError):
         omega_profile(1000)
+
+
+# Span boundaries at the default length: 2**22 ends the first span, and
+# 2**22 + 1 is a partial span of length 1.  65536 = REDUCE_BLOCK.
+PROFILE_CHECKPOINTS = [
+    10**6, 2**22 + 1, 1, 65536, 10, 2**22, 65535, 10**5, 2, 3 * 10**6 + 7, 65537, 10**5,
+]
+
+
+@pytest.mark.parametrize("segment_length", [None, 12345, 1 << 16])
+def test_omega_profiles_match_standalone_profiles(segment_length):
+    standalone = {
+        n: omega_profile(n, segment_length=segment_length) for n in set(PROFILE_CHECKPOINTS)
+    }
+    for workers in (1, 2):
+        profiles = omega_profiles(PROFILE_CHECKPOINTS, workers, segment_length)
+        assert [p.N for p in profiles] == PROFILE_CHECKPOINTS
+        for prof in profiles:
+            ref = standalone[prof.N]
+            assert prof.pik.tobytes() == ref.pik.tobytes()
+            assert prof.inv_weights.tobytes() == ref.inv_weights.tobytes()
+
+
+def test_omega_profiles_rejects_bad_checkpoints():
+    for bad in ([], [0], [10, 0, 5], [-3]):
+        with pytest.raises(InvalidRangeError):
+            omega_profiles(bad)
+
+
+def test_mismatched_profile_is_rejected(profile_1e4):
+    with pytest.raises(InvalidRangeError):
+        residue_class_density(100, 3, 0, profile=profile_1e4)
+    with pytest.raises(InvalidRangeError):
+        pi_k_histogram(100, profile=profile_1e4)
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_unwritable_cache_is_cache_write_error(tmp_path, monkeypatch, sub):
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_bytes(b"")
+    monkeypatch.setenv("OMEGALAB_CACHE", str(blocker / sub))
+    with pytest.raises(CacheWriteError):
+        sieve_segment(1, 100)
+
+
+def test_failed_cache_write_leaves_no_temporary(tmp_path, monkeypatch):
+    def failing_replace(src, dst):
+        raise PermissionError(13, "Permission denied", dst)
+
+    monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(CacheWriteError):
+        sieve_segment(1, 100)
+    assert list(tmp_path.iterdir()) == []
