@@ -54,7 +54,6 @@ from .sieve import (
     sieve_segment,
 )
 from .twosets import (
-    CouplingReport,
     PrimeSetPair,
     construct_pair,
     coupling,

@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
 from . import __version__, averages, counterexample, dynamics, sieve, twosets, weights
@@ -14,6 +15,7 @@ from .averages import AverageScheme
 from .errors import (
     InvalidRangeError,
     OmegalabError,
+    OutputWriteError,
     RangeTooLargeError,
     SearchExhaustedError,
 )
@@ -26,7 +28,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            raise OutputWriteError(f"--out {args.out}: no such directory")
         header, rows, meta = args.handler(args)
+        _emit(args, header, rows, meta)
     except _AlreadyEmitted:
         return EXIT_OK
     except (RangeTooLargeError, SearchExhaustedError) as exc:
@@ -35,7 +40,6 @@ def main(argv=None) -> int:
     except OmegalabError as exc:
         print(f"omegalab: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(args, header, rows, meta)
     return EXIT_OK
 
 
@@ -97,11 +101,19 @@ def _emit(args, header, rows, meta):
         for row in rows:
             writer.writerow([_fmt(v, precision) for v in row])
         text = buf.getvalue()
-    if args.out:
+    _write(args, text)
+
+
+def _write(args, text):
+    """Write text to --out, or to stdout without it."""
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise OutputWriteError(f"--out {args.out}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +241,20 @@ def _cmd_weights(args):
     return ("k", "exact", "erdos", "gaussian"), rows, {"limit": args.limit, "C": args.C}
 
 
+def _read_blocks(path):
+    """The block sequence of a JSON file holding a list of [lo, hi] pairs."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            intervals = [(int(lo), int(hi)) for lo, hi in json.load(fh)]
+    except OSError as exc:
+        raise InvalidRangeError(f"--blocks {path}: {exc.strerror}") from None
+    except (ValueError, TypeError, OverflowError):
+        raise InvalidRangeError(f"--blocks {path}: not a list of [lo, hi] pairs") from None
+    return counterexample.BlockSequence(counterexample.merge_intervals(intervals))
+
+
 def _cmd_extrapolate(args):
-    with open(args.blocks, encoding="utf-8") as fh:
-        intervals = [(int(lo), int(hi)) for lo, hi in json.load(fh)]
-    seq = counterexample.BlockSequence(counterexample.merge_intervals(intervals))
+    seq = _read_blocks(args.blocks)
     window = weights.GaussianWindowSpec(loglogn=args.loglogn, C=args.C)
     value = weights.extrapolated_average(seq, window)
     mass = weights.gaussian_weights(window).total()
@@ -247,8 +269,7 @@ def _cmd_twosets(args):
         if not args.allow_partial or exc.best_pair is None:
             raise
         pair = exc.best_pair
-    c1 = twosets.coupling(pair.b1)
-    c2 = twosets.coupling(pair.b2)
+    c1, c2 = pair.couplings
     payload = {
         "meta": {
             "subcommand": args.subcommand,
@@ -262,12 +283,7 @@ def _cmd_twosets(args):
         "coupling_b1": c1,
         "coupling_b2": c2,
     }
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, json.dumps(payload, indent=2) + "\n")
     raise _AlreadyEmitted
 
 
@@ -293,9 +309,7 @@ def _parse_arith(name: str):
 
 def _cmd_counterexample(args):
     if args.blocks:
-        with open(args.blocks, encoding="utf-8") as fh:
-            intervals = [(int(lo), int(hi)) for lo, hi in json.load(fh)]
-        seq = counterexample.BlockSequence(counterexample.merge_intervals(intervals))
+        seq = _read_blocks(args.blocks)
     else:
         seq = counterexample.erdos_blocks(args.kmax)
     if args.mode == "extrapolate":

@@ -17,6 +17,10 @@ class CacheWriteError(OmegalabError):
     """The segment cache (OMEGALAB_CACHE) could not be created or written."""
 
 
+class OutputWriteError(OmegalabError):
+    """The --out file could not be written."""
+
+
 class InvalidResidueError(OmegalabError, ValueError):
     """Residue r outside [0, m) or m < 1."""
 

@@ -10,20 +10,17 @@ extending the interval scan until both couplings reach the target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .averages import AverageScheme, EKNormalizer, RealTestFunction, _adjusted_pik
-from .errors import (
-    EmptySetError,
-    InvalidPError,
-    InvalidRangeError,
-    SearchExhaustedError,
-)
-from .sieve import OmegaProfile, _resolve_profile, base_primes, omega_oracle
+from .errors import EmptySetError, InvalidPError, InvalidRangeError, SearchExhaustedError
+from .sieve import OmegaProfile, _check_limit, _resolve_profile, base_primes, omega_oracle
+from .sieve import segment_spans
 
-MAX_SET_SIZE = 50_000  # keeps the quadratic coupling pass under a minute
+MAX_SET_SIZE = 50_000  # caps |B1| = |B2|, and so the search's time and output
 
 
 def phi(m: int, n: int) -> int:
@@ -34,7 +31,7 @@ def phi(m: int, n: int) -> int:
 
 
 def coupling(B) -> float:
-    """Double logarithmic average of phi over B x B, by the direct O(|B|^2) sum."""
+    """Double log average of phi over B x B by the direct O(|B|^2) sum; a test oracle."""
     elems = sorted(set(B))
     if not elems:
         raise EmptySetError("coupling of an empty set")
@@ -54,7 +51,7 @@ def coupling_grouped(B) -> float:
 
     gcd(m, n) - 1 = sum over divisors d > 1 of both, of totient(d), so the
     double sum regroups as sum_d totient(d) (sum_{d | m in B} 1/m)^2.
-    Independent computation path used to cross-check `coupling`.
+    Independent computation path used to cross-check `coupling`; a test oracle.
     """
     elems = sorted(set(B))
     if not elems:
@@ -107,6 +104,7 @@ class PrimeSetPair:
     b2: tuple
     rho: float
     epsilon: float
+    couplings: tuple | None = field(default=None, compare=False)  # from construct_pair
 
     def __post_init__(self):
         if not self.b1 or not self.b2:
@@ -115,16 +113,34 @@ class PrimeSetPair:
             raise InvalidRangeError("epsilon must lie in (0, 1)")
         if not 1 < self.rho <= 1 + self.epsilon:
             raise InvalidRangeError("rho must lie in (1, 1 + epsilon]")
-        for p in self.b1:
-            if omega_oracle(p) != 1:
-                raise InvalidRangeError(f"{p} in B1 is not prime")
-        for m in self.b2:
-            if omega_oracle(m) != 2:
-                raise InvalidRangeError(f"{m} in B2 is not a 2-almost prime")
+        for elems, k, what in ((self.b1, 1, "in B1 is not prime"),
+                               (self.b2, 2, "in B2 is not a 2-almost prime")):
+            bad = np.flatnonzero(_omega_of(elems) != k)
+            if len(bad):
+                raise InvalidRangeError(f"{elems[bad[0]]} {what}")
         by_interval_1 = _interval_counts(self.b1, self.rho)
         by_interval_2 = _interval_counts(self.b2, self.rho)
         if by_interval_1 != by_interval_2:
             raise InvalidRangeError("rho-adic interval cardinalities differ")
+
+
+def _omega_of(elems) -> np.ndarray:
+    """Omega(m) for each m in elems, from the kernel, without the segment cache.
+
+    Each segment span that holds elements is sieved from its smallest to its
+    largest element, so memory stays within one segment."""
+    if min(elems) < 1:
+        raise InvalidRangeError("n must be >= 1")
+    _check_limit(max(elems) + 1)
+    values, where = np.unique(np.asarray(elems, dtype=np.int64), return_inverse=True)
+    omega = np.empty(len(values), dtype=np.uint8)
+    for lo, hi in segment_spans(int(values[-1])):
+        a, b = np.searchsorted(values, [lo, hi]).tolist()
+        if a < b:
+            first, last = int(values[a]), int(values[b - 1])
+            counts = kernels.omega_segment(first, last + 1, base_primes(math.isqrt(last)))
+            omega[a:b] = counts[values[a:b] - first]
+    return omega[where]
 
 
 def rho_index(m: int, rho: float) -> int:
@@ -139,19 +155,16 @@ def rho_index(m: int, rho: float) -> int:
     return j
 
 
+def _rho_bounds(rho: float, j_max: int) -> np.ndarray:
+    """rho^(j+1) for j = 0..j_max as rho_index computes it; exact against m < 2**53."""
+    return np.array([rho ** (j + 1) for j in range(j_max + 1)])
+
+
 def _interval_counts(elems, rho: float) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for m in elems:
-        j = rho_index(m, rho)
-        counts[j] = counts.get(j, 0) + 1
-    return counts
-
-
-@dataclass(frozen=True)
-class CouplingReport:
-    set_id: str
-    value: float
-    epsilon_target: float
+    """Number of elements per rho-adic index j, as rho_index assigns them."""
+    bounds = _rho_bounds(rho, rho_index(max(elems, default=1), rho))
+    js = np.searchsorted(bounds, np.asarray(elems, dtype=np.int64), side="left")
+    return dict(zip(*(a.tolist() for a in np.unique(js, return_counts=True))))
 
 
 class _IncrementalCoupling:
@@ -216,51 +229,49 @@ def construct_pair(
 
     Within each interval the ascending-smallest min(#primes, #2-almost)
     elements of each side are kept; the scan stops once both couplings are
-    at or below epsilon.  Raises SearchExhaustedError (carrying the best
-    pair and its couplings) if the limit or the set-size cap is reached
-    first.
+    at or below epsilon.  The pair carries the couplings, kept up to date
+    as elements are added.  Raises SearchExhaustedError (carrying the best
+    pair and its couplings, and reporting the floor 1/(2 sum 1/m) that no
+    coupling goes below) if the limit or the set-size cap is reached first.
     """
     if not 0 < epsilon < 1:
         raise InvalidRangeError("epsilon must lie in (0, 1)")
     if not 1 < rho <= 1 + epsilon:
         raise InvalidRangeError("rho must lie in (1, 1 + epsilon]")
+    _check_limit(search_limit + 1)  # before base_primes allocates limit + 1 bytes
     primes = base_primes(search_limit)
     almost = _almost_primes_2(search_limit)
     b1: list[int] = []
     b2: list[int] = []
     c1 = _IncrementalCoupling()
     c2 = _IncrementalCoupling()
-    j_max = rho_index(search_limit, rho)
+    bounds = _rho_bounds(rho, rho_index(search_limit, rho))
+    ends1 = np.searchsorted(primes, bounds, side="right").tolist()
+    ends2 = np.searchsorted(almost[:, 0], bounds, side="right").tolist()
     i1 = i2 = 0
-    for j in range(j_max + 1):
-        hi_bound = rho ** (j + 1)
-        n1 = i1
-        while n1 < len(primes) and primes[n1] <= hi_bound:
-            n1 += 1
-        n2 = i2
-        while n2 < len(almost) and almost[n2, 0] <= hi_bound:
-            n2 += 1
-        take = min(n1 - i1, n2 - i2)
-        if len(b1) + take > max_set_size:
-            take = max_set_size - len(b1)
-        for t in range(take):
-            p = int(primes[i1 + t])
+    for n1, n2 in zip(ends1, ends2):
+        take = max(0, min(n1 - i1, n2 - i2, max_set_size - len(b1)))
+        for p in primes[i1 : i1 + take].tolist():
             b1.append(p)
             c1.add(p, (p,))
-            m, fp, fq = (int(v) for v in almost[i2 + t])
+        for m, fp, fq in almost[i2 : i2 + take].tolist():
             b2.append(m)
             c2.add(m, (fp, fq))
         i1, i2 = n1, n2
         if b1 and c1.value() <= epsilon and c2.value() <= epsilon:
-            return PrimeSetPair(tuple(b1), tuple(b2), rho, epsilon)
+            return PrimeSetPair(tuple(b1), tuple(b2), rho, epsilon, (c1.value(), c2.value()))
         if len(b1) >= max_set_size:
             break
-    best = PrimeSetPair(tuple(b1), tuple(b2), rho, epsilon) if b1 else None
     achieved = (c1.value(), c2.value()) if b1 else None
+    reason = f"best achieved {achieved}"
+    if b1:  # the diagonal terms alone give coupling(B) >= 1/(2 sum_{m in B} 1/m)
+        own = tuple(0.5 / c.harmonic for c in (c1, c2))
+        pool = tuple(0.5 / float(np.sum(1.0 / a)) for a in (primes, almost[:, 0]))
+        reason += (f"; proven floor 1/(2 sum 1/m): ({own[0]:.3g}, {own[1]:.3g}) for these "
+                   f"sets, ({pool[0]:.3g}, {pool[1]:.3g}) for any sets <= {search_limit}")
     raise SearchExhaustedError(
-        f"coupling target {epsilon} not reached by limit {search_limit}: "
-        f"best achieved {achieved}",
-        best_pair=best,
+        f"coupling target {epsilon} not reached by limit {search_limit}: {reason}",
+        best_pair=PrimeSetPair(tuple(b1), tuple(b2), rho, epsilon, achieved) if b1 else None,
         couplings=achieved,
     )
 

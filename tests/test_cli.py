@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from omegalab import AverageScheme, average_along_omega, cli, sieve
+from omegalab import AverageScheme, average_along_omega, cli, sieve, twosets
 from omegalab.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 from omegalab.dynamics import rotation_two_points_liouville
 
@@ -161,6 +161,51 @@ def test_twosets_allow_partial(capsys):
     assert payload["coupling_b1"] > 0.05
 
 
+def test_twosets_partial_couplings_are_the_carried_ones(capsys, monkeypatch):
+    def recomputed(B):
+        raise AssertionError("twosets recomputed a coupling after the search")
+
+    monkeypatch.setattr(twosets, "coupling", recomputed)
+    monkeypatch.setattr(twosets, "coupling_grouped", recomputed)
+    code, out = run(
+        capsys, "twosets", "--limit", "10000", "--epsilon", "0.1", "--rho", "1.05",
+        "--allow-partial", "--quiet",
+    )
+    monkeypatch.undo()
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["coupling_b1"] == pytest.approx(twosets.coupling(payload["b1"]), rel=1e-12)
+    assert payload["coupling_b2"] == pytest.approx(twosets.coupling(payload["b2"]), rel=1e-12)
+
+
+def test_twosets_limit_is_checked_before_base_primes(capsys, monkeypatch):
+    real_base_primes = twosets.base_primes
+
+    def guarded_base_primes(limit):
+        assert limit <= sieve.HARD_LIMIT, "base primes allocated past the limit"
+        return real_base_primes(limit)
+
+    monkeypatch.setattr(twosets, "base_primes", guarded_base_primes)
+    code = main(["twosets", "--limit", str(10**11), "--epsilon", "0.1", "--rho", "1.05"])
+    captured = capsys.readouterr()
+    assert code == EXIT_RESOURCE
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("content", [None, "[[1, 2], [3]]", "[1, 2]", "not json"])
+@pytest.mark.parametrize("argv", [["extrapolate", "--loglogn", "27"], ["counterexample"]])
+def test_bad_blocks_file_is_usage_error(capsys, tmp_path, argv, content):
+    blocks = tmp_path / "blocks.json"
+    if content is not None:  # None: the file does not exist
+        blocks.write_text(content)
+    code = main([*argv, "--blocks", str(blocks), "--quiet"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_invariance(capsys):
     code, out = run(capsys, "invariance", "--limit", "10000", "--a", "parity", "--quiet")
     assert code == EXIT_OK
@@ -234,6 +279,30 @@ def test_out_file(capsys, tmp_path):
     header, rows = parse_csv(out_path.read_text())
     assert header == ["n", "omega", "liouville"]
     assert len(rows) == 4
+
+
+def test_out_into_missing_directory_is_usage_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_cmd_pik", lambda args: pytest.fail("the handler ran"))
+    target = tmp_path / "missing" / "x.csv"
+    code = main(["pik", "--limit", "100", "--out", str(target), "--quiet"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["pik", "--limit", "100"],
+     ["twosets", "--limit", "1000", "--epsilon", "0.05", "--rho", "1.05", "--allow-partial"]],
+)
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
+    code = main([*argv, "--out", str(tmp_path), "--quiet"])  # a directory, not a file
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_precision_flag(capsys):

@@ -1,20 +1,25 @@
+import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omegalab.averages import AverageScheme, interval_indicator, smoothed_indicator
+from omegalab import twosets
 from omegalab.errors import (
     EmptySetError,
     InvalidPError,
     InvalidRangeError,
     SearchExhaustedError,
 )
+from omegalab.sieve import DEFAULT_SEGMENT_LENGTH, base_primes, omega_oracle
 from omegalab.twosets import (
     PrimeSetPair,
     _IncrementalCoupling,
     _almost_primes_2,
+    _interval_counts,
     construct_pair,
     coupling,
     coupling_grouped,
@@ -86,6 +91,17 @@ def test_rho_index_exact_boundaries():
             assert rho**j < m <= rho ** (j + 1) or (m == 1 and j == 0)
 
 
+@pytest.mark.parametrize("rho", [1.05, 1.5, 2.0])
+def test_interval_counts_match_rho_index_on_boundaries(rho):
+    elems = []
+    for j in itertools.count():
+        x = rho**j
+        if x > 10**7:
+            break
+        elems += [math.floor(x), math.ceil(x), math.ceil(x) + 1]
+    assert _interval_counts(elems, rho) == Counter(rho_index(m, rho) for m in elems)
+
+
 def test_almost_primes_table():
     table = _almost_primes_2(30)
     ms = [int(r[0]) for r in table]
@@ -101,6 +117,78 @@ def test_prime_set_pair_validation():
         PrimeSetPair(b1=(2,), b2=(5,), rho=1.05, epsilon=0.1)  # 5 not 2-almost
     with pytest.raises(EmptySetError):
         PrimeSetPair(b1=(), b2=(4,), rho=1.05, epsilon=0.1)
+
+
+def _first_in_segment_two(k):
+    """The smallest n with Omega(n) = k in the second default segment."""
+    return next(n for n in itertools.count(DEFAULT_SEGMENT_LENGTH + 1) if omega_oracle(n) == k)
+
+
+def _trial_division_message(b1, b2):
+    """What trial division reports for the first element of the wrong kind."""
+    for elems, k, what in ((b1, 1, "in B1 is not prime"),
+                           (b2, 2, "in B2 is not a 2-almost prime")):
+        for m in elems:
+            if omega_oracle(m) != k:
+                return f"{m} {what}"
+    return None
+
+
+def test_prime_set_pair_validation_from_the_sieve(tmp_path, monkeypatch):
+    def no_oracle(n):
+        raise AssertionError("validation fell back to trial division")
+
+    monkeypatch.setattr(twosets, "omega_oracle", no_oracle)
+    monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
+    big_prime, big_almost = _first_in_segment_two(1), _first_in_segment_two(2)
+    assert rho_index(big_prime, 1.05) == rho_index(big_almost, 1.05)
+    assert rho_index(1009, 1.05) == rho_index(1011, 1.05)
+    PrimeSetPair(b1=(1009, big_prime), b2=(big_almost, 1011), rho=1.05, epsilon=0.1)
+    bad = [
+        ((4,), (6,)),
+        ((2,), (5,)),
+        ((7, 4, 9), (6,)),
+        ((3, DEFAULT_SEGMENT_LENGTH + 1), (6,)),  # 5 * 838861, in segment two
+        ((big_prime, 1009), (big_almost, big_prime)),
+        ((big_prime,), (8, big_almost)),
+        ((1009, 2**23 + 9), (1011, 1015)),
+    ]
+    for b1, b2 in bad:
+        expected = _trial_division_message(b1, b2)
+        assert expected is not None
+        with pytest.raises(InvalidRangeError) as exc_info:
+            PrimeSetPair(b1=b1, b2=b2, rho=1.05, epsilon=0.1)
+        assert str(exc_info.value) == expected
+    with pytest.raises(InvalidRangeError, match="n must be >= 1"):
+        PrimeSetPair(b1=(0, 2), b2=(4, 6), rho=1.05, epsilon=0.1)
+    assert list(tmp_path.iterdir()) == []  # the segment cache is not used
+
+
+def test_search_carries_its_couplings():
+    with pytest.raises(SearchExhaustedError) as exc_info:
+        construct_pair(0.1, 1.05, 10**5, max_set_size=300)
+    exc = exc_info.value
+    pair = exc.best_pair
+    assert len(pair.b1) == 300
+    assert pair.couplings == exc.couplings
+    for value, elems in zip(exc.couplings, (pair.b1, pair.b2)):
+        assert value == pytest.approx(coupling(elems), rel=1e-12)
+
+
+def test_exhaustion_reports_the_diagonal_floor():
+    with pytest.raises(SearchExhaustedError) as exc_info:
+        construct_pair(0.01, 1.01, 10**3)
+    exc = exc_info.value
+    own = [1 / (2 * math.fsum(1 / m for m in B)) for B in (exc.best_pair.b1, exc.best_pair.b2)]
+    pools = [1 / (2 * math.fsum(1 / int(m) for m in B))
+             for B in (base_primes(1000), _almost_primes_2(1000)[:, 0])]
+    for value, floor, pool in zip(exc.couplings, own, pools):
+        assert value >= floor >= pool
+    assert str(exc) == (
+        f"coupling target 0.01 not reached by limit 1000: best achieved {exc.couplings}; "
+        f"proven floor 1/(2 sum 1/m): ({own[0]:.3g}, {own[1]:.3g}) for these sets, "
+        f"({pools[0]:.3g}, {pools[1]:.3g}) for any sets <= 1000"
+    )
 
 
 def test_construct_pair_invariants_hold():
