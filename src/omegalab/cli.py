@@ -28,8 +28,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
-            raise OutputWriteError(f"--out {args.out}: no such directory")
+        _check_args(args)
         header, rows, meta = args.handler(args)
         _emit(args, header, rows, meta)
     except _AlreadyEmitted:
@@ -41,6 +40,22 @@ def main(argv=None) -> int:
         print(f"omegalab: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK
+
+
+def _check_args(args) -> None:
+    """Checks on options that would otherwise fail only after the computation."""
+    if args.out:
+        directory = os.path.dirname(os.path.abspath(args.out))
+        if not os.path.isdir(directory):
+            raise OutputWriteError(f"--out {args.out}: no such directory")
+        if os.path.isdir(args.out):
+            raise OutputWriteError(f"--out {args.out}: is a directory")
+        if not os.access(args.out if os.path.exists(args.out) else directory, os.W_OK):
+            raise OutputWriteError(f"--out {args.out}: permission denied")
+    if getattr(args, "precision", 1) < 1:
+        raise InvalidRangeError(f"--precision must be >= 1, got {args.precision}")
+    if hasattr(args, "workers"):
+        sieve._check_workers(args.workers)
 
 
 def _output_args(sub, table=True):
@@ -139,11 +154,10 @@ def _cmd_pik(args):
 
 def _decades(limit):
     n = 10
-    while n <= limit:
+    while n < limit:
         yield n
         n *= 10
-    if n // 10 != limit:
-        yield limit
+    yield limit
 
 
 def _cmd_pnt(args):

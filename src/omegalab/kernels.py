@@ -1,12 +1,30 @@
-"""The Omega(n) sieve kernel: one numpy pass per prime power.
+"""The Omega(n) sieve kernel: pre-sieved, cache-blocked numpy passes.
 
 This is the segmented Omega/Liouville sieve of Borwein, Ferguson and
 Mossinghoff ("Sign changes in sums of the Liouville function", Math. Comp.
 77 (2008)), with both per-integer quantities it needs packed into a single
 uint32 accumulator so that each prime power costs one strided pass.
+
+Two steps from segmented prime sieves (Oliveira e Silva's, and Walisch's
+primesieve) cut the memory traffic of those passes:
+
+- Pre-sieving.  The prime powers 2, 4, 8, 3, 9, 5, 7 and 11 hit n with
+  period PATTERN_PERIOD = 8*9*5*7*11 = 27720.  Their summed steps are built
+  once into a pattern, and a segment starts as a rotated copy of it
+  instead of zeros; the strided passes for 2, 3, 5, 7 and 11 then start at
+  16, 27, 25, 49 and 121.
+- Cache blocking.  The remaining prime powers below BLOCKED_BELOW run over
+  sub-blocks of SUB_BLOCK integers (1 MB of uint32, which stays in a 2 MiB
+  L2) instead of streaming the whole segment once per power.  Powers from
+  BLOCKED_BELOW up make at most SUB_BLOCK / BLOCKED_BELOW = 256 hits per
+  sub-block, too few to pay for a numpy call per sub-block, so they run
+  over the whole segment.
+
+Neither step changes a word of the accumulator (see _accumulate).
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -15,27 +33,114 @@ COUNT_BITS = 6
 COUNT_MASK = (1 << COUNT_BITS) - 1
 LOG_SCALE = 1 << 20  # units per bit of log2
 
+PATTERN_POWERS = {2: 8, 3: 9, 5: 5, 7: 7, 11: 11}  # prime: largest power in the pattern
+PATTERN_PERIOD = math.prod(PATTERN_POWERS.values())  # 27720
+PATTERN_MIN_HI = max(PATTERN_POWERS) ** 2 + 1  # from here every pattern prime has p*p < hi
+SUB_BLOCK = 1 << 18
+BLOCKED_BELOW = 1024
+
 
 def active_backend() -> str:
     """Name of the kernel implementation; there is only the numpy one."""
     return "numpy"
 
 
+def _step(p: int) -> np.uint32:
+    """The packed word one hit of a power of p adds."""
+    return np.uint32((round(LOG_SCALE * math.log2(p)) << COUNT_BITS) | 1)
+
+
+@lru_cache(maxsize=1)
+def _pattern() -> np.ndarray:
+    """pattern[i]: the summed steps of the pattern powers dividing i (read-only)."""
+    pattern = np.zeros(PATTERN_PERIOD, dtype=np.uint32)
+    for p, top in PATTERN_POWERS.items():
+        q = p
+        while q <= top:
+            pattern[::q] += _step(p)
+            q *= p
+    pattern.flags.writeable = False
+    return pattern
+
+
+def _presieved(lo: int, n: int) -> np.ndarray:
+    """acc[i] = pattern[(lo + i) % PATTERN_PERIOD] for 0 <= i < n."""
+    acc = np.empty(n, dtype=np.uint32)
+    pattern = _pattern()
+    start = lo % PATTERN_PERIOD
+    rotated = np.concatenate((pattern[start:], pattern[:start]))
+    filled = min(n, PATTERN_PERIOD)
+    acc[:filled] = rotated[:filled]
+    while filled < n:  # filled is a multiple of the period: copy the prefix
+        more = min(filled, n - filled)
+        acc[filled : filled + more] = acc[:more]
+        filled += more
+    return acc
+
+
+def _accumulate(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
+    """The packed words acc[n - lo] for lo <= n < hi, given every prime p with p*p < hi.
+
+    acc[n - lo] is the sum, over every prime p with p*p < hi and every
+    power q = p**j <= hi - 1 dividing n, of ``_step(p)``: the constant
+    ``(round(LOG_SCALE * log2 p) << COUNT_BITS) | 1``.  See omega_segment
+    for what the two fields of a word mean.
+
+    Every word is the same uint32 sum whether or not the segment is
+    pre-sieved or blocked: the pattern holds exactly the steps of the
+    pattern powers dividing n, and those powers are then left out of the
+    strided passes; blocking only reorders the additions to a word.
+    Integer addition is exact and the sum never overflows (omega_segment),
+    so the order cannot change a bit.  The pattern is used only when
+    hi >= PATTERN_MIN_HI: only there does the sum above include every
+    pattern power (11 is a term only when 11 * 11 < hi).  Below that the
+    segment starts from zeros and no power is skipped.
+    """
+    n = hi - lo
+    if hi >= PATTERN_MIN_HI:
+        acc = _presieved(lo, n)
+        skip = PATTERN_POWERS
+    else:
+        acc = np.zeros(n, dtype=np.uint32)
+        skip = {}
+    blocked = []
+    for p in primes:
+        p = int(p)
+        if p * p >= hi:
+            break
+        step = _step(p)
+        q = p
+        while q <= skip.get(p, 0):
+            q *= p
+        while q < hi:
+            if q < BLOCKED_BELOW:
+                blocked.append((q, step))
+            else:
+                acc[(-lo) % q :: q] += step
+            q *= p
+    for b in range(0, n, SUB_BLOCK):
+        block = acc[b : b + SUB_BLOCK]  # a view: the passes write into acc
+        for q, step in blocked:
+            block[(-lo - b) % q :: q] += step
+    return acc
+
+
 def omega_segment(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     """Omega(n) for lo <= n < hi as uint8, given every prime p with p*p < hi.
 
     Each hit of a prime power q = p**j on n adds the constant
-    ``(round(LOG_SCALE * log2 p) << COUNT_BITS) | 1`` to ``acc[n - lo]``.
-    After all primes with p*p < hi, the low COUNT_BITS bits hold the number
-    of small prime factors of n with multiplicity, and the high bits hold
-    LOG_SCALE * log2 f up to rounding, where f is the smooth part of n (the
-    product of the small prime powers found).
+    ``(round(LOG_SCALE * log2 p) << COUNT_BITS) | 1`` to ``acc[n - lo]``
+    (_accumulate).  After all primes with p*p < hi, the low COUNT_BITS bits
+    hold the number of small prime factors of n with multiplicity, and the
+    high bits hold LOG_SCALE * log2 f up to rounding, where f is the smooth
+    part of n (the product of the small prime powers found).
 
     No overflow.  For n <= HARD_LIMIT = 10**10, Omega(n) <= 33 < 2**6, so
     the count never carries into the log field.  Each hit rounds by at most
     1/2 unit, so the log field is within 33/2 < 17 units of
     LOG_SCALE * log2 f <= 2**20 * log2(10**10) < 3.5e7 < 2**26, and the
-    whole word stays below 2**32.
+    whole word stays below 2**32.  Every partial sum of a word's steps is
+    below its full sum, so no order of the additions overflows either.
 
     Exactness.  Every prime p with p*p < hi is sieved, so the cofactor n/f
     has only prime factors q with q*q >= hi > n; two of them would exceed
@@ -55,19 +160,7 @@ def omega_segment(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     field 0 = threshold and gets nothing.  The comparison is strict:
     a cofactor is counted iff field < threshold.
     """
-    n = hi - lo
-    acc = np.zeros(n, dtype=np.uint32)
-    for p in primes:
-        p = int(p)
-        if p * p >= hi:
-            break
-        step = np.uint32((round(LOG_SCALE * math.log2(p)) << COUNT_BITS) | 1)
-        q = p
-        while True:
-            acc[(-lo) % q :: q] += step
-            if q > (hi - 1) // p:
-                break
-            q *= p
+    acc = _accumulate(lo, hi, primes)
     m = min(max(lo, 2 * math.isqrt(hi) + 2), hi)
     counts = acc.astype(np.uint8)  # keeps the low 8 bits
     counts &= COUNT_MASK

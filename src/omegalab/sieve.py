@@ -70,6 +70,11 @@ def _check_limit(hi: int) -> None:
         )
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise InvalidRangeError(f"workers must be >= 1, got {workers}")
+
+
 def sieve_segment(lo: int, hi: int) -> FactorCountSegment:
     """Exact Omega(n) for lo <= n < hi via the segmented sieve."""
     if lo >= hi or lo < 1:
@@ -211,6 +216,7 @@ def segment_spans(n_max: int, segment_length: int | None = None):
 
 def map_segments(n_max, chunk_fn, workers=1, segment_length=None):
     """Apply chunk_fn to every span; results come back in segment order."""
+    _check_workers(workers)
     _check_limit(n_max + 1)
     spans = segment_spans(n_max, segment_length)
     if workers <= 1 or len(spans) <= 1:

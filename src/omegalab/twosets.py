@@ -51,48 +51,53 @@ def coupling_grouped(B) -> float:
 
     gcd(m, n) - 1 = sum over divisors d > 1 of both, of totient(d), so the
     double sum regroups as sum_d totient(d) (sum_{d | m in B} 1/m)^2.
-    Independent computation path used to cross-check `coupling`; a test oracle.
+    Divisors and totients come from one smallest-prime-factor table over
+    [1, max B].  Independent computation path used to cross-check
+    `coupling`; a test oracle.
     """
     elems = sorted(set(B))
     if not elems:
         raise EmptySetError("coupling of an empty set")
     harmonic = math.fsum(1.0 / m for m in elems)
+    spf = _smallest_prime_factors(elems[-1])
     mass_by_divisor: dict[int, list[float]] = {}
+    totients: dict[int, int] = {}
     for m in elems:
-        for d in _divisors(m):
+        for d, tot in _divisors_with_totients(m, spf):
             if d > 1:
                 mass_by_divisor.setdefault(d, []).append(1.0 / m)
+                totients[d] = tot
     total = math.fsum(
-        _totient(d) * math.fsum(masses) ** 2
+        totients[d] * math.fsum(masses) ** 2
         for d, masses in mass_by_divisor.items()
     )
     return total / (harmonic * harmonic)
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return out
+def _smallest_prime_factors(limit: int) -> list[int]:
+    """spf[n] = the smallest prime factor of n, for 2 <= n <= limit."""
+    spf = np.zeros(limit + 1, dtype=np.int64)
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == 0:
+            multiples = spf[p * p :: p]
+            multiples[multiples == 0] = p
+    unset = np.flatnonzero(spf == 0)
+    spf[unset] = unset  # primes, and 0 and 1
+    return spf.tolist()
 
 
-def _totient(n: int) -> int:
-    result = n
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            while n % d == 0:
-                n //= d
-            result -= result // d
-        d += 1
-    if n > 1:
-        result -= result // n
-    return result
+def _divisors_with_totients(n: int, spf: list[int]) -> list[tuple[int, int]]:
+    """Every (d, totient(d)) with d | n, from n's factorization."""
+    pairs = [(1, 1)]
+    while n > 1:
+        p = spf[n]
+        powers = [(1, 1)]
+        while n % p == 0:
+            n //= p
+            q, _ = powers[-1]
+            powers.append((q * p, q * (p - 1)))
+        pairs = [(d * q, t * u) for d, t in pairs for q, u in powers]
+    return pairs
 
 
 @dataclass(frozen=True)

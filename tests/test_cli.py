@@ -46,6 +46,12 @@ def test_pnt_decades(capsys):
     assert [r[0] for r in rows] == ["10", "100", "1000"]
 
 
+def test_pnt_decades_at_limit_one(capsys):
+    code, out = run(capsys, "pnt", "--limit", "1", "--stride", "decade", "--quiet")
+    assert code == EXIT_OK
+    assert parse_csv(out) == (["N", "cesaro_liouville", "log_liouville"], [["1", "1", "1"]])
+
+
 def test_pnt_decades_equal_per_checkpoint_averages(capsys):
     code, out = run(
         capsys, "pnt", "--limit", "123456", "--stride", "decade", "--json", "--quiet"
@@ -290,6 +296,39 @@ def test_out_into_missing_directory_is_usage_error(capsys, tmp_path, monkeypatch
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("target", ["a directory", "a read-only file", "in a read-only directory"])
+def test_unwritable_out_fails_before_the_handler(capsys, tmp_path, monkeypatch, target):
+    monkeypatch.setattr(cli, "_cmd_sieve", lambda args: pytest.fail("the handler ran"))
+    out = tmp_path if target == "a directory" else tmp_path / "x.csv"
+    if target == "a read-only file":
+        out.write_text("kept")
+    if target != "a directory":  # os.access is patched: root may write anywhere
+        denied = {str(out) if target == "a read-only file" else str(tmp_path)}
+        access = cli.os.access
+        monkeypatch.setattr(cli.os, "access", lambda p, mode: str(p) not in denied and access(p, mode))
+    code = main(["sieve", "--lo", "1", "--hi", "5", "--out", str(out), "--quiet"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["pik", "--limit", "1000", "--workers", "0"],
+     ["pik", "--limit", "1000", "--workers", "-3"],
+     ["pik", "--limit", "100", "--precision", "-1"],
+     ["pik", "--limit", "100", "--precision", "0"]],
+)
+def test_bad_workers_or_precision_fail_before_the_handler(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "_cmd_pik", lambda args: pytest.fail("the handler ran"))
+    code = main(argv)  # without --quiet: no progress line either
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,15 @@ from omegalab.errors import (
     InvalidResidueError,
     RangeTooLargeError,
 )
-from omegalab.kernels import omega_segment
+from omegalab.kernels import (
+    COUNT_BITS,
+    LOG_SCALE,
+    PATTERN_MIN_HI,
+    PATTERN_PERIOD,
+    SUB_BLOCK,
+    _accumulate,
+    omega_segment,
+)
 from omegalab.sieve import (
     HARD_LIMIT,
     MAX_OMEGA,
@@ -103,6 +111,78 @@ def test_kernel_edge_spans_match_oracle(lo, hi):
 @given(st.integers(1, HARD_LIMIT), st.integers(1, 1 << 12))
 def test_kernel_random_spans_match_oracle(lo, length):
     assert_kernel_matches_oracle(lo, min(lo + length, HARD_LIMIT + 1))
+
+
+def plain_accumulate(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
+    """The kernel's words by one strided pass per prime power over the whole
+    span, from zeros: the loop without pre-sieving or blocking."""
+    acc = np.zeros(hi - lo, dtype=np.uint32)
+    for p in primes:
+        p = int(p)
+        if p * p >= hi:
+            break
+        step = np.uint32((round(LOG_SCALE * math.log2(p)) << COUNT_BITS) | 1)
+        q = p
+        while True:
+            acc[(-lo) % q :: q] += step
+            if q > (hi - 1) // p:
+                break
+            q *= p
+    return acc
+
+
+def assert_words_match_plain_loop(lo, hi):
+    primes = base_primes(math.isqrt(hi - 1))
+    acc = _accumulate(lo, hi, primes)
+    assert acc.dtype == np.uint32
+    assert np.array_equal(acc, plain_accumulate(lo, hi, primes))
+
+
+K_BIG = 10**8 // PATTERN_PERIOD  # a period start just below 10^8
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        # hi on both sides of the pre-sieve threshold
+        (1, PATTERN_MIN_HI - 1),
+        (1, PATTERN_MIN_HI),
+        (100, PATTERN_MIN_HI - 1),
+        (100, PATTERN_MIN_HI),
+        (PATTERN_MIN_HI - 2, PATTERN_MIN_HI + 1),
+        # lo one before, at and one after a period start
+        *((k * PATTERN_PERIOD + d, k * PATTERN_PERIOD + d + 3000)
+          for k in (1, K_BIG) for d in (-1, 0, 1)),
+        (K_BIG * PATTERN_PERIOD - 1, (K_BIG + 2) * PATTERN_PERIOD + 2),
+    ],
+)
+def test_presieved_kernel_matches_plain_loop_and_oracle(lo, hi):
+    assert_words_match_plain_loop(lo, hi)
+    assert_kernel_matches_oracle(lo, hi)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        # several sub-blocks and periods
+        (10**8 - 3 * SUB_BLOCK - 5, 10**8 + 1),
+        # more than one sub-block just below HARD_LIMIT + 1
+        (HARD_LIMIT + 1 - SUB_BLOCK - 1000, HARD_LIMIT + 1),
+    ],
+)
+def test_blocked_kernel_matches_plain_loop_across_sub_blocks(lo, hi):
+    assert_words_match_plain_loop(lo, hi)
+    # counts against trial division around both ends and each sub-block seam
+    counts = omega_segment(lo, hi, base_primes(math.isqrt(hi - 1)))
+    for seam in (lo, *range(lo + SUB_BLOCK, hi, SUB_BLOCK), hi):
+        a, b = max(lo, seam - 64), min(hi, seam + 64)
+        assert np.array_equal(counts[a - lo : b - lo].astype(np.int64), bulk_omega_oracle(a, b))
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(1, HARD_LIMIT), st.integers(SUB_BLOCK // 2, 1 << 20))
+def test_kernel_words_match_plain_loop_on_random_long_spans(lo, length):
+    assert_words_match_plain_loop(lo, min(lo + length, HARD_LIMIT + 1))
 
 
 @pytest.mark.parametrize(
@@ -282,6 +362,14 @@ def test_omega_profiles_rejects_bad_checkpoints():
     for bad in ([], [0], [10, 0, 5], [-3]):
         with pytest.raises(InvalidRangeError):
             omega_profiles(bad)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_nonpositive_workers_are_rejected(workers):
+    with pytest.raises(InvalidRangeError):
+        omega_profiles([1000], workers)
+    with pytest.raises(InvalidRangeError):
+        hardy_ramanujan_tail(1000, 1.0, workers)  # through map_segments
 
 
 def test_mismatched_profile_is_rejected(profile_1e4):

@@ -65,6 +65,60 @@ def test_coupling_two_path_check():
         assert coupling(B) == pytest.approx(coupling_grouped(B), abs=1e-12)
 
 
+def grouped_by_trial_division(B) -> float:
+    """coupling_grouped with divisors and totients by O(sqrt(m)) trial division."""
+    elems = sorted(set(B))
+    harmonic = math.fsum(1.0 / m for m in elems)
+    mass_by_divisor = {}
+    for m in elems:
+        for d in trial_divisors(m):
+            if d > 1:
+                mass_by_divisor.setdefault(d, []).append(1.0 / m)
+    total = math.fsum(
+        trial_totient(d) * math.fsum(masses) ** 2 for d, masses in mass_by_divisor.items()
+    )
+    return total / (harmonic * harmonic)
+
+
+def trial_divisors(n):
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return out
+
+
+def trial_totient(n):
+    result = n
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            while n % d == 0:
+                n //= d
+            result -= result // d
+        d += 1
+    if n > 1:
+        result -= result // n
+    return result
+
+
+def test_coupling_grouped_is_bit_identical_to_trial_division():
+    sets = [
+        {1},
+        {2, 3},
+        {2, 4, 6, 9},
+        set(range(1, 400)),
+        {6, 10, 15, 21, 35, 2**11, 3**7, 997 * 991},
+        {p * q for p in (2, 3, 5, 7, 11, 13) for q in (101, 103, 107)},
+    ]
+    for B in sets:
+        assert coupling_grouped(B) == grouped_by_trial_division(B)
+
+
 def test_coupling_primes_upper_bound():
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     H = math.fsum(1.0 / p for p in primes)
