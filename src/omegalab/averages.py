@@ -24,6 +24,7 @@ from .errors import (
     EmptySetError,
     InvalidPError,
     InvalidRangeError,
+    require_finite,
 )
 from .normal import normal_mass
 from .sieve import OmegaProfile, _resolve_profile, map_segments, sieve_segment
@@ -148,6 +149,7 @@ def smoothed_indicator(lo: float, hi: float, ramp: float = 1.0) -> RealTestFunct
     Equals 1 on [lo, hi], falls linearly to 0 over [lo - ramp, lo] and
     [hi, hi + ramp]; compactly supported and continuous.
     """
+    require_finite(lo=lo, hi=hi, ramp=ramp, support_lo=lo - ramp, support_hi=hi + ramp)
     if ramp <= 0:
         raise InvalidRangeError("ramp width must be positive")
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import InvalidResidueError, UnknownSystemError
+from .errors import InvalidResidueError, UnknownSystemError, require_finite
 
 
 class ObservableOrbit:
@@ -67,8 +67,12 @@ class CircleRotation(ObservableOrbit):
     bound: float
     continuity_bound: float = math.inf
 
+    def __post_init__(self):
+        require_finite(alpha=self.alpha, start=self.start)
+
     def value_at(self, k: int) -> complex:
-        return self.g((self.start + k * self.alpha) % 1.0)
+        # alpha % 1.0 is alpha itself on [0, 1), and keeps k * alpha finite
+        return self.g((self.start + k * (self.alpha % 1.0)) % 1.0)
 
 
 @dataclass(frozen=True)
@@ -76,6 +80,9 @@ class ExponentialOrbit(ObservableOrbit):
     """value_at(k) = e^{2 pi i beta k}."""
 
     beta: float
+
+    def __post_init__(self):
+        require_finite(beta=self.beta)
 
     @property
     def space_mean(self) -> complex:
@@ -86,7 +93,8 @@ class ExponentialOrbit(ObservableOrbit):
         return 1.0
 
     def value_at(self, k: int) -> complex:
-        return cmath.exp(2j * math.pi * self.beta * k)
+        # beta % 1.0 is beta itself on [0, 1), and keeps the phase finite
+        return cmath.exp(2j * math.pi * (self.beta % 1.0) * k)
 
 
 @dataclass(frozen=True)

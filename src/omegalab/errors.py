@@ -1,5 +1,7 @@
 """Exception taxonomy shared by all modules."""
 
+import math
+
 
 class OmegalabError(Exception):
     """Base class for all library errors."""
@@ -14,7 +16,7 @@ class RangeTooLargeError(OmegalabError):
 
 
 class CacheWriteError(OmegalabError):
-    """The segment cache (OMEGALAB_CACHE) could not be created or written."""
+    """The profile cache (OMEGALAB_CACHE) could not be created or written."""
 
 
 class OutputWriteError(OmegalabError):
@@ -64,3 +66,10 @@ class SearchExhaustedError(OmegalabError):
         super().__init__(message)
         self.best_pair = best_pair
         self.couplings = couplings
+
+
+def require_finite(**values: float) -> None:
+    """InvalidRangeError naming the first of values that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InvalidRangeError(f"{name} must be finite, got {value}")

@@ -11,6 +11,7 @@ import contextlib
 import math
 import os
 import struct
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -26,7 +27,7 @@ DEFAULT_SEGMENT_LENGTH = 1 << 22
 REDUCE_BLOCK = 1 << 16  # integers per pi_k/harmonic reduction step
 HARD_LIMIT = 10**10
 
-CACHE_MAGIC = b"OMG1"
+CACHE_MAGIC = b"OMP1"
 CACHE_ENV_VAR = "OMEGALAB_CACHE"
 
 
@@ -80,13 +81,8 @@ def sieve_segment(lo: int, hi: int) -> FactorCountSegment:
     if lo >= hi or lo < 1:
         raise InvalidRangeError(f"invalid range [{lo}, {hi})")
     _check_limit(hi)
-    cached = _cache_read(lo, hi)
-    if cached is not None:
-        return FactorCountSegment(lo, hi, cached)
     primes = base_primes(math.isqrt(max(hi - 1, 1)))
-    counts = kernels.omega_segment(lo, hi, primes)
-    _cache_write(lo, hi, counts)
-    return FactorCountSegment(lo, hi, counts)
+    return FactorCountSegment(lo, hi, kernels.omega_segment(lo, hi, primes))
 
 
 def omega_oracle(n: int) -> int:
@@ -117,33 +113,39 @@ def liouville(omega_value: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Segment cache (optional, via OMEGALAB_CACHE)
+# Profile store (optional, via OMEGALAB_CACHE)
 # ---------------------------------------------------------------------------
-# File format: magic "OMG1", lo and hi as little-endian 8-byte unsigned,
-# then one byte per integer (counts[i] = Omega(lo + i)).
+# One file per span [lo, hi): magic "OMP1" (the format version is its last
+# byte), lo and hi as little-endian 8-byte unsigned, one RECORD_DTYPE record
+# (the span's pi_k counts and harmonic masses by k), then the CRC32 of
+# everything before it as a little-endian 4-byte unsigned.
+
+RECORD_DTYPE = np.dtype([("pik", "<i8", MAX_OMEGA + 1), ("inv", "<f8", MAX_OMEGA + 1)])
+_RANGE = struct.Struct("<QQ")
+_CRC = struct.Struct("<I")
+PROFILE_FILE_SIZE = len(CACHE_MAGIC) + _RANGE.size + RECORD_DTYPE.itemsize + _CRC.size
 
 
-def write_segment_file(path: str, lo: int, hi: int, counts: np.ndarray) -> None:
+def write_profile_file(path: str, lo: int, hi: int, record: np.ndarray) -> None:
+    body = CACHE_MAGIC + _RANGE.pack(lo, hi) + record.tobytes()
     with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<QQ", lo, hi))
-        fh.write(counts.astype(np.uint8, copy=False).tobytes())
+        fh.write(body + _CRC.pack(zlib.crc32(body)))
 
 
-def read_segment_file(path: str) -> tuple[int, int, np.ndarray]:
-    """(lo, hi, counts) from a segment file; InvalidRangeError if malformed."""
+def read_profile_file(path: str) -> tuple[int, int, np.ndarray]:
+    """(lo, hi, record) from a profile file; InvalidRangeError if malformed."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CACHE_MAGIC:
-            raise InvalidRangeError(f"{path}: bad magic {magic!r}")
-        header = fh.read(16)
-        if len(header) != 16:
-            raise InvalidRangeError(f"{path}: truncated header")
-        lo, hi = struct.unpack("<QQ", header)
-        counts = np.frombuffer(fh.read(), dtype=np.uint8)
-    if len(counts) != hi - lo:
-        raise InvalidRangeError(f"{path}: truncated segment")
-    return lo, hi, counts
+        data = fh.read(PROFILE_FILE_SIZE + 1)
+    if len(data) != PROFILE_FILE_SIZE:
+        raise InvalidRangeError(f"{path}: {len(data)} bytes, not {PROFILE_FILE_SIZE}")
+    if data[: len(CACHE_MAGIC)] != CACHE_MAGIC:
+        raise InvalidRangeError(f"{path}: bad magic {data[: len(CACHE_MAGIC)]!r}")
+    body, (crc,) = data[: -_CRC.size], _CRC.unpack(data[-_CRC.size :])
+    if zlib.crc32(body) != crc:
+        raise InvalidRangeError(f"{path}: checksum mismatch")
+    lo, hi = _RANGE.unpack_from(body, len(CACHE_MAGIC))
+    record = np.frombuffer(bytearray(body[len(CACHE_MAGIC) + _RANGE.size :]), RECORD_DTYPE)
+    return lo, hi, record
 
 
 def _cache_dir() -> str | None:
@@ -151,31 +153,31 @@ def _cache_dir() -> str | None:
 
 
 def _cache_path(lo: int, hi: int) -> str:
-    return os.path.join(_cache_dir(), f"seg_{lo}_{hi}.omg")
+    return os.path.join(_cache_dir(), f"span_{lo}_{hi}.omp")
 
 
 def _cache_read(lo: int, hi: int) -> np.ndarray | None:
-    """Cached counts for [lo, hi), or None on a miss.
+    """The stored record of [lo, hi), or None on a miss.
 
-    A missing, unreadable, truncated or foreign file (bad magic, or a
-    header naming another range) is a miss: the caller sieves again and
-    rewrites the file.
+    A missing, unreadable, short, foreign (bad magic, or a header naming
+    another range) or checksum-failing file is a miss: the caller sieves
+    the span again and rewrites the file.
     """
     if _cache_dir() is None:
         return None
     try:
-        file_lo, file_hi, counts = read_segment_file(_cache_path(lo, hi))
+        file_lo, file_hi, record = read_profile_file(_cache_path(lo, hi))
     except (OSError, InvalidRangeError):
         return None
     if (file_lo, file_hi) != (lo, hi):
         return None
-    return counts
+    return record
 
 
-def _cache_write(lo: int, hi: int, counts: np.ndarray) -> None:
-    """Write the segment file atomically: a temporary file, then os.replace.
+def _cache_write(lo: int, hi: int, record: np.ndarray) -> None:
+    """Write the profile file atomically: a temporary file, then os.replace.
 
-    Readers, and other processes writing the same segment, see either no
+    Readers, and other processes writing the same span, see either no
     file or a whole one.  A cache directory that cannot be created or
     written raises CacheWriteError.
     """
@@ -187,14 +189,14 @@ def _cache_write(lo: int, hi: int, counts: np.ndarray) -> None:
     try:
         os.makedirs(directory, exist_ok=True)
         try:
-            write_segment_file(tmp, lo, hi, counts)
+            write_profile_file(tmp, lo, hi, record)
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(tmp)
             raise
     except OSError as exc:
-        raise CacheWriteError(f"cannot write the segment cache {directory}: {exc}") from None
+        raise CacheWriteError(f"cannot write the profile cache {directory}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +250,20 @@ def _profile_chunk(span, cuts=()):
 
     Then, for each cut N inside the span (lo <= N < hi - 1) in the order
     of cuts, the (pik, inv) of [lo, N], reduced in the same blocks as a
-    span that ends at N + 1.
+    span that ends at N + 1.  A span with a stored record and no cut is
+    not sieved; a span with a cut is sieved again for its partial parts.
     """
     lo, hi = span
-    counts = sieve_segment(lo, hi).counts
-    parts = [_reduce(counts, lo, n + 1) for n in cuts if lo <= n < hi - 1]
-    return (*_reduce(counts, lo, hi), *parts)
+    inside = [n for n in cuts if lo <= n < hi - 1]
+    record = _cache_read(lo, hi)
+    parts = []
+    if record is None or inside:
+        counts = sieve_segment(lo, hi).counts
+        if record is None:
+            record = np.array([_reduce(counts, lo, hi)], dtype=RECORD_DTYPE)
+            _cache_write(lo, hi, record)
+        parts = [_reduce(counts, lo, n + 1) for n in inside]
+    return (record["pik"][0], record["inv"][0], *parts)
 
 
 @dataclass(frozen=True)

@@ -130,7 +130,7 @@ class PrimeSetPair:
 
 
 def _omega_of(elems) -> np.ndarray:
-    """Omega(m) for each m in elems, from the kernel, without the segment cache.
+    """Omega(m) for each m in elems, from the kernel.
 
     Each segment span that holds elements is sieved from its smallest to its
     largest element, so memory stays within one segment."""

@@ -12,8 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidRangeError, WindowRangeError
+from .errors import InvalidRangeError, RangeTooLargeError, WindowRangeError, require_finite
 from .sieve import OmegaProfile, _resolve_profile
+
+MAX_WINDOW_POINTS = 10**7  # k values in one Gaussian window
+MAX_WINDOW_K = 2**62  # largest k of a window (k is an int64)
 
 
 @dataclass(frozen=True)
@@ -52,10 +55,17 @@ class GaussianWindowSpec:
     C: float = 3.0
 
     def __post_init__(self):
+        require_finite(loglogn=self.loglogn, C=self.C)
         if self.loglogn <= 1.0:
             raise WindowRangeError("log log N must exceed 1")
         if self.C <= 0:
             raise WindowRangeError("window half-width C must be positive")
+        half_width = self.C * math.sqrt(self.loglogn)
+        if 2 * half_width >= MAX_WINDOW_POINTS or self.loglogn + half_width >= MAX_WINDOW_K:
+            raise RangeTooLargeError(
+                f"the window of C = {self.C} at log log N = {self.loglogn} exceeds "
+                f"{MAX_WINDOW_POINTS} points or k = {MAX_WINDOW_K}"
+            )
 
     @property
     def k_lo(self) -> int:

@@ -1,6 +1,15 @@
 import pytest
+from oracles import bulk_omega_oracle
 
 from omegalab import omega_profile
+
+ORACLE_LIMIT = 10**6 + 1
+
+
+@pytest.fixture(scope="session")
+def omega_to_1e6():
+    """Trial-division Omega(n) for 1 <= n <= ORACLE_LIMIT, at index n - 1."""
+    return bulk_omega_oracle(1, ORACLE_LIMIT + 1)
 
 
 @pytest.fixture(scope="session")

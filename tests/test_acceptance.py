@@ -46,31 +46,11 @@ GOLDEN_CONJUGATE = (math.sqrt(5) - 1) / 2
 PARITY = staticmethod(lambda k: (-1) ** k)
 
 
-def bulk_omega_oracle(lo: int, hi: int) -> np.ndarray:
-    """Vectorized trial division; shares no stepping logic with the sieve."""
-    ns = np.arange(lo, hi, dtype=np.int64)
-    rem = ns.copy()
-    counts = np.zeros(len(ns), dtype=np.int64)
-    for p in base_primes(int(math.isqrt(max(hi - 1, 1)))):
-        p = int(p)
-        while True:
-            mask = rem % p == 0
-            if not mask.any():
-                break
-            counts[mask] += 1
-            rem[mask] //= p
-    counts[rem > 1] += 1
-    counts[ns == 1] = 0
-    return counts
-
-
-def test_01_sieve_matches_trial_division_to_1e6():
+def test_01_sieve_matches_trial_division_to_1e6(omega_to_1e6):
     start = time.monotonic()
     for lo, hi in segment_spans(10**6):
         seg = sieve_segment(lo, hi + 1)
-        assert np.array_equal(
-            seg.counts.astype(np.int64), bulk_omega_oracle(lo, hi + 1)
-        )
+        assert np.array_equal(seg.counts.astype(np.int64), omega_to_1e6[lo - 1 : hi])
     assert time.monotonic() - start < 30.0
 
 

@@ -1,9 +1,14 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
+import math
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegalab import AverageScheme, average_along_omega, cli, sieve, twosets
 from omegalab.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
@@ -393,6 +398,53 @@ def test_unwritable_cache_is_usage_error(capsys, tmp_path, monkeypatch, workers)
     )
     assert code == EXIT_USAGE
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariance", "--limit", "100", "--a", "parity", "--bump=nan,1"],
+        ["weyl", "--limit", "1000", "--beta", "nan"],
+        ["correlate", "--limit", "1000", "--system", "circle:alpha=inf"],
+        ["weights", "--limit", "1000", "--C", "nan"],
+        ["counterexample", "--mode", "extrapolate", "--C", "nan"],
+    ],
+)
+def test_non_finite_float_is_usage_error(capsys, argv):
+    code = main([*argv, "--quiet"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+LIMITS = st.integers(1, 1000)
+HUGE = st.sampled_from([math.nan, math.inf, -math.inf, 1e16, 1e300, sys.float_info.max])
+# --C sets the window width, so finite draws stay small enough for a quick table.
+WINDOW_C = st.floats(max_value=100.0) | HUGE
+FLOAT_ARGVS = st.one_of(
+    st.builds(lambda n, beta: ["weyl", "--limit", str(n), f"--beta={beta!r}"],
+              LIMITS, st.floats()),
+    st.builds(lambda cmd, n, lo, hi: [cmd, "--limit", str(n), f"--bump={lo!r},{hi!r}"],
+              st.sampled_from(["correlate", "invariance"]), LIMITS, st.floats() | HUGE,
+              st.floats() | HUGE),
+    st.builds(lambda n, c: ["weights", "--limit", str(n), f"--C={c!r}"], LIMITS, WINDOW_C),
+    st.builds(lambda c: ["counterexample", "--mode", "extrapolate", f"--C={c!r}"], WINDOW_C),
+    st.builds(lambda n, a: ["correlate", "--limit", str(n), f"--system=circle:alpha={a!r}"],
+              LIMITS, st.floats() | HUGE),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(FLOAT_ARGVS)
+def test_float_options_exit_cleanly_without_non_finite_rows(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--quiet"])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_RESOURCE)
+    if code == EXIT_OK:
+        assert "nan" not in out.getvalue().lower()
+        assert "inf" not in out.getvalue().lower()
 
 
 class RecordingNamespace(argparse.Namespace):

@@ -13,7 +13,7 @@ from omegalab.dynamics import (
     residue_indicator_orbit,
     rotation_two_points_liouville,
 )
-from omegalab.errors import InvalidResidueError, UnknownSystemError
+from omegalab.errors import InvalidRangeError, InvalidResidueError, UnknownSystemError
 
 
 def test_two_point_rotation_is_parity():
@@ -92,3 +92,20 @@ def test_parse_system_unknown():
 def test_parse_system_bad_arguments(spec):
     with pytest.raises(UnknownSystemError):
         parse_system(spec)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_orbits_reject_non_finite_parameters(bad):
+    with pytest.raises(InvalidRangeError):
+        parse_system(f"exp:beta={bad}")
+    with pytest.raises(InvalidRangeError):
+        parse_system(f"circle:alpha={bad}")
+    with pytest.raises(InvalidRangeError):
+        parse_system(f"circle:alpha=0.5,start={bad}")
+
+
+def test_huge_rotation_parameters_stay_finite():
+    # every float of magnitude >= 2**53 is an integer: a whole number of turns
+    assert exponential_orbit(1e308).value_at(64) == 1
+    circle, still = parse_system("circle:alpha=1e308"), parse_system("circle:alpha=0")
+    assert circle.value_at(64) == still.value_at(64)

@@ -1,15 +1,19 @@
 import math
+import multiprocessing
 import os
 import struct
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import bulk_omega_oracle
 
 from omegalab import (
     FactorCountSegment,
     hardy_ramanujan_tail,
+    kernels,
     liouville,
     omega_oracle,
     omega_profile,
@@ -34,33 +38,20 @@ from omegalab.kernels import (
     omega_segment,
 )
 from omegalab.sieve import (
+    CACHE_MAGIC,
     HARD_LIMIT,
     MAX_OMEGA,
+    PROFILE_FILE_SIZE,
+    RECORD_DTYPE,
     REDUCE_BLOCK,
+    _cache_read,
+    _cache_write,
     _profile_chunk,
     base_primes,
-    read_segment_file,
+    read_profile_file,
     segment_spans,
-    write_segment_file,
+    write_profile_file,
 )
-
-
-def bulk_omega_oracle(lo: int, hi: int) -> np.ndarray:
-    """Vectorized trial division, independent of the sieve's stepping logic."""
-    ns = np.arange(lo, hi, dtype=np.int64)
-    rem = ns.copy()
-    counts = np.zeros(len(ns), dtype=np.int64)
-    for p in base_primes(int(math.isqrt(max(hi - 1, 1)))):
-        p = int(p)
-        while True:
-            mask = rem % p == 0
-            if not mask.any():
-                break
-            counts[mask] += 1
-            rem[mask] //= p
-    counts[rem > 1] += 1
-    counts[ns == 1] = 0
-    return counts
 
 
 def test_first_ten_omega_values():
@@ -76,16 +67,19 @@ def test_omega_oracle_small():
     assert omega_oracle(97) == 1
 
 
-def test_sieve_matches_trial_division_to_one_million():
+def test_sieve_matches_trial_division_to_one_million(omega_to_1e6):
     for lo, hi in segment_spans(10**6, 1 << 18):
         seg = sieve_segment(lo, hi + 1)
-        assert np.array_equal(seg.counts.astype(np.int64), bulk_omega_oracle(lo, hi + 1))
+        assert np.array_equal(seg.counts.astype(np.int64), omega_to_1e6[lo - 1 : hi])
 
 
-def assert_kernel_matches_oracle(lo, hi):
+def assert_kernel_matches_oracle(lo, hi, expected=None):
+    """The kernel on [lo, hi) against expected, by default bulk_omega_oracle(lo, hi)."""
     counts = omega_segment(lo, hi, base_primes(math.isqrt(hi - 1)))
     assert counts.dtype == np.uint8
-    assert np.array_equal(counts.astype(np.int64), bulk_omega_oracle(lo, hi))
+    if expected is None:
+        expected = bulk_omega_oracle(lo, hi)
+    assert np.array_equal(counts.astype(np.int64), expected)
 
 
 @pytest.mark.parametrize(
@@ -103,8 +97,9 @@ def assert_kernel_matches_oracle(lo, hi):
         (HARD_LIMIT - 2**14, HARD_LIMIT + 1),
     ],
 )
-def test_kernel_edge_spans_match_oracle(lo, hi):
-    assert_kernel_matches_oracle(lo, hi)
+def test_kernel_edge_spans_match_oracle(lo, hi, omega_to_1e6):
+    inside = hi - 1 <= len(omega_to_1e6)  # the shared oracle covers [lo, hi)
+    assert_kernel_matches_oracle(lo, hi, omega_to_1e6[lo - 1 : hi - 1] if inside else None)
 
 
 @settings(max_examples=60, deadline=None)
@@ -263,41 +258,121 @@ def test_segment_validation():
         sieve_segment(1, 10**10 + 2)
 
 
+def with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def no_kernel(*args):
+    raise AssertionError("a stored span was sieved again")
+
+
 def test_segment_cache_roundtrip(tmp_path):
-    seg = sieve_segment(1000, 2000)
-    path = tmp_path / "seg.bin"
-    write_segment_file(str(path), seg.lo, seg.hi, seg.counts)
-    lo, hi, counts = read_segment_file(str(path))
-    assert (lo, hi) == (seg.lo, seg.hi)
-    assert np.array_equal(counts, seg.counts)
+    record = np.array([_profile_chunk((1000, 2000))], dtype=RECORD_DTYPE)
+    path = tmp_path / "span.omp"
+    write_profile_file(str(path), 1000, 2000, record)
+    assert path.stat().st_size == PROFILE_FILE_SIZE < 1100
+    lo, hi, stored = read_profile_file(str(path))
+    assert (lo, hi) == (1000, 2000)
+    assert stored.tobytes() == record.tobytes()
 
 
 def test_segment_cache_env(tmp_path, monkeypatch):
     monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
-    seg = sieve_segment(5000, 6000)
+    pik, inv = _profile_chunk((5000, 6000))
     files = os.listdir(tmp_path)
     assert len(files) == 1
-    again = sieve_segment(5000, 6000)
-    assert np.array_equal(seg.counts, again.counts)
+    monkeypatch.setattr(kernels, "omega_segment", no_kernel)
+    again_pik, again_inv = _profile_chunk((5000, 6000))
+    assert np.array_equal(pik, again_pik)
+    assert inv.tobytes() == again_inv.tobytes()
 
 
 @pytest.mark.parametrize(
     "damage",
     [
-        lambda data: data[:-1],  # truncated counts
+        lambda data: data[:-1],  # truncated
         lambda data: data[:10],  # truncated header
         lambda data: b"XXXX" + data[4:],  # bad magic
         lambda data: data[:4] + struct.pack("<QQ", 4000, 5000) + data[20:],  # other range
+        # other range with a valid checksum
+        lambda data: with_crc(data[:4] + struct.pack("<QQ", 4000, 5000) + data[20:-4]),
     ],
 )
 def test_segment_cache_damaged_file_is_a_miss(tmp_path, monkeypatch, damage):
     monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
-    fresh = sieve_segment(5000, 6000).counts.copy()
+    fresh_pik, fresh_inv = (part.copy() for part in _profile_chunk((5000, 6000)))
     (path,) = tmp_path.iterdir()
     path.write_bytes(damage(path.read_bytes()))
-    assert np.array_equal(sieve_segment(5000, 6000).counts, fresh)
-    assert read_segment_file(str(path))[:2] == (5000, 6000)  # rewritten whole
+    pik, inv = _profile_chunk((5000, 6000))
+    assert np.array_equal(pik, fresh_pik)
+    assert inv.tobytes() == fresh_inv.tobytes()
+    assert read_profile_file(str(path))[:2] == (5000, 6000)  # rewritten whole
     assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temporary left
+
+
+def test_flipped_bit_in_inv_is_a_miss(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
+    _profile_chunk((5000, 6000))
+    (path,) = tmp_path.iterdir()
+    whole = path.read_bytes()
+    data = bytearray(whole)
+    data[len(CACHE_MAGIC) + 16 + RECORD_DTYPE.fields["inv"][1] + 8 * 3] ^= 1  # inv[3]
+    path.write_bytes(bytes(data))
+    assert _cache_read(5000, 6000) is None
+    _profile_chunk((5000, 6000))
+    assert path.read_bytes() == whole
+
+
+def test_warm_store_profiles_need_no_kernel(tmp_path, monkeypatch):
+    checkpoints = [5000, 20000, 60000]  # span ends at segment length 5000
+    reference = omega_profiles(checkpoints, segment_length=5000)
+    monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
+    omega_profiles(checkpoints, segment_length=5000)
+    assert len(os.listdir(tmp_path)) == 12
+    monkeypatch.setattr(kernels, "omega_segment", no_kernel)  # forked workers inherit it
+    for workers in (1, 2):
+        warm = omega_profiles(checkpoints, workers, segment_length=5000)
+        for prof, ref in zip(warm, reference):
+            assert prof.pik.tobytes() == ref.pik.tobytes()
+            assert prof.inv_weights.tobytes() == ref.inv_weights.tobytes()
+
+
+def test_checkpoint_inside_a_span_on_a_warm_store(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
+    omega_profiles([60000], segment_length=5000)
+    checkpoints = [12345, 7, 60000, 59999]
+    warm = omega_profiles(checkpoints, segment_length=5000)
+    assert len(os.listdir(tmp_path)) == 12
+    monkeypatch.delenv("OMEGALAB_CACHE")
+    for prof in warm:
+        ref = omega_profile(prof.N, segment_length=5000)
+        assert prof.pik.tobytes() == ref.pik.tobytes()
+        assert prof.inv_weights.tobytes() == ref.inv_weights.tobytes()
+
+
+def rewrite_span(record, times):
+    for _ in range(times):
+        _cache_write(5000, 6000, record)
+
+
+def test_racing_writers_never_show_a_partial_file(tmp_path, monkeypatch):
+    record = np.array([_profile_chunk((5000, 6000))], dtype=RECORD_DTYPE)
+    monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
+    fork = multiprocessing.get_context("fork")
+    writers = [fork.Process(target=rewrite_span, args=(record, 400)) for _ in range(2)]
+    for writer in writers:
+        writer.start()
+    reads = []
+    while any(writer.is_alive() for writer in writers):
+        reads.append(_cache_read(5000, 6000))
+    for writer in writers:
+        writer.join()
+    assert [writer.exitcode for writer in writers] == [0, 0]
+    reads.append(_cache_read(5000, 6000))
+    assert reads[-1] is not None
+    for got in reads:
+        assert got is None or got.tobytes() == record.tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["span_5000_6000.omp"]
 
 
 def test_segment_spans_rejects_nonpositive_length():
@@ -385,7 +460,7 @@ def test_unwritable_cache_is_cache_write_error(tmp_path, monkeypatch, sub):
     blocker.write_bytes(b"")
     monkeypatch.setenv("OMEGALAB_CACHE", str(blocker / sub))
     with pytest.raises(CacheWriteError):
-        sieve_segment(1, 100)
+        omega_profile(99)
 
 
 def test_failed_cache_write_leaves_no_temporary(tmp_path, monkeypatch):
@@ -395,5 +470,5 @@ def test_failed_cache_write_leaves_no_temporary(tmp_path, monkeypatch):
     monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
     monkeypatch.setattr(os, "replace", failing_replace)
     with pytest.raises(CacheWriteError):
-        sieve_segment(1, 100)
+        omega_profile(99)
     assert list(tmp_path.iterdir()) == []

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from omegalab.errors import InvalidRangeError, WindowRangeError
+from omegalab.errors import InvalidRangeError, RangeTooLargeError, WindowRangeError
 from omegalab.weights import (
+    MAX_WINDOW_POINTS,
     GaussianWindowSpec,
     WeightVector,
     approximation_report,
@@ -37,6 +38,21 @@ def test_window_validation():
         GaussianWindowSpec(loglogn=4.0, C=-1.0)
     with pytest.raises(InvalidRangeError):
         window_for(10)
+
+
+@pytest.mark.parametrize("loglogn, C", [(math.nan, 3.0), (math.inf, 3.0), (4.0, math.nan),
+                                        (4.0, math.inf)])
+def test_window_rejects_non_finite_parameters(loglogn, C):
+    with pytest.raises(InvalidRangeError):
+        GaussianWindowSpec(loglogn=loglogn, C=C)
+
+
+def test_window_size_limits():
+    C = (MAX_WINDOW_POINTS / 2 - 1) / 2.0  # just inside, at log log N = 4
+    assert GaussianWindowSpec(loglogn=4.0, C=C).k_hi < MAX_WINDOW_POINTS
+    for loglogn, C in [(4.0, 2 * C), (4.0, 1e308), (1e20, 1e-12), (1e300, 3.0)]:
+        with pytest.raises(RangeTooLargeError):
+            GaussianWindowSpec(loglogn=loglogn, C=C)
 
 
 def test_weight_vector_lookup():
