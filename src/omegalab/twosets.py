@@ -16,11 +16,19 @@ import numpy as np
 
 from . import kernels
 from .averages import AverageScheme, EKNormalizer, RealTestFunction, _adjusted_pik
-from .errors import EmptySetError, InvalidPError, InvalidRangeError, SearchExhaustedError
+from .errors import (
+    EmptySetError,
+    InvalidPError,
+    InvalidRangeError,
+    RangeTooLargeError,
+    SearchExhaustedError,
+)
 from .sieve import OmegaProfile, _check_limit, _resolve_profile, base_primes, omega_oracle
 from .sieve import segment_spans
 
 MAX_SET_SIZE = 50_000  # caps |B1| = |B2|, and so the search's time and output
+MAX_RHO_INTERVALS = 10**5  # caps the rho-adic intervals of a search or a validation
+_FIRST_TABLE_LIMIT = 2**20  # the search's 2-almost-prime table starts here and doubles
 
 
 def phi(m: int, n: int) -> int:
@@ -161,7 +169,16 @@ def rho_index(m: int, rho: float) -> int:
 
 
 def _rho_bounds(rho: float, j_max: int) -> np.ndarray:
-    """rho^(j+1) for j = 0..j_max as rho_index computes it; exact against m < 2**53."""
+    """rho^(j+1) for j = 0..j_max as rho_index computes it; exact against m < 2**53.
+
+    Raises RangeTooLargeError, before allocating, for more than
+    MAX_RHO_INTERVALS intervals (rho too close to 1).
+    """
+    if j_max + 1 > MAX_RHO_INTERVALS:
+        raise RangeTooLargeError(
+            f"rho {rho!r} needs {j_max + 1} rho-adic intervals, "
+            f"over the cap of {MAX_RHO_INTERVALS}; use a larger rho"
+        )
     return np.array([rho ** (j + 1) for j in range(j_max + 1)])
 
 
@@ -204,9 +221,13 @@ class _IncrementalCoupling:
         return (self.prime_part + self.self_part) / (self.harmonic * self.harmonic)
 
 
-def _almost_primes_2(limit: int) -> np.ndarray:
-    """All (m, p, q) with m = p*q <= limit, p <= q prime; sorted by m."""
-    primes = base_primes(limit // 2)
+def _almost_primes_2(limit: int, primes: np.ndarray) -> np.ndarray:
+    """All (m, p, q) with m = p*q <= limit, p <= q prime; sorted by m.
+
+    primes holds every prime <= limit // 2 in ascending order (base_primes
+    of limit // 2 or of any larger limit); only that part of it is read.
+    """
+    primes = primes[: np.searchsorted(primes, limit // 2, side="right")]
     rows = []
     for p in primes:
         p = int(p)
@@ -221,6 +242,18 @@ def _almost_primes_2(limit: int) -> np.ndarray:
         return np.empty((0, 3), dtype=np.int64)
     table = np.concatenate(rows, axis=1).T
     return table[np.argsort(table[:, 0], kind="stable")]
+
+
+def _almost_primes_2_harmonic(limit: int, primes: np.ndarray, inv: np.ndarray) -> float:
+    """Sum of 1/m over the 2-almost primes m <= limit, without their table.
+
+    primes holds every prime <= limit // 2 in ascending order and inv = 1 / primes.
+    The sum is sum_{p <= sqrt(limit)} (1/p) sum_{p <= q <= limit/p} 1/q; the
+    loop runs over the primes p <= sqrt(limit) only.
+    """
+    small = primes[: np.searchsorted(primes, math.isqrt(limit), side="right")]
+    ends = np.searchsorted(primes, limit // small, side="right").tolist()
+    return math.fsum(float(inv[i]) * float(np.sum(inv[i:end])) for i, end in enumerate(ends))
 
 
 def construct_pair(
@@ -238,23 +271,35 @@ def construct_pair(
     as elements are added.  Raises SearchExhaustedError (carrying the best
     pair and its couplings, and reporting the floor 1/(2 sum 1/m) that no
     coupling goes below) if the limit or the set-size cap is reached first.
+
+    The 2-almost-prime table covers [1, 2**20] and doubles, up to
+    search_limit, only when the scan reaches past it.  The table over a
+    smaller limit is a prefix of the full one, so the result does not
+    depend on where the table stops.
     """
     if not 0 < epsilon < 1:
         raise InvalidRangeError("epsilon must lie in (0, 1)")
     if not 1 < rho <= 1 + epsilon:
         raise InvalidRangeError("rho must lie in (1, 1 + epsilon]")
+    if search_limit < 1:
+        raise InvalidRangeError(f"search limit must be >= 1, got {search_limit}")
     _check_limit(search_limit + 1)  # before base_primes allocates limit + 1 bytes
+    bounds = _rho_bounds(rho, rho_index(search_limit, rho))
     primes = base_primes(search_limit)
-    almost = _almost_primes_2(search_limit)
+    table_limit = 0  # the first interval builds the table over min(2**20, search_limit)
     b1: list[int] = []
     b2: list[int] = []
     c1 = _IncrementalCoupling()
     c2 = _IncrementalCoupling()
-    bounds = _rho_bounds(rho, rho_index(search_limit, rho))
     ends1 = np.searchsorted(primes, bounds, side="right").tolist()
-    ends2 = np.searchsorted(almost[:, 0], bounds, side="right").tolist()
     i1 = i2 = 0
-    for n1, n2 in zip(ends1, ends2):
+    for bound, n1 in zip(bounds.tolist(), ends1):
+        while table_limit < min(bound, search_limit):
+            table_limit = min(max(2 * table_limit, _FIRST_TABLE_LIMIT), search_limit)
+            almost = _almost_primes_2(table_limit, primes)
+        # m <= bound exactly when m <= floor(bound), for m < 2**53; an int
+        # key also spares converting the column to float for every interval
+        n2 = int(np.searchsorted(almost[:, 0], math.floor(bound), side="right"))
         take = max(0, min(n1 - i1, n2 - i2, max_set_size - len(b1)))
         for p in primes[i1 : i1 + take].tolist():
             b1.append(p)
@@ -271,7 +316,9 @@ def construct_pair(
     reason = f"best achieved {achieved}"
     if b1:  # the diagonal terms alone give coupling(B) >= 1/(2 sum_{m in B} 1/m)
         own = tuple(0.5 / c.harmonic for c in (c1, c2))
-        pool = tuple(0.5 / float(np.sum(1.0 / a)) for a in (primes, almost[:, 0]))
+        inv = 1.0 / primes
+        pool = (0.5 / float(np.sum(inv)),
+                0.5 / _almost_primes_2_harmonic(search_limit, primes, inv))
         reason += (f"; proven floor 1/(2 sum 1/m): ({own[0]:.3g}, {own[1]:.3g}) for these "
                    f"sets, ({pool[0]:.3g}, {pool[1]:.3g}) for any sets <= {search_limit}")
     raise SearchExhaustedError(

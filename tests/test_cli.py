@@ -5,6 +5,8 @@ import io
 import json
 import math
 import sys
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -202,6 +204,31 @@ def test_twosets_limit_is_checked_before_base_primes(capsys, monkeypatch):
     assert code == EXIT_RESOURCE
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+def test_twosets_rho_close_to_one_is_resource_error(capsys):
+    tracemalloc.start()
+    try:
+        code = main(["twosets", "--limit", str(10**7), "--epsilon", "0.1",
+                     f"--rho={1 + 1e-12!r}"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == EXIT_RESOURCE
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "rho-adic intervals" in captured.err
+    assert peak < 10**6  # neither the 1.6e13 bounds nor base_primes(10**7) were allocated
+
+
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_twosets_limit_below_one_is_usage_error(capsys, limit):
+    code = main(["twosets", "--limit", limit, "--epsilon", "0.1", "--rho", "1.05"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == f"omegalab: search limit must be >= 1, got {limit}\n"
 
 
 @pytest.mark.parametrize("content", [None, "[[1, 2], [3]]", "[1, 2]", "not json"])
@@ -422,6 +449,10 @@ LIMITS = st.integers(1, 1000)
 HUGE = st.sampled_from([math.nan, math.inf, -math.inf, 1e16, 1e300, sys.float_info.max])
 # --C sets the window width, so finite draws stay small enough for a quick table.
 WINDOW_C = st.floats(max_value=100.0) | HUGE
+# Valid (epsilon, rho) pairs, down to rho within 1e-12 of 1, then any floats.
+EPSILON_RHO = st.builds(lambda eps, t: (eps, 1.0 + eps * t), st.floats(1e-3, 0.999),
+                        st.floats(1e-12, 1.0)) | st.tuples(
+    st.floats() | HUGE, st.floats(0.0, 1e-12).map(lambda d: 1.0 + d) | st.floats() | HUGE)
 FLOAT_ARGVS = st.one_of(
     st.builds(lambda n, beta: ["weyl", "--limit", str(n), f"--beta={beta!r}"],
               LIMITS, st.floats()),
@@ -432,16 +463,22 @@ FLOAT_ARGVS = st.one_of(
     st.builds(lambda c: ["counterexample", "--mode", "extrapolate", f"--C={c!r}"], WINDOW_C),
     st.builds(lambda n, a: ["correlate", "--limit", str(n), f"--system=circle:alpha={a!r}"],
               LIMITS, st.floats() | HUGE),
+    st.builds(lambda n, er, partial: ["twosets", "--limit", str(n), f"--epsilon={er[0]!r}",
+                                      f"--rho={er[1]!r}", *partial],
+              st.integers(-10**4, 10**4), EPSILON_RHO, st.sampled_from([[], ["--allow-partial"]])),
 )
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=160, deadline=None)
 @given(FLOAT_ARGVS)
 def test_float_options_exit_cleanly_without_non_finite_rows(argv):
     out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([*argv, "--quiet"])
+    assert time.perf_counter() - start < 20
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_RESOURCE)
+    assert len(err.getvalue().splitlines()) <= 1
     if code == EXIT_OK:
         assert "nan" not in out.getvalue().lower()
         assert "inf" not in out.getvalue().lower()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -12,14 +13,18 @@ from omegalab.errors import (
     EmptySetError,
     InvalidPError,
     InvalidRangeError,
+    RangeTooLargeError,
     SearchExhaustedError,
 )
 from omegalab.sieve import DEFAULT_SEGMENT_LENGTH, base_primes, omega_oracle
 from omegalab.twosets import (
+    MAX_RHO_INTERVALS,
     PrimeSetPair,
     _IncrementalCoupling,
     _almost_primes_2,
+    _almost_primes_2_harmonic,
     _interval_counts,
+    _rho_bounds,
     construct_pair,
     coupling,
     coupling_grouped,
@@ -157,11 +162,101 @@ def test_interval_counts_match_rho_index_on_boundaries(rho):
 
 
 def test_almost_primes_table():
-    table = _almost_primes_2(30)
+    table = _almost_primes_2(30, base_primes(15))
     ms = [int(r[0]) for r in table]
     assert ms == [4, 6, 9, 10, 14, 15, 21, 22, 25, 26]
     for m, p, q in table:
         assert int(p) * int(q) == int(m)
+
+
+@pytest.mark.parametrize("x", [4, 5, 9, 10, 30, 1000, 2**20 + 1])
+def test_table_free_floor_matches_the_table(x):
+    primes = base_primes(x // 2)
+    table_sum = math.fsum(1.0 / m for m in _almost_primes_2(x, primes)[:, 0].tolist())
+    harmonic = _almost_primes_2_harmonic(x, primes, 1.0 / primes)
+    assert 1 / (2 * harmonic) == pytest.approx(1 / (2 * table_sum), rel=1e-12)
+
+
+def test_almost_primes_table_from_a_longer_prime_array():
+    primes = base_primes(10**4)
+    for limit in (1, 4, 30, 1000, 9973, 10**4):
+        own = _almost_primes_2(limit, base_primes(limit // 2))
+        assert _almost_primes_2(limit, primes).tolist() == own.tolist()
+
+
+def _search(*args, **kwargs):
+    """construct_pair's lists, couplings and message, whether it succeeds or not."""
+    try:
+        pair = construct_pair(*args, **kwargs)
+        return pair.b1, pair.b2, pair.couplings, None
+    except SearchExhaustedError as exc:
+        pair = exc.best_pair
+        return pair and pair.b1, pair and pair.b2, exc.couplings, str(exc)
+
+
+def _recording_table(monkeypatch):
+    """Record the limit of every _almost_primes_2 call made by construct_pair."""
+    limits = []
+
+    def table(limit, primes):
+        limits.append(limit)
+        return _almost_primes_2(limit, primes)
+
+    monkeypatch.setattr(twosets, "_almost_primes_2", table)
+    return limits
+
+
+@pytest.mark.parametrize(
+    "epsilon, rho, limit, cap",
+    [
+        (0.1, 1.05, 1, 50_000),
+        (0.1, 1.05, 100, 50_000),
+        (0.5, 1.5, 10**4, 50_000),
+        (0.01, 1.01, 3000, 50_000),
+        (0.9, 1.9, 5000, 200),
+        (0.2, 1.001, 20_000, 10**5),
+        (0.1, 1.05, 50_000, 50_000),
+    ],
+)
+def test_growing_table_gives_the_same_search(monkeypatch, epsilon, rho, limit, cap):
+    limits = _recording_table(monkeypatch)
+    monkeypatch.setattr(twosets, "_FIRST_TABLE_LIMIT", 2**62)
+    whole = _search(epsilon, rho, limit, max_set_size=cap)
+    assert limits == [limit]
+    limits.clear()
+    monkeypatch.setattr(twosets, "_FIRST_TABLE_LIMIT", 64)
+    grown = _search(epsilon, rho, limit, max_set_size=cap)
+    assert grown == whole  # the same lists, bit-identical couplings, the same message
+    assert limits[0] == min(64, limit) and limits[-1] <= limit
+    assert all(b == min(2 * a, limit) for a, b in zip(limits, limits[1:]))
+    assert limits[-1] >= max(whole[1] or [0])  # B2 past 64 forces doublings
+
+
+def test_short_search_builds_only_the_first_table(monkeypatch):
+    limits = _recording_table(monkeypatch)
+    with pytest.raises(SearchExhaustedError):
+        construct_pair(0.1, 1.05, 10**7, max_set_size=300)
+    assert limits == [2**20]
+
+
+def test_rho_close_to_one_fails_before_allocating():
+    rho = 1 + 1e-12
+    tracemalloc.start()
+    try:
+        with pytest.raises(RangeTooLargeError, match="rho-adic intervals"):
+            construct_pair(0.1, rho, 10**7)
+        with pytest.raises(RangeTooLargeError, match="rho-adic intervals"):
+            PrimeSetPair(b1=(1009,), b2=(1011,), rho=rho, epsilon=0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6  # the 1.6e13 bounds, or base_primes(10**7), would take far more
+
+
+def test_rho_bounds_cap_is_exact():
+    assert len(_rho_bounds(1.0001, MAX_RHO_INTERVALS - 1)) == MAX_RHO_INTERVALS
+    with pytest.raises(RangeTooLargeError):
+        _rho_bounds(1.0001, MAX_RHO_INTERVALS)
 
 
 def test_prime_set_pair_validation():
@@ -235,7 +330,7 @@ def test_exhaustion_reports_the_diagonal_floor():
     exc = exc_info.value
     own = [1 / (2 * math.fsum(1 / m for m in B)) for B in (exc.best_pair.b1, exc.best_pair.b2)]
     pools = [1 / (2 * math.fsum(1 / int(m) for m in B))
-             for B in (base_primes(1000), _almost_primes_2(1000)[:, 0])]
+             for B in (base_primes(1000), _almost_primes_2(1000, base_primes(500))[:, 0])]
     for value, floor, pool in zip(exc.couplings, own, pools):
         assert value >= floor >= pool
     assert str(exc) == (
