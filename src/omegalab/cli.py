@@ -259,12 +259,18 @@ def _read_blocks(path):
     """The block sequence of a JSON file holding a list of [lo, hi] pairs."""
     try:
         with open(path, encoding="utf-8") as fh:
-            intervals = [(int(lo), int(hi)) for lo, hi in json.load(fh)]
+            pairs = json.load(fh)
     except OSError as exc:
         raise InvalidRangeError(f"--blocks {path}: {exc.strerror}") from None
-    except (ValueError, TypeError, OverflowError):
-        raise InvalidRangeError(f"--blocks {path}: not a list of [lo, hi] pairs") from None
-    return counterexample.BlockSequence(counterexample.merge_intervals(intervals))
+    except (ValueError, RecursionError):  # RecursionError: arrays nested too deep
+        pairs = None
+    # JSON integers only: int() would truncate 1.9 and accept "3" or true.
+    if not isinstance(pairs, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 and all(type(v) is int for v in pair)
+        for pair in pairs
+    ):
+        raise InvalidRangeError(f"--blocks {path}: not a list of [lo, hi] pairs")
+    return counterexample.BlockSequence(counterexample.merge_intervals(map(tuple, pairs)))
 
 
 def _cmd_extrapolate(args):

@@ -11,14 +11,16 @@ computation is paired with Gaussian-weight checkpoints at virtual N.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-import mpmath
+import numpy as np
 
 from .errors import BlockOverflowError, InvalidIntervalError, InvalidRangeError
 from .sieve import OmegaProfile, _resolve_profile
 from .weights import GaussianWindowSpec, extrapolated_average
 
 MAX_BLOCK_BOUND = 2**62
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -36,13 +38,30 @@ class BlockSequence:
                 raise InvalidIntervalError("blocks must be disjoint and sorted")
             prev_hi = hi
 
-    def __call__(self, n: int) -> int:
+    @cached_property
+    def _edges(self) -> np.ndarray:
+        """Block starts and ends + 1, sorted, clipped into int64.
+
+        n lies in a block iff an odd number of edges is <= n.  Blocks that
+        hold no int64 are dropped, and an end past the int64 range is left
+        out, so the parity stays exact for every int64 n.
+        """
+        edges = []
         for lo, hi in self.blocks:
-            if lo <= n <= hi:
-                return 1
-            if n < lo:
-                return 0
-        return 0
+            if hi < _INT64.min or lo > _INT64.max:
+                continue
+            edges.append(max(lo, _INT64.min))
+            if hi < _INT64.max:
+                edges.append(hi + 1)
+        return np.array(edges, dtype=np.int64)
+
+    def __call__(self, n):
+        """a(n): 0 or 1 for an int, an int64 array of them for an int64 array.
+
+        n must fit in int64 (OverflowError otherwise).
+        """
+        inside = np.searchsorted(self._edges, np.asarray(n, dtype=np.int64), side="right") & 1
+        return int(inside) if np.ndim(inside) == 0 else inside
 
     def count_upto(self, N: int) -> int:
         """Number of n in [1, N] with a(n) = 1, by interval overlap."""
@@ -120,6 +139,8 @@ _FAR = 10**60  # beyond any sievable N
 
 
 def _loglog_cmp(n: int, x: float, strict: bool) -> bool:
+    import mpmath  # only the exact interval count needs it; keeps CLI start-up light
+
     with mpmath.workdps(60):
         value = mpmath.log(mpmath.log(n))
         return value > x if strict else value >= x
@@ -127,6 +148,8 @@ def _loglog_cmp(n: int, x: float, strict: bool) -> bool:
 
 def _first_n_crossing(x: float, strict: bool) -> int:
     """Smallest n >= 3 with log log n >= x (or > x when strict)."""
+    import mpmath
+
     with mpmath.workdps(60):
         val = mpmath.exp(mpmath.exp(x))
         if val > _FAR:
@@ -157,8 +180,8 @@ def average_along_omega_blocks(
 ) -> float:
     """Cesaro average of a(Omega(n)) over [1, N], exactly sum_k pi_k(N) a(k) / N."""
     profile = _resolve_profile(N, profile)
-    hits = sum(int(profile.pik[k]) for k in range(profile.k_max + 1) if seq(k))
-    return hits / N
+    inside = seq(np.arange(profile.k_max + 1, dtype=np.int64)).astype(bool)
+    return int(profile.pik[inside].sum()) / N
 
 
 def oscillation_profile(
@@ -170,12 +193,12 @@ def oscillation_profile(
     checkpoint, sorted by log log N; peaks approach the window mass and
     troughs approach 0, exhibiting the divergence.
     """
-    rows = []
+    windows = []
     for cp in checkpoints:
         for loglogn in (cp.loglogn_peak, cp.loglogn_trough):
             if loglogn <= 1:
                 raise InvalidRangeError("checkpoint log log N must exceed 1")
-            window = GaussianWindowSpec(loglogn=loglogn, C=C)
-            value = extrapolated_average(seq, window).real
-            rows.append((loglogn, value))
-    return sorted(rows)
+            windows.append(GaussianWindowSpec(loglogn=loglogn, C=C))
+    # Every window is checked above, before any is evaluated, so a window too
+    # large for the limits fails at once rather than after the smaller ones.
+    return sorted((w.loglogn, extrapolated_average(seq, w).real) for w in windows)

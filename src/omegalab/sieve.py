@@ -41,7 +41,7 @@ def base_primes(limit: int) -> np.ndarray:
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    return np.nonzero(flags)[0].astype(np.int64)
+    return np.flatnonzero(flags).astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)

@@ -155,27 +155,29 @@ def gaussian_weights(
 def tn_operator(indicator, window: GaussianWindowSpec) -> float:
     """Windowed Gaussian average of an indicator: sum_k w_k * indicator(k).
 
-    indicator(k) in {0, 1} stands for 1_A(T^k x).
+    indicator(k) in {0, 1} stands for 1_A(T^k x).  It is called once, on
+    the int64 array of the window's k, and returns an array of truth values
+    (or one value, broadcast over the window).
     """
-    wv = gaussian_weights(window)
-    return float(
-        math.fsum(
-            w * (1.0 if indicator(int(k)) else 0.0)
-            for k, w in zip(window.ks(), wv.weights)
-        )
-    )
+    ks = window.ks()
+    hits = np.broadcast_to(np.asarray(indicator(ks), dtype=bool), ks.shape)
+    return math.fsum(gaussian_weights(window).weights * hits)
 
 
 def extrapolated_average(a, window: GaussianWindowSpec) -> complex:
     """sum_k w_k a(k) over the window with Gaussian weights.
 
     Interpreted as the approximate value of (1/N) sum a(Omega(n)) at the
-    virtual N with the window's log log N; needs no sieve data.
+    virtual N with the window's log log N; needs no sieve data.  a is called
+    once, on the int64 array of the window's k, and returns an array of
+    values (or one value, broadcast over the window).  fsum rounds the exact
+    sum of the products, so the result does not depend on their order.
     """
-    wv = gaussian_weights(window)
-    values = [complex(a(int(k))) for k in window.ks()]
-    re = math.fsum(w * v.real for w, v in zip(wv.weights, values))
-    im = math.fsum(w * v.imag for w, v in zip(wv.weights, values))
+    ks = window.ks()
+    values = np.broadcast_to(a(ks), ks.shape)
+    w = gaussian_weights(window).weights
+    re = math.fsum(w * values.real)
+    im = math.fsum(w * values.imag) if np.iscomplexobj(values) else 0.0
     return complex(re, im)
 
 

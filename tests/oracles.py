@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from omegalab.sieve import base_primes
+from omegalab.weights import GaussianWindowSpec, gaussian_weights
 
 
 def bulk_omega_oracle(lo: int, hi: int) -> np.ndarray:
@@ -23,3 +24,44 @@ def bulk_omega_oracle(lo: int, hi: int) -> np.ndarray:
     counts[rem > 1] += 1
     counts[ns == 1] = 0
     return counts
+
+
+def block_scan_oracle(blocks, n: int) -> int:
+    """a(n) for sorted, disjoint inclusive blocks, by a linear scan."""
+    for lo, hi in blocks:
+        if lo <= n <= hi:
+            return 1
+        if n < lo:
+            return 0
+    return 0
+
+
+def extrapolated_average_oracle(a, window: GaussianWindowSpec) -> complex:
+    """sum_k w_k a(k) with Gaussian weights, calling a once per k."""
+    wv = gaussian_weights(window)
+    values = [complex(a(int(k))) for k in window.ks()]
+    re = math.fsum(w * v.real for w, v in zip(wv.weights, values))
+    im = math.fsum(w * v.imag for w, v in zip(wv.weights, values))
+    return complex(re, im)
+
+
+def tn_operator_oracle(indicator, window: GaussianWindowSpec) -> float:
+    """sum_k w_k indicator(k) with Gaussian weights, calling indicator once per k."""
+    wv = gaussian_weights(window)
+    return float(
+        math.fsum(
+            w * (1.0 if indicator(int(k)) else 0.0)
+            for k, w in zip(window.ks(), wv.weights)
+        )
+    )
+
+
+def oscillation_profile_oracle(blocks, checkpoints, C: float = 3.0) -> list:
+    """(log log N, value) at each checkpoint's peak and trough, per-k scan."""
+    rows = []
+    for cp in checkpoints:
+        for loglogn in (cp.loglogn_peak, cp.loglogn_trough):
+            window = GaussianWindowSpec(loglogn=loglogn, C=C)
+            value = extrapolated_average_oracle(lambda k: block_scan_oracle(blocks, k), window)
+            rows.append((loglogn, value.real))
+    return sorted(rows)

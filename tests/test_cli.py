@@ -4,16 +4,22 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import block_scan_oracle, extrapolated_average_oracle, oscillation_profile_oracle
 
-from omegalab import AverageScheme, average_along_omega, cli, sieve, twosets
+import omegalab
+from omegalab import AverageScheme, average_along_omega, cli, sieve, twosets, weights
 from omegalab.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
+from omegalab.counterexample import Checkpoints, merge_intervals
 from omegalab.dynamics import rotation_two_points_liouville
 
 
@@ -231,7 +237,11 @@ def test_twosets_limit_below_one_is_usage_error(capsys, limit):
     assert captured.err == f"omegalab: search limit must be >= 1, got {limit}\n"
 
 
-@pytest.mark.parametrize("content", [None, "[[1, 2], [3]]", "[1, 2]", "not json"])
+@pytest.mark.parametrize("content", [
+    None, "[[1, 2], [3]]", "[1, 2]", "not json",
+    # Only JSON integers are bounds: int() would make 1.9 into 1, "3" into 3, true into 1.
+    "[[1.9, 30.9]]", '[["3", 30]]', "[[1, true]]", '["12"]', "[" * 100_000,
+])
 @pytest.mark.parametrize("argv", [["extrapolate", "--loglogn", "27"], ["counterexample"]])
 def test_bad_blocks_file_is_usage_error(capsys, tmp_path, argv, content):
     blocks = tmp_path / "blocks.json"
@@ -242,6 +252,27 @@ def test_bad_blocks_file_is_usage_error(capsys, tmp_path, argv, content):
     assert code == EXIT_USAGE
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+    if content is not None:
+        assert "not a list of [lo, hi] pairs" in captured.err
+
+
+def test_counterexample_window_too_large_exits_before_any_work(capsys):
+    start = time.perf_counter()
+    code = main(["counterexample", "--kmax", "26", "--mode", "extrapolate", "--quiet"])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 5
+    assert code == EXIT_RESOURCE
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    src = os.path.dirname(os.path.dirname(omegalab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, omegalab.cli; print('mpmath' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout == "False\n"
 
 
 def test_invariance(capsys):
@@ -482,6 +513,48 @@ def test_float_options_exit_cleanly_without_non_finite_rows(argv):
     if code == EXIT_OK:
         assert "nan" not in out.getvalue().lower()
         assert "inf" not in out.getvalue().lower()
+
+
+# Block bounds anywhere in +-2^70, or near the windows probed below (k 0 to 65).
+BOUNDS = st.integers(-(2**70), 2**70) | st.integers(-5, 70)
+JSON_LEAVES = st.none() | st.booleans() | st.floats() | st.text(max_size=3) | BOUNDS
+BLOCK_FILES = st.one_of(
+    st.lists(st.lists(BOUNDS, min_size=2, max_size=2), max_size=30),
+    st.recursive(JSON_LEAVES, lambda inner: st.lists(inner, max_size=4), max_leaves=12),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(BLOCK_FILES, st.sampled_from(["extrapolate", "counterexample"]))
+def test_blocks_files_exit_cleanly_with_oracle_values(content, subcommand):
+    argv = {
+        "extrapolate": ["extrapolate", "--loglogn", "27"],
+        "counterexample": ["counterexample", "--mode", "extrapolate", "--kmax", "5"],
+    }[subcommand]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "blocks.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(content, fh)
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--blocks", path, "--json", "--quiet"])
+        assert time.perf_counter() - start < 20
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_RESOURCE)
+    assert len(err.getvalue().splitlines()) <= 1
+    if code != EXIT_OK:
+        return
+    assert "nan" not in out.getvalue().lower()
+    assert "inf" not in out.getvalue().lower()
+    rows = [tuple(row.values()) for row in json.loads(out.getvalue())["rows"]]
+    blocks = merge_intervals(map(tuple, content))
+    if subcommand == "extrapolate":
+        window = weights.GaussianWindowSpec(loglogn=27.0)
+        value = extrapolated_average_oracle(lambda k: block_scan_oracle(blocks, k), window)
+        assert rows[0][:2] == (27.0, value.real)
+    else:
+        cps = [Checkpoints(k) for k in range(1, 6)]
+        assert rows == oscillation_profile_oracle(blocks, cps)
 
 
 class RecordingNamespace(argparse.Namespace):

@@ -1,7 +1,17 @@
 import math
+import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    block_scan_oracle,
+    extrapolated_average_oracle,
+    oscillation_profile_oracle,
+)
 
+from omegalab import counterexample
 from omegalab.counterexample import (
     BlockSequence,
     Checkpoints,
@@ -16,8 +26,12 @@ from omegalab.errors import (
     BlockOverflowError,
     InvalidIntervalError,
     InvalidRangeError,
+    RangeTooLargeError,
 )
 from omegalab.sieve import omega_oracle
+from omegalab.weights import GaussianWindowSpec, extrapolated_average
+
+INT64 = np.iinfo(np.int64)
 
 
 def test_blocks_merge_when_touching():
@@ -137,3 +151,74 @@ def test_oscillation_profile_constant_sequence():
     rows = oscillation_profile(ones, [Checkpoints(4)])
     for _, value in rows:
         assert value == pytest.approx(1.0, abs=0.01)
+
+
+# Starts anywhere in +-2^70, or near 0 or the int64 limits, so that touching
+# and overlapping intervals (merged before use) are frequent.
+BLOCK_START = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.integers(-50, 50),
+    st.integers(INT64.max - 20, INT64.max + 20),
+    st.integers(INT64.min - 20, INT64.min + 20),
+)
+BLOCK_LENGTH = st.integers(0, 20) | st.integers(0, 2**70)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(BLOCK_START, BLOCK_LENGTH), max_size=50))
+def test_block_sequence_matches_scan_oracle(starts_and_lengths):
+    seq = BlockSequence(merge_intervals((lo, lo + n) for lo, n in starts_and_lengths))
+    probes = {0, 2**62}
+    for lo, hi in seq.blocks:
+        probes |= {lo - 1, lo, lo + 1, hi - 1, hi, hi + 1}
+    probes = sorted(p for p in probes if INT64.min <= p <= INT64.max)
+    expect = [block_scan_oracle(seq.blocks, p) for p in probes]
+    got = seq(np.array(probes, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert got.tolist() == expect
+    scalars = [seq(p) for p in probes]
+    assert scalars == expect and all(type(v) is int for v in scalars)
+
+
+def test_block_sequence_rejects_k_outside_int64():
+    seq = BlockSequence(blocks=((0, 2**70),))
+    assert seq(INT64.max) == 1
+    with pytest.raises(OverflowError):
+        seq(INT64.max + 1)
+
+
+@pytest.mark.parametrize("kmax", range(1, 15))
+def test_oscillation_profile_bit_identical_to_per_k_oracle(kmax):
+    seq = erdos_blocks(kmax)
+    cps = [Checkpoints(k) for k in range(1, kmax + 1)]
+    got = oscillation_profile(seq, cps)
+    expect = oscillation_profile_oracle(seq.blocks, cps)
+    assert [(x.hex(), v.hex()) for x, v in got] == [(x.hex(), v.hex()) for x, v in expect]
+
+
+def test_extrapolated_average_on_many_blocks_bit_identical_to_oracle():
+    # 1000 blocks below the window at log log N = 10^6 and 20 inside it.
+    rng = random.Random(20261018)
+    window = GaussianWindowSpec(loglogn=1e6, C=3.0)
+    intervals = []
+    for count, lo, hi, longest in ((1000, 1, window.k_lo - 1000, 400),
+                                   (20, window.k_lo, window.k_hi, 150)):
+        cuts = sorted(rng.sample(range(lo, hi), 2 * count))
+        intervals += [(a, min(b, a + longest)) for a, b in zip(cuts[::2], cuts[1::2])]
+    seq = BlockSequence(merge_intervals(intervals))
+    assert len(seq.blocks) > 1000
+    got = extrapolated_average(seq, window)
+    expect = extrapolated_average_oracle(lambda k: block_scan_oracle(seq.blocks, k), window)
+    assert got.real.hex() == expect.real.hex()
+    assert got.real > 0
+    assert got.imag == expect.imag == 0.0
+
+
+def test_oscillation_profile_checks_every_window_before_evaluating(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a window was evaluated before all were checked")
+
+    monkeypatch.setattr(counterexample, "extrapolated_average", fail)
+    # The k = 26 peak window fits (9.6e6 points), its trough does not.
+    with pytest.raises(RangeTooLargeError):
+        oscillation_profile(erdos_blocks(26), [Checkpoints(k) for k in range(1, 27)])

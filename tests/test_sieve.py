@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import os
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -65,6 +66,18 @@ def test_omega_oracle_small():
     assert omega_oracle(12) == 3
     assert omega_oracle(2**10) == 10
     assert omega_oracle(97) == 1
+
+
+def test_base_primes_peak_is_flags_plus_result():
+    limit = 10**7
+    tracemalloc.start()
+    try:
+        primes = base_primes(limit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(primes) == 664_579 and primes.dtype == np.int64  # pi(10^7)
+    assert peak <= (limit + 1) + primes.nbytes + 2**20
 
 
 def test_sieve_matches_trial_division_to_one_million(omega_to_1e6):

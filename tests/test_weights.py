@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import extrapolated_average_oracle, tn_operator_oracle
 
 from omegalab.errors import InvalidRangeError, RangeTooLargeError, WindowRangeError
 from omegalab.weights import (
@@ -123,6 +124,31 @@ def test_extrapolated_average_constant():
     got = extrapolated_average(lambda k: 1.0, window)
     assert got.real == pytest.approx(mass, abs=1e-15)
     assert got.imag == 0.0
+
+
+def test_extrapolated_average_calls_a_once_on_the_window():
+    window = GaussianWindowSpec(loglogn=1000.0, C=3.0)
+    calls = []
+
+    def a(ks):
+        calls.append(ks)
+        return (ks % 2) + 1j * (ks % 3)  # exact, so both paths form the same products
+
+    got = extrapolated_average(a, window)
+    (ks,) = calls
+    assert ks.dtype == np.int64
+    assert ks.tolist() == window.ks().tolist()
+    expect = extrapolated_average_oracle(lambda k: (k % 2) + 1j * (k % 3), window)
+    assert (got.real.hex(), got.imag.hex()) == (expect.real.hex(), expect.imag.hex())
+
+
+@pytest.mark.parametrize("loglogn", [1.5, 27.0, 1e6])
+def test_tn_operator_bit_identical_to_per_k_oracle(loglogn):
+    window = GaussianWindowSpec(loglogn=loglogn, C=3.0)
+    got = tn_operator(lambda ks: ks % 3 == 1, window)
+    expect = tn_operator_oracle(lambda k: k % 3 == 1, window)
+    assert got.hex() == expect.hex()
+    assert got > 0
 
 
 def test_approximation_report_fields(profile_1e6):
