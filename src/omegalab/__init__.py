@@ -43,7 +43,6 @@ from .kernels import active_backend
 from .sieve import (
     FactorCountSegment,
     OmegaProfile,
-    PiKHistogram,
     hardy_ramanujan_tail,
     liouville,
     omega_oracle,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,7 +26,7 @@ from .errors import (
     require_finite,
 )
 from .normal import normal_mass
-from .sieve import OmegaProfile, _resolve_profile, map_segments, sieve_segment
+from .sieve import OmegaProfile, _resolve_profile, omega_profiles
 
 
 class AverageScheme(Enum):
@@ -55,8 +54,8 @@ def _fsum_complex(values) -> complex:
     return complex(math.fsum(re for re, _ in pairs), math.fsum(im for _, im in pairs))
 
 
-def _orbit_values(orbit: ObservableOrbit, k_max: int) -> np.ndarray:
-    return np.array([orbit.value_at(k) for k in range(k_max + 1)], dtype=complex)
+def _values(a: Callable[[int], complex], k_max: int) -> np.ndarray:
+    return np.array([a(k) for k in range(k_max + 1)], dtype=complex)
 
 
 def _dot(weights: np.ndarray, values: np.ndarray) -> complex:
@@ -74,9 +73,13 @@ def average_along_omega(
 ) -> complex:
     """Scheme-average of n -> g(T^{Omega(n)} x) over [1, N]."""
     prof = _resolve_profile(N, profile)
-    values = _orbit_values(orbit, prof.k_max)
+    return _scheme_average(prof, _values(orbit.value_at, prof.k_max), scheme)
+
+
+def _scheme_average(prof: OmegaProfile, values: np.ndarray, scheme: AverageScheme) -> complex:
+    """Scheme-average over [1, prof.N] of n -> values[Omega(n)]."""
     if scheme is AverageScheme.CESARO:
-        return _dot(prof.pik.astype(np.float64), values) / N
+        return _dot(prof.pik.astype(np.float64), values) / prof.N
     return _dot(prof.inv_weights, values) / prof.harmonic_sum()
 
 
@@ -243,7 +246,7 @@ def correlation_sum(
     prof = _resolve_profile(N, profile)
     pik = _adjusted_pik(prof)
     weights = pik * np.array([F(norm.normalize(k)) for k in range(len(pik))])
-    return _dot(weights, _orbit_values(orbit, len(pik) - 1)) / N
+    return _dot(weights, _values(orbit.value_at, len(pik) - 1)) / N
 
 
 def shifted_omega_average(
@@ -257,49 +260,13 @@ def shifted_omega_average(
     if shift < 0:
         raise InvalidRangeError("shift must be >= 0")
     prof = _resolve_profile(N, profile)
-    values = np.array([a(k + shift) for k in range(prof.k_max + 1)], dtype=complex)
-    return _dot(prof.pik.astype(np.float64), values) / N
+    values = _values(lambda k: a(k + shift), prof.k_max)
+    return _scheme_average(prof, values, AverageScheme.CESARO)
 
 
 # ---------------------------------------------------------------------------
 # Logarithmic-average trick
 # ---------------------------------------------------------------------------
-
-
-def _log_sum_chunk(span, fn, n_cap):
-    lo, hi = span
-    hi = min(hi, n_cap + 1)
-    if lo > n_cap:
-        return 0.0, 0.0, 0.0
-    seg = sieve_segment(lo, hi)
-    ns = np.arange(lo, hi, dtype=np.float64)
-    vals = np.asarray(fn(np.arange(lo, hi, dtype=np.int64), seg.counts), dtype=complex)
-    inv = 1.0 / ns
-    return (
-        float(np.sum(vals.real * inv)),
-        float(np.sum(vals.imag * inv)),
-        float(np.sum(inv)),
-    )
-
-
-def log_average_stream(
-    fn,
-    N: int,
-    *,
-    workers: int = 1,
-    segment_length: int | None = None,
-) -> complex:
-    """Logarithmic average over [1, N] of a segment function.
-
-    fn receives (n_values, omega_counts) as numpy arrays and returns the
-    per-n values; the weighted partial sums merge in segment order.
-    """
-    chunk = partial(_log_sum_chunk, fn=fn, n_cap=N)
-    parts = map_segments(N, chunk, workers, segment_length)
-    re = math.fsum(p[0] for p in parts)
-    im = math.fsum(p[1] for p in parts)
-    norm = math.fsum(p[2] for p in parts)
-    return complex(re, im) / norm
 
 
 def harmonic_sum(N: int) -> float:
@@ -313,21 +280,21 @@ def harmonic_sum(N: int) -> float:
 
 
 def log_trick_discrepancy(
-    fn,
+    a: Callable[[int], complex],
     N: int,
     p: int,
     *,
     workers: int = 1,
     segment_length: int | None = None,
 ) -> float:
-    """|E^log_{[N/p]} f - E^log_{[N]} f| for a bounded segment function f."""
+    """|E^log_{[N/p]} a(Omega) - E^log_{[N]} a(Omega)| for a bounded function a of k."""
     if p < 2:
         raise InvalidPError("p must be >= 2")
     if N < p:
         raise InvalidPError("need N >= p")
-    full = log_average_stream(fn, N, workers=workers, segment_length=segment_length)
-    head = log_average_stream(
-        fn, N // p, workers=workers, segment_length=segment_length
+    head, full = (
+        _scheme_average(prof, _values(a, prof.k_max), AverageScheme.LOGARITHMIC)
+        for prof in omega_profiles([N // p, N], workers, segment_length)
     )
     return abs(head - full)
 
@@ -337,8 +304,3 @@ def log_trick_bound(M: float, N: int, p: int) -> float:
     if p < 2:
         raise InvalidPError("p must be >= 2")
     return 2.0 * M * (1.0 - harmonic_sum(N // p) / harmonic_sum(N))
-
-
-def liouville_segment_fn(ns: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    """lambda(n) = (-1)^Omega(n) as a segment function."""
-    return np.where(omegas % 2 == 0, 1.0, -1.0)

@@ -137,6 +137,12 @@ def _write(args, text):
 
 
 def _cmd_sieve(args):
+    # One row per integer, built in memory: cap the range at one segment.
+    if args.hi - args.lo > sieve.DEFAULT_SEGMENT_LENGTH:
+        raise RangeTooLargeError(
+            f"sieve --lo {args.lo} --hi {args.hi}: more than"
+            f" {sieve.DEFAULT_SEGMENT_LENGTH} integers in one range"
+        )
     seg = sieve.sieve_segment(args.lo, args.hi)
     rows = [
         (n, int(seg.counts[n - args.lo]), sieve.liouville(int(seg.counts[n - args.lo])))

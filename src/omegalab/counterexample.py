@@ -72,9 +72,11 @@ class BlockSequence:
 
 
 def merge_intervals(intervals) -> tuple:
-    """Merge touching or overlapping inclusive intervals."""
+    """Merge touching or overlapping inclusive intervals; lo > hi is rejected."""
     merged = []
     for lo, hi in sorted(intervals):
+        if hi < lo:
+            raise InvalidIntervalError(f"block [{lo}, {hi}] is empty")
         if merged and lo <= merged[-1][1] + 1:
             merged[-1][1] = max(merged[-1][1], hi)
         else:

@@ -12,6 +12,7 @@ import math
 import os
 import struct
 import zlib
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -19,7 +20,13 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import kernels
-from .errors import CacheWriteError, InvalidRangeError, InvalidResidueError, RangeTooLargeError
+from .errors import (
+    CacheWriteError,
+    InvalidRangeError,
+    InvalidResidueError,
+    RangeTooLargeError,
+    require_finite,
+)
 
 # Omega(n) <= log2(n) < 64 for every feasible n, so one byte per integer.
 MAX_OMEGA = 64
@@ -339,46 +346,15 @@ def _resolve_profile(N: int, profile, workers: int = 1, segment_length=None) -> 
     return profile
 
 
-@dataclass(frozen=True)
-class PiKHistogram:
-    """pi_k(N) for all 0 <= k <= k_max, with sum_k pi_k(N) = N."""
-
-    N: int
-    counts: dict[int, int]
-
-    def __post_init__(self):
-        if sum(self.counts.values()) != self.N:
-            raise InvalidRangeError("pi_k histogram does not partition [N]")
-
-    def as_array(self) -> np.ndarray:
-        k_max = max(self.counts)
-        out = np.zeros(k_max + 1, dtype=np.int64)
-        for k, v in self.counts.items():
-            out[k] = v
-        return out
-
-
 def pi_k_histogram(
     N: int,
     workers: int = 1,
     segment_length: int | None = None,
     profile: OmegaProfile | None = None,
-) -> PiKHistogram:
-    """Exact pi_k(N) for all k, independent of segmentation and worker count."""
+) -> dict[int, int]:
+    """Exact {k: pi_k(N)} for all k, independent of segmentation and worker count."""
     profile = _resolve_profile(N, profile, workers, segment_length)
-    counts = {k: int(v) for k, v in enumerate(profile.pik)}
-    return PiKHistogram(N, counts)
-
-
-def _tail_chunk(span, C, sd_n):
-    lo, hi = span
-    seg = sieve_segment(lo, hi)
-    ns = np.arange(lo, hi, dtype=np.float64)
-    mask = ns >= 3  # log log n undefined/negative below 3
-    loglog = np.zeros_like(ns)
-    loglog[mask] = np.log(np.log(ns[mask]))
-    dev = np.abs(seg.counts.astype(np.float64) - loglog)
-    return int(np.count_nonzero(mask & (dev > C * sd_n)))
+    return {k: int(v) for k, v in enumerate(profile.pik)}
 
 
 def hardy_ramanujan_tail(
@@ -388,14 +364,34 @@ def hardy_ramanujan_tail(
 
     n in {1, 2} are excluded (log log n undefined or negative there); their
     O(1/N) contribution is below every stated tolerance.
+
+    For each k the n in [3, N] that fail are a prefix [3, a_k] (k - log log n
+    above the band) and a suffix [b_k, N] (below it): the computed log log n
+    grows by about 10^4 ulps per step for n <= HARD_LIMIT, so it is strictly
+    increasing.  a_k and b_k are found by bisection on the same float64
+    expression a per-n pass would evaluate, and the counts come from the
+    profiles at 2, a_k, b_k - 1 and N.
     """
+    require_finite(C=C)
     if N < 3:
         raise InvalidRangeError("N must be >= 3")
     if C <= 0:
         raise InvalidRangeError("C must be > 0")
-    sd_n = math.sqrt(math.log(math.log(N)))
-    chunk = partial(_tail_chunk, C=C, sd_n=sd_n)
-    return sum(map_segments(N, chunk, workers, segment_length)) / N
+    _check_limit(N + 1)  # before the bisection, which needs len(range(3, N + 1))
+    band = C * math.sqrt(math.log(math.log(N)))
+    k_max = int(math.log2(N))
+    ns = range(3, N + 1)
+
+    def dev(k, n):  # k - log log n, on a float64 array as a per-n pass has it
+        return np.float64(k) - np.log(np.log(np.array([n], dtype=np.float64)))[0]
+
+    ks = range(k_max + 1)
+    a = [2 + bisect_left(ns, True, key=lambda n: not dev(k, n) > band) for k in ks]
+    b = [3 + bisect_left(ns, True, key=lambda n: -dev(k, n) > band) for k in ks]
+    profiles = omega_profiles(sorted({2, N, *a, *(n - 1 for n in b)}), workers, segment_length)
+    pik = {p.N: np.pad(p.pik, (0, k_max + 1 - len(p.pik))) for p in profiles}
+    tail = sum(int(pik[a[k]][k] - pik[2][k] + pik[N][k] - pik[b[k] - 1][k]) for k in ks)
+    return tail / N
 
 
 def residue_class_density(

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from omegalab.sieve import base_primes
+from omegalab.sieve import base_primes, segment_spans, sieve_segment
 from omegalab.weights import GaussianWindowSpec, gaussian_weights
 
 
@@ -24,6 +24,21 @@ def bulk_omega_oracle(lo: int, hi: int) -> np.ndarray:
     counts[rem > 1] += 1
     counts[ns == 1] = 0
     return counts
+
+
+def hardy_ramanujan_tail_oracle(N: int, C: float) -> float:
+    """hardy_ramanujan_tail by testing every n in [3, N] against the band, per span."""
+    sd_n = math.sqrt(math.log(math.log(N)))
+    tail = 0
+    for lo, hi in segment_spans(N):
+        counts = sieve_segment(lo, hi).counts
+        ns = np.arange(lo, hi, dtype=np.float64)
+        mask = ns >= 3  # log log n undefined/negative below 3
+        loglog = np.zeros_like(ns)
+        loglog[mask] = np.log(np.log(ns[mask]))
+        dev = np.abs(counts.astype(np.float64) - loglog)
+        tail += int(np.count_nonzero(mask & (dev > C * sd_n)))
+    return tail / N
 
 
 def block_scan_oracle(blocks, n: int) -> int:

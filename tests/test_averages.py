@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from omegalab import omega_oracle, residue_class_density
+from omegalab import liouville, omega_oracle, residue_class_density
 from omegalab.averages import (
     AverageScheme,
     EKNormalizer,
@@ -16,8 +16,6 @@ from omegalab.averages import (
     grid_cells,
     harmonic_sum,
     interval_indicator,
-    liouville_segment_fn,
-    log_average_stream,
     log_trick_bound,
     log_trick_discrepancy,
     shifted_omega_average,
@@ -210,29 +208,42 @@ def test_harmonic_sum_matches_fsum():
 
 def test_log_average_stream_matches_brute_force():
     N = 1000
-    got = log_average_stream(liouville_segment_fn, N)
+    got = average_along_omega(rotation_two_points_liouville(), N, AverageScheme.LOGARITHMIC)
     num = math.fsum((-1) ** omega_oracle(n) / n for n in range(1, N + 1))
     den = math.fsum(1.0 / n for n in range(1, N + 1))
     assert got.real == pytest.approx(num / den, abs=1e-12)
 
 
 def test_log_trick_constant_is_zero():
-    const = lambda ns, omegas: np.ones(len(ns))
+    const = lambda k: 1.0
     assert log_trick_discrepancy(const, 10**4, 3) == pytest.approx(0.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("p", [2, 3, 7])
 def test_log_trick_bound_holds_for_liouville(p):
     N = 10**4
-    d = log_trick_discrepancy(liouville_segment_fn, N, p)
+    d = log_trick_discrepancy(liouville, N, p)
     assert d <= log_trick_bound(1.0, N, p) + 1e-12
+
+
+@pytest.mark.parametrize("N", [10**4, 10**6])
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_log_trick_matches_fsum_brute_force(omega_to_1e6, N, p):
+    lam = np.where(omega_to_1e6[:N] % 2 == 0, 1.0, -1.0)
+    inv = 1.0 / np.arange(1, N + 1, dtype=np.float64)
+
+    def log_average(M):
+        return math.fsum(lam[:M] * inv[:M]) / math.fsum(inv[:M])
+
+    expect = abs(log_average(N // p) - log_average(N))
+    assert log_trick_discrepancy(liouville, N, p) == pytest.approx(expect, abs=1e-14)
 
 
 def test_log_trick_validation():
     with pytest.raises(InvalidPError):
-        log_trick_discrepancy(liouville_segment_fn, 100, 1)
+        log_trick_discrepancy(liouville, 100, 1)
     with pytest.raises(InvalidPError):
-        log_trick_discrepancy(liouville_segment_fn, 2, 3)
+        log_trick_discrepancy(liouville, 2, 3)
 
 
 def test_smoothed_indicator_shape():

@@ -256,6 +256,28 @@ def test_bad_blocks_file_is_usage_error(capsys, tmp_path, argv, content):
         assert "not a list of [lo, hi] pairs" in captured.err
 
 
+@pytest.mark.parametrize("content", ["[[20, 30], [25, 3]]", "[[25, 3]]"])
+@pytest.mark.parametrize("argv", [["extrapolate", "--loglogn", "27"], ["counterexample"]])
+def test_inverted_block_pair_is_usage_error(capsys, tmp_path, argv, content):
+    blocks = tmp_path / "blocks.json"
+    blocks.write_text(content)
+    code = main([*argv, "--blocks", str(blocks), "--quiet"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == "omegalab: block [25, 3] is empty\n"
+
+
+def test_sieve_range_over_one_segment_is_resource_error(capsys, monkeypatch):
+    monkeypatch.setattr(sieve, "sieve_segment", lambda lo, hi: pytest.fail("sieved"))
+    for hi in (sieve.DEFAULT_SEGMENT_LENGTH + 2, 10**9):
+        code = main(["sieve", "--lo", "1", "--hi", str(hi)])
+        captured = capsys.readouterr()
+        assert code == EXIT_RESOURCE
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
+
 def test_counterexample_window_too_large_exits_before_any_work(capsys):
     start = time.perf_counter()
     code = main(["counterexample", "--kmax", "26", "--mode", "extrapolate", "--quiet"])
@@ -544,6 +566,7 @@ def test_blocks_files_exit_cleanly_with_oracle_values(content, subcommand):
     assert len(err.getvalue().splitlines()) <= 1
     if code != EXIT_OK:
         return
+    assert all(lo <= hi for lo, hi in content)
     assert "nan" not in out.getvalue().lower()
     assert "inf" not in out.getvalue().lower()
     rows = [tuple(row.values()) for row in json.loads(out.getvalue())["rows"]]

@@ -1,16 +1,19 @@
+import ast
 import math
 import multiprocessing
 import os
 import struct
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import bulk_omega_oracle
+from oracles import bulk_omega_oracle, hardy_ramanujan_tail_oracle
 
+import omegalab
 from omegalab import (
     FactorCountSegment,
     hardy_ramanujan_tail,
@@ -237,7 +240,7 @@ def test_histogram_small_oracle():
     brute = {}
     for n in range(1, 101):
         brute[omega_oracle(n)] = brute.get(omega_oracle(n), 0) + 1
-    assert hist.counts == brute
+    assert hist == brute
 
 
 def test_residue_density_examples(profile_1e4):
@@ -260,6 +263,82 @@ def test_hardy_ramanujan_tail_monotone_in_c():
     t3 = hardy_ramanujan_tail(10**6, 3.0)
     assert t1 >= t2 >= t3
     assert t3 / 10**6 < 0.05
+
+
+@pytest.mark.parametrize("N", [3, 4, 15, 16, 17, 10**3, 10**5 + 3, 10**6])
+def test_hardy_ramanujan_tail_bit_identical_to_per_n_oracle(N):
+    for C in (0.01, 0.5, 1, 2, 3, 50):
+        expect = hardy_ramanujan_tail_oracle(N, C).hex()
+        for segment_length in (None, 12345):
+            for workers in (1, 2):
+                got = hardy_ramanujan_tail(N, C, workers, segment_length)
+                assert got.hex() == expect, (C, segment_length, workers)
+
+
+@pytest.mark.parametrize("C", [math.nan, math.inf])
+def test_hardy_ramanujan_tail_rejects_non_finite_c(C):
+    with pytest.raises(InvalidRangeError):
+        hardy_ramanujan_tail(1000, C)
+
+
+def test_hardy_ramanujan_tail_over_the_limit_is_range_too_large():
+    with pytest.raises(RangeTooLargeError):
+        hardy_ramanujan_tail(10**30, 1.0)
+
+
+def test_warm_tail_sieves_only_the_spans_that_hold_a_cut(tmp_path, monkeypatch):
+    N, C, length = 10**5 + 3, 1.0, 12345
+    expect = hardy_ramanujan_tail_oracle(N, C)
+    # The cuts by brute force: per k, the last n above the band and the one
+    # before the first n below it.
+    ns = np.arange(3, N + 1)
+    loglog = np.log(np.log(ns.astype(np.float64)))
+    band = C * math.sqrt(math.log(math.log(N)))
+    cuts = {2, N}
+    for k in range(int(math.log2(N)) + 1):
+        dev = np.float64(k) - loglog
+        above, below = ns[dev > band], ns[-dev > band]
+        cuts.add(int(above.max()) if len(above) else 2)
+        cuts.add(int(below.min()) - 1 if len(below) else N)
+    spans = segment_spans(N, length)
+    holding = [(lo, hi) for lo, hi in spans if any(lo <= n < hi - 1 for n in cuts)]
+    assert 0 < len(holding) < len(spans)
+
+    monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
+    omega_profile(N, segment_length=length)
+    sieved = []
+    real_kernel = kernels.omega_segment
+
+    def counting_kernel(lo, hi, primes):
+        sieved.append((lo, hi))
+        return real_kernel(lo, hi, primes)
+
+    monkeypatch.setattr(kernels, "omega_segment", counting_kernel)
+    assert hardy_ramanujan_tail(N, C, segment_length=length) == expect
+    assert sieved == holding
+
+
+def test_only_the_profile_path_sieves():
+    """sieve_segment and map_segments are named only where the profile path needs them."""
+    names = {"sieve_segment", "map_segments"}
+    found = set()
+    for path in sorted(Path(omegalab.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name in names:
+                    found.add((owner, name))
+    assert found == {
+        ("sieve._profile_chunk", "sieve_segment"),
+        ("cli._cmd_sieve", "sieve_segment"),
+        ("sieve.omega_profiles", "map_segments"),
+    }
 
 
 def test_segment_validation():
