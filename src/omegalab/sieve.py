@@ -354,6 +354,8 @@ def pi_k_histogram(
 ) -> dict[int, int]:
     """Exact {k: pi_k(N)} for all k, independent of segmentation and worker count."""
     profile = _resolve_profile(N, profile, workers, segment_length)
+    if int(profile.pik.sum()) != N:
+        raise InvalidRangeError("pi_k histogram does not partition [N]")
     return {k: int(v) for k, v in enumerate(profile.pik)}
 
 

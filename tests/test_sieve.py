@@ -48,6 +48,7 @@ from omegalab.sieve import (
     PROFILE_FILE_SIZE,
     RECORD_DTYPE,
     REDUCE_BLOCK,
+    OmegaProfile,
     _cache_read,
     _cache_write,
     _profile_chunk,
@@ -544,6 +545,14 @@ def test_mismatched_profile_is_rejected(profile_1e4):
         residue_class_density(100, 3, 0, profile=profile_1e4)
     with pytest.raises(InvalidRangeError):
         pi_k_histogram(100, profile=profile_1e4)
+
+
+def test_histogram_rejects_a_profile_that_does_not_partition_n(profile_1e4):
+    pik = profile_1e4.pik.copy()
+    pik[1] -= 1  # one prime fewer: the counts sum to N - 1
+    short = OmegaProfile(profile_1e4.N, pik, profile_1e4.inv_weights)
+    with pytest.raises(InvalidRangeError):
+        pi_k_histogram(profile_1e4.N, profile=short)
 
 
 @pytest.mark.parametrize("sub", ["", "sub"])
