@@ -87,7 +87,7 @@ def _profiles(args, checkpoints):
     sieve._check_limit(n + 1)  # before any span list is built
     spans = sieve.segment_spans(n, args.segment_length)
     _progress(args, f"sieving [1, {n}] in {len(spans)} segments "
-                    f"({args.workers} workers)")
+                    f"({sieve._pool_size(args.workers, len(spans))} workers)")
     return sieve.omega_profiles(checkpoints, args.workers, args.segment_length)
 
 

@@ -13,7 +13,6 @@ import os
 import struct
 import zlib
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -31,6 +30,7 @@ from .errors import (
 # Omega(n) <= log2(n) < 64 for every feasible n, so one byte per integer.
 MAX_OMEGA = 64
 DEFAULT_SEGMENT_LENGTH = 1 << 22
+MAX_SEGMENT_LENGTH = 1 << 24  # the kernel holds about 6 B per integer: 100 MB
 REDUCE_BLOCK = 1 << 16  # integers per pi_k/harmonic reduction step
 HARD_LIMIT = 10**10
 
@@ -215,61 +215,104 @@ def segment_spans(n_max: int, segment_length: int | None = None):
     """Spans (lo, hi) covering 1..n_max, each of the configured length.
 
     segment_length None means DEFAULT_SEGMENT_LENGTH; any other value must
-    be a positive integer.
+    be a positive integer no larger than MAX_SEGMENT_LENGTH.
     """
     length = DEFAULT_SEGMENT_LENGTH if segment_length is None else segment_length
     if length < 1:
         raise InvalidRangeError(f"segment length must be >= 1, got {length}")
+    if length > MAX_SEGMENT_LENGTH:
+        raise RangeTooLargeError(
+            f"segment length {length} exceeds the cap {MAX_SEGMENT_LENGTH}"
+        )
     return [(lo, min(lo + length, n_max + 1)) for lo in range(1, n_max + 1, length)]
 
 
+def _pool_size(workers: int, n_spans: int) -> int:
+    """Processes map_segments runs on: min(workers, spans, CPUs)."""
+    return max(1, min(workers, n_spans, os.cpu_count() or 1))
+
+
 def map_segments(n_max, chunk_fn, workers=1, segment_length=None):
-    """Apply chunk_fn to every span; results come back in segment order."""
+    """Apply chunk_fn to every span; results come back in segment order.
+
+    The pool starts _pool_size processes at once, never more than the
+    machine has CPUs or there are spans.
+    """
     _check_workers(workers)
     _check_limit(n_max + 1)
     spans = segment_spans(n_max, segment_length)
-    if workers <= 1 or len(spans) <= 1:
+    size = _pool_size(workers, len(spans))
+    if size == 1:
         return [chunk_fn(span) for span in spans]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
+    with ProcessPoolExecutor(max_workers=size) as pool:
         return list(pool.map(chunk_fn, spans))
 
 
-def _reduce(counts: np.ndarray, lo: int, hi: int):
-    """(pik, inv) of [lo, hi) from counts[i] = Omega(lo + i).
+_BINS = MAX_OMEGA + 1
+_BLOCK_OFFSETS = np.arange(REDUCE_BLOCK, dtype=np.float64)
 
-    Reduced in blocks of REDUCE_BLOCK integers so that no segment-sized
-    temporary is built.  np.add.at adds the weights in index order, as a
-    weighted bincount over the whole range does, so inv is bit-identical
-    to that reference.
+
+def _reduce(counts: np.ndarray, lo: int, ends) -> list:
+    """(pik, inv) of [lo, end) for each end in ends, from one pass.
+
+    counts[i] = Omega(lo + i), and ends ascend with lo < end <=
+    lo + len(counts).  The pass runs in blocks of at most REDUCE_BLOCK
+    integers through two preallocated buffers, so no segment-sized
+    temporary is built.  The intp buffer holds the labels 0..MAX_OMEGA,
+    then the block's counts; the float64 buffer holds the running inv,
+    then 1/n for the block.  pik adds the block's bincount, and inv is
+    the weighted bincount of both buffers.
+
+    A weighted bincount adds each bin's weights in index order, starting
+    from 0.0.  Its first addend for bin k is inv[k], and 0.0 + inv[k] is
+    exact, so each block carries on the same sequential sum: inv at every
+    end is bit-identical to one weighted bincount over [lo, end), however
+    the blocks fall.
     """
-    pik = np.zeros(MAX_OMEGA + 1, dtype=np.int64)
-    inv = np.zeros(MAX_OMEGA + 1, dtype=np.float64)
-    for b in range(lo, hi, REDUCE_BLOCK):
-        e = min(b + REDUCE_BLOCK, hi)
-        block = counts[b - lo : e - lo]
-        pik += np.bincount(block, minlength=MAX_OMEGA + 1)
-        np.add.at(inv, block, 1.0 / np.arange(b, e, dtype=np.float64))
-    return pik, inv
+    labels = np.empty(_BINS + REDUCE_BLOCK, dtype=np.intp)
+    labels[:_BINS] = np.arange(_BINS)
+    weights = np.empty(_BINS + REDUCE_BLOCK, dtype=np.float64)
+    pik = np.zeros(_BINS, dtype=np.int64)
+    inv = np.zeros(_BINS, dtype=np.float64)
+    parts = []
+    b = lo
+    for end in ends:
+        while b < end:
+            e = min(b + REDUCE_BLOCK, end)
+            used = _BINS + e - b
+            block = labels[_BINS:used]
+            block[:] = counts[b - lo : e - lo]
+            pik += np.bincount(block, minlength=_BINS)
+            ns = weights[_BINS:used]
+            np.add(_BLOCK_OFFSETS[: e - b], b, out=ns)
+            np.divide(1.0, ns, out=ns)
+            weights[:_BINS] = inv
+            inv = np.bincount(labels[:used], weights=weights[:used])
+            b = e
+        parts.append((pik.copy(), inv))
+    return parts
 
 
 def _profile_chunk(span, cuts=()):
     """(pik, inv) of one span: counts and sums of 1/n by Omega(n).
 
-    Then, for each cut N inside the span (lo <= N < hi - 1) in the order
-    of cuts, the (pik, inv) of [lo, N], reduced in the same blocks as a
-    span that ends at N + 1.  A span with a stored record and no cut is
-    not sieved; a span with a cut is sieved again for its partial parts.
+    Then, for each cut N inside the span (lo <= N < hi - 1), in ascending
+    order, the (pik, inv) of [lo, N], from the same pass as the span's
+    own.  A span with a stored record and no cut is not sieved; a span
+    with a cut is sieved again and reduced up to its last cut.
     """
     lo, hi = span
-    inside = [n for n in cuts if lo <= n < hi - 1]
+    inside = sorted(n for n in cuts if lo <= n < hi - 1)
     record = _cache_read(lo, hi)
     parts = []
     if record is None or inside:
         counts = sieve_segment(lo, hi).counts
+        parts = _reduce(counts, lo, [n + 1 for n in inside] + ([hi] if record is None else []))
         if record is None:
-            record = np.array([_reduce(counts, lo, hi)], dtype=RECORD_DTYPE)
+            record = np.array([parts.pop()], dtype=RECORD_DTYPE)
             _cache_write(lo, hi, record)
-        parts = [_reduce(counts, lo, n + 1) for n in inside]
     return (record["pik"][0], record["inv"][0], *parts)
 
 

@@ -289,12 +289,34 @@ def test_counterexample_window_too_large_exits_before_any_work(capsys):
 
 
 def test_cli_import_leaves_mpmath_unloaded():
+    """Start-up loads neither mpmath nor the process pool (multiprocessing)."""
     src = os.path.dirname(os.path.dirname(omegalab.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, omegalab.cli; print('mpmath' in sys.modules)"
+    lazy = ("mpmath", "concurrent.futures.process", "multiprocessing")
+    probe = f"import sys, omegalab.cli; print([m for m in {lazy!r} if m in sys.modules])"
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, timeout=60, check=True)
-    assert result.stdout == "False\n"
+    assert result.stdout == "[]\n"
+
+
+def test_progress_line_shows_the_processes_used(capsys, serial_pool, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    code = main(["pik", "--limit", "10000", "--segment-length", "1000", "--workers", "100000"])
+    assert code == EXIT_OK
+    assert serial_pool == [4]
+    assert capsys.readouterr().err == "sieving [1, 10000] in 10 segments (4 workers)\n"
+
+
+def test_segment_length_over_the_cap_is_resource_error(capsys):
+    cap = str(sieve.MAX_SEGMENT_LENGTH)
+    code, _ = run(capsys, "pik", "--limit", "100", "--segment-length", cap, "--quiet")
+    assert code == EXIT_OK
+    code = main(["pik", "--limit", "100", "--segment-length", str(sieve.MAX_SEGMENT_LENGTH + 1)])
+    captured = capsys.readouterr()
+    assert code == EXIT_RESOURCE
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "segment length" in captured.err
 
 
 def test_invariance(capsys):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import bulk_omega_oracle, hardy_ramanujan_tail_oracle
+from oracles import bulk_omega_oracle, hardy_ramanujan_tail_oracle, pi_k_by_counting
 
 import omegalab
 from omegalab import (
@@ -53,6 +53,7 @@ from omegalab.sieve import (
     _cache_write,
     _profile_chunk,
     base_primes,
+    map_segments,
     read_profile_file,
     segment_spans,
     write_profile_file,
@@ -197,19 +198,67 @@ def test_kernel_words_match_plain_loop_on_random_long_spans(lo, length):
     assert_words_match_plain_loop(lo, min(lo + length, HARD_LIMIT + 1))
 
 
+def assert_chunk_matches_bincount(lo, hi, cuts):
+    """_profile_chunk at the span end and at every cut equals one bincount from lo."""
+    counts = sieve_segment(lo, hi).counts
+    weights = 1.0 / np.arange(lo, hi, dtype=np.float64)
+    pik, inv, *parts = _profile_chunk((lo, hi), tuple(cuts))
+    ends = [n + 1 for n in sorted(cuts)] + [hi]
+    assert len(parts) == len(cuts)
+    for end, (got_pik, got_inv) in zip(ends, [*parts, (pik, inv)]):
+        ref_pik = np.bincount(counts[: end - lo], minlength=MAX_OMEGA + 1)
+        ref_inv = np.bincount(
+            counts[: end - lo], weights=weights[: end - lo], minlength=MAX_OMEGA + 1
+        )
+        assert np.array_equal(got_pik, ref_pik)
+        assert got_inv.tobytes() == ref_inv.tobytes()
+
+
 @pytest.mark.parametrize(
     "lo, hi",
     [(1, 3 * REDUCE_BLOCK // 2), (10**7 + 3, 10**7 + 3 + 2 * REDUCE_BLOCK + 777)],
 )
 def test_profile_chunk_matches_whole_segment_bincount(lo, hi):
-    counts = sieve_segment(lo, hi).counts
-    pik, inv = _profile_chunk((lo, hi))
-    ref_pik = np.bincount(counts, minlength=MAX_OMEGA + 1)
-    ref_inv = np.bincount(
-        counts, weights=1.0 / np.arange(lo, hi, dtype=np.float64), minlength=MAX_OMEGA + 1
-    )
-    assert np.array_equal(pik, ref_pik)
-    assert inv.tobytes() == ref_inv.tobytes()
+    assert_chunk_matches_bincount(lo, hi, ())
+    # Cuts on both sides of a block edge and at the last cut a span allows.
+    edge = lo + REDUCE_BLOCK
+    assert_chunk_matches_bincount(lo, hi, (hi - 2, edge - 1, lo, edge, edge - 2))
+
+
+@settings(deadline=None)
+@given(st.integers(1, HARD_LIMIT), st.integers(1, 3 * REDUCE_BLOCK + 777), st.data())
+def test_profile_chunk_matches_bincount_on_random_spans(lo, length, data):
+    hi = min(lo + length, HARD_LIMIT + 1)
+    cuts = data.draw(st.sets(st.integers(lo, hi - 2), max_size=6)) if hi - 2 >= lo else set()
+    assert_chunk_matches_bincount(lo, hi, cuts)
+
+
+def test_pi_k_by_counting_matches_profiles(profile_1e6):
+    """Every pi_k against Lucy_Hedgehog's count, which shares nothing with the sieve."""
+    checkpoints = [
+        1, 2, 3, 4, 16, 17,
+        2**22, 2**22 + 1,  # the end of the first default span, and one past it
+        9, 1009**2, 2039**2,  # squares of primes
+        6, 1009 * 1013, 2003 * 2011,  # products p * q
+        10**6 + 3,
+    ]
+    for prof in [*omega_profiles(checkpoints), profile_1e6]:
+        assert prof.pik.tolist() == pi_k_by_counting(prof.N), prof.N
+
+
+def test_pool_starts_at_most_one_process_per_cpu_and_span(serial_pool, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    for workers, n_max, size in ((100_000, 10**4, 4), (3, 10**4, 3), (100_000, 2500, 3)):
+        serial_pool.clear()
+        chunks = map_segments(n_max, _profile_chunk, workers, 1000)
+        assert serial_pool == [size]
+        serial = [_profile_chunk(span) for span in segment_spans(n_max, 1000)]
+        assert [c[1].tobytes() for c in chunks] == [c[1].tobytes() for c in serial]
+    serial_pool.clear()
+    map_segments(1000, _profile_chunk, 100_000, 1000)  # one span: no pool
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one process
+    map_segments(10**4, _profile_chunk, 100_000, 1000)
+    assert serial_pool == []
 
 
 @settings(max_examples=200, deadline=None)
