@@ -343,7 +343,8 @@ def omega_profiles(
 
     Each result is bit-identical to a pass that ends at its N: whole spans
     are added in segment order, then the part of the span that holds N,
-    reduced in the same blocks.  Results follow the order of checkpoints.
+    whose sums _reduce carries on in index order as a span ending at N
+    does.  Results follow the order of checkpoints.
     """
     checkpoints = list(checkpoints)
     if not checkpoints or min(checkpoints) < 1:
