@@ -55,10 +55,8 @@ from .sieve import (
 from .twosets import (
     PrimeSetPair,
     construct_pair,
-    coupling,
     dilation_sensitivity,
     invariance_gap,
-    phi,
     tk_discrepancy,
 )
 from .weights import (

@@ -26,7 +26,7 @@ from .errors import (
     require_finite,
 )
 from .normal import normal_mass
-from .sieve import OmegaProfile, _resolve_profile, omega_profiles
+from .sieve import OmegaProfile, omega_profiles
 
 
 class AverageScheme(Enum):
@@ -66,14 +66,11 @@ def _dot(weights: np.ndarray, values: np.ndarray) -> complex:
 
 def average_along_omega(
     orbit: ObservableOrbit,
-    N: int,
+    profile: OmegaProfile,
     scheme: AverageScheme = AverageScheme.CESARO,
-    *,
-    profile: OmegaProfile | None = None,
 ) -> complex:
     """Scheme-average of n -> g(T^{Omega(n)} x) over [1, N]."""
-    prof = _resolve_profile(N, profile)
-    return _scheme_average(prof, _values(orbit.value_at, prof.k_max), scheme)
+    return _scheme_average(profile, _values(orbit.value_at, profile.k_max), scheme)
 
 
 def _scheme_average(prof: OmegaProfile, values: np.ndarray, scheme: AverageScheme) -> complex:
@@ -83,16 +80,9 @@ def _scheme_average(prof: OmegaProfile, values: np.ndarray, scheme: AverageSchem
     return _dot(prof.inv_weights, values) / prof.harmonic_sum()
 
 
-def weyl_sum(
-    beta: float,
-    N: int,
-    *,
-    profile: OmegaProfile | None = None,
-) -> complex:
+def weyl_sum(beta: float, profile: OmegaProfile) -> complex:
     """(1/N) sum_{n<=N} e^{2 pi i beta Omega(n)}."""
-    return average_along_omega(
-        exponential_orbit(beta), N, AverageScheme.CESARO, profile=profile
-    )
+    return average_along_omega(exponential_orbit(beta), profile)
 
 
 # ---------------------------------------------------------------------------
@@ -194,20 +184,15 @@ def grid_cells(points: Sequence[float]) -> list[tuple[float, float]]:
     return [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
 
 
-def ek_report(
-    N: int,
-    grid: Sequence[float],
-    *,
-    profile: OmegaProfile | None = None,
-) -> EKReport:
+def ek_report(profile: OmegaProfile, grid: Sequence[float]) -> EKReport:
     """K_N(A, B)/N against the Gaussian mass, per consecutive grid cell (A, B).
 
     Cells are half-open (A, B] (first cell closed), so the empirical column
     is a valid sub-probability distribution over the grid span.
     """
+    N = profile.N
     norm = EKNormalizer(N)
-    prof = _resolve_profile(N, profile)
-    pik = _adjusted_pik(prof)
+    pik = _adjusted_pik(profile)
     z = norm.normalize(np.arange(len(pik), dtype=np.float64))
     pairs = grid_cells(grid)
     empirical = []
@@ -220,48 +205,32 @@ def ek_report(
     return EKReport(N, tuple(pairs), tuple(empirical), tuple(gaussian), sup)
 
 
-def ek_weighted_average(
-    F: RealTestFunction,
-    N: int,
-    *,
-    profile: OmegaProfile | None = None,
-) -> float:
+def ek_weighted_average(F: RealTestFunction, profile: OmegaProfile) -> float:
     """(1/N) sum F(phi(n)); tends to the Gaussian integral of F."""
-    norm = EKNormalizer(N)
-    prof = _resolve_profile(N, profile)
-    pik = _adjusted_pik(prof)
+    norm = EKNormalizer(profile.N)
+    pik = _adjusted_pik(profile)
     values = np.array([F(norm.normalize(k)) for k in range(len(pik))])
-    return float(math.fsum(pik * values)) / N
+    return float(math.fsum(pik * values)) / profile.N
 
 
 def correlation_sum(
-    F: RealTestFunction,
-    orbit: ObservableOrbit,
-    N: int,
-    *,
-    profile: OmegaProfile | None = None,
+    F: RealTestFunction, orbit: ObservableOrbit, profile: OmegaProfile
 ) -> complex:
     """(1/N) sum F(phi(n)) g(T^{Omega(n)} x); limit is (Gaussian integral of F) * space mean."""
-    norm = EKNormalizer(N)
-    prof = _resolve_profile(N, profile)
-    pik = _adjusted_pik(prof)
+    norm = EKNormalizer(profile.N)
+    pik = _adjusted_pik(profile)
     weights = pik * np.array([F(norm.normalize(k)) for k in range(len(pik))])
-    return _dot(weights, _values(orbit.value_at, len(pik) - 1)) / N
+    return _dot(weights, _values(orbit.value_at, len(pik) - 1)) / profile.N
 
 
 def shifted_omega_average(
-    a: Callable[[int], complex],
-    N: int,
-    shift: int = 0,
-    *,
-    profile: OmegaProfile | None = None,
+    a: Callable[[int], complex], profile: OmegaProfile, shift: int = 0
 ) -> complex:
     """Cesaro average of n -> a(Omega(n) + shift) over [1, N]."""
     if shift < 0:
         raise InvalidRangeError("shift must be >= 0")
-    prof = _resolve_profile(N, profile)
-    values = _values(lambda k: a(k + shift), prof.k_max)
-    return _scheme_average(prof, values, AverageScheme.CESARO)
+    values = _values(lambda k: a(k + shift), profile.k_max)
+    return _scheme_average(profile, values, AverageScheme.CESARO)
 
 
 # ---------------------------------------------------------------------------
@@ -303,4 +272,6 @@ def log_trick_bound(M: float, N: int, p: int) -> float:
     """Closed-form majorant 2M (1 - A_{floor(N/p)} / A_N)."""
     if p < 2:
         raise InvalidPError("p must be >= 2")
+    if N < p:
+        raise InvalidPError("need N >= p")
     return 2.0 * M * (1.0 - harmonic_sum(N // p) / harmonic_sum(N))

@@ -171,17 +171,15 @@ def _cmd_pnt(args):
     rows = []
     orbit = dynamics.rotation_two_points_liouville()
     for n, prof in zip(checkpoints, _profiles(args, checkpoints)):
-        ces = averages.average_along_omega(orbit, n, AverageScheme.CESARO, profile=prof)
-        log = averages.average_along_omega(
-            orbit, n, AverageScheme.LOGARITHMIC, profile=prof
-        )
+        ces = averages.average_along_omega(orbit, prof, AverageScheme.CESARO)
+        log = averages.average_along_omega(orbit, prof, AverageScheme.LOGARITHMIC)
         rows.append((n, ces.real, log.real))
     return ("N", "cesaro_liouville", "log_liouville"), rows, {"limit": args.limit}
 
 
 def _cmd_weyl(args):
-    prof = _profile(args, args.limit)
-    value = averages.weyl_sum(args.beta, args.limit, profile=prof)
+    orbit = dynamics.exponential_orbit(args.beta)  # checks --beta before sieving
+    value = averages.average_along_omega(orbit, _profile(args, args.limit))
     rows = [(args.beta, args.limit, value.real, value.imag, abs(value))]
     return ("beta", "N", "re", "im", "modulus"), rows, {"limit": args.limit}
 
@@ -208,8 +206,9 @@ def _parse_grid(spec: str):
 
 
 def _cmd_erdos_kac(args):
-    prof = _profile(args, args.limit)
-    report = averages.ek_report(args.limit, _parse_grid(args.grid), profile=prof)
+    grid = _parse_grid(args.grid)
+    averages.grid_cells(grid)  # checks --grid before sieving
+    report = averages.ek_report(_profile(args, args.limit), grid)
     rows = [
         (a, b, emp, gau, abs(emp - gau))
         for (a, b), emp, gau in zip(report.pairs, report.empirical, report.gaussian)
@@ -230,8 +229,8 @@ def _cmd_correlate(args):
     orbit = dynamics.parse_system(args.system)
     F = _parse_bump(args.bump, args.ramp)
     prof = _profile(args, args.limit)
-    value = averages.correlation_sum(F, orbit, args.limit, profile=prof)
-    ek = averages.ek_weighted_average(F, args.limit, profile=prof)
+    value = averages.correlation_sum(F, orbit, prof)
+    ek = averages.ek_weighted_average(F, prof)
     product = ek * orbit.space_mean
     rows = [
         (
@@ -248,9 +247,8 @@ def _cmd_correlate(args):
 
 
 def _cmd_weights(args):
-    prof = _profile(args, args.limit)
-    exact = weights.exact_weights(args.limit, profile=prof)
-    window = weights.window_for(args.limit, args.C)
+    window = weights.window_for(args.limit, args.C)  # checks --C before sieving
+    exact = weights.exact_weights(_profile(args, args.limit))
     erdos = weights.erdos_weights(args.limit, window)
     gauss = weights.gaussian_weights(window)
     k_hi = max(exact.k_hi, window.k_hi)
@@ -320,8 +318,7 @@ class _AlreadyEmitted(Exception):
 def _cmd_invariance(args):
     F = _parse_bump(args.bump, args.ramp)
     a = _parse_arith(args.a)
-    prof = _profile(args, args.limit)
-    gap = twosets.invariance_gap(F, a, args.limit, profile=prof)
+    gap = twosets.invariance_gap(F, a, _profile(args, args.limit))
     return ("N", "gap"), [(args.limit, gap)], {"limit": args.limit, "a": args.a}
 
 
@@ -342,8 +339,7 @@ def _cmd_counterexample(args):
         cps = [counterexample.Checkpoints(k) for k in range(1, args.kmax + 1)]
         rows = counterexample.oscillation_profile(seq, cps, args.C)
         return ("loglogn", "value"), rows, {"kmax": args.kmax, "C": args.C}
-    prof = _profile(args, args.limit)
-    value = counterexample.average_along_omega_blocks(seq, args.limit, profile=prof)
+    value = counterexample.average_along_omega_blocks(seq, _profile(args, args.limit))
     defect = counterexample.genericity_defect(seq, args.limit)
     rows = [(args.limit, value, defect)]
     return ("N", "omega_average", "genericity_defect"), rows, {"kmax": args.kmax}
@@ -351,8 +347,9 @@ def _cmd_counterexample(args):
 
 def _cmd_shifted(args):
     a = _parse_arith(args.a)
-    prof = _profile(args, args.limit)
-    value = averages.shifted_omega_average(a, args.limit, args.shift, profile=prof)
+    if args.shift < 0:
+        raise InvalidRangeError("shift must be >= 0")
+    value = averages.shifted_omega_average(a, _profile(args, args.limit), args.shift)
     return (
         ("N", "shift", "re", "im"),
         [(args.limit, args.shift, value.real, value.imag)],

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BlockOverflowError, InvalidIntervalError, InvalidRangeError
-from .sieve import OmegaProfile, _resolve_profile
+from .sieve import OmegaProfile
 from .weights import GaussianWindowSpec, extrapolated_average
 
 MAX_BLOCK_BOUND = 2**62
@@ -174,16 +174,10 @@ def _last_n_with_loglog_at_most(x: float) -> int:
     return _FAR if first_above >= _FAR else first_above - 1
 
 
-def average_along_omega_blocks(
-    seq: BlockSequence,
-    N: int,
-    *,
-    profile: OmegaProfile | None = None,
-) -> float:
+def average_along_omega_blocks(seq: BlockSequence, profile: OmegaProfile) -> float:
     """Cesaro average of a(Omega(n)) over [1, N], exactly sum_k pi_k(N) a(k) / N."""
-    profile = _resolve_profile(N, profile)
     inside = seq(np.arange(profile.k_max + 1, dtype=np.int64)).astype(bool)
-    return int(profile.pik[inside].sum()) / N
+    return int(profile.pik[inside].sum()) / profile.N
 
 
 def oscillation_profile(

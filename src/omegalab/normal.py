@@ -1,4 +1,4 @@
-"""Standard normal CDF via an in-house complementary error function.
+"""Standard normal interval masses via an in-house complementary error function.
 
 The Gaussian column of the Erdos-Kac report must be correct to 1e-12
 absolute without leaning on any particular math library's guarantees, so
@@ -59,22 +59,9 @@ def erfc(x: float) -> float:
     return _erfc_cf(x)
 
 
-def erf(x: float) -> float:
-    return 1.0 - erfc(x)
-
-
-def normal_cdf(x: float) -> float:
-    """P(Z <= x) for standard normal Z."""
-    return 0.5 * erfc(-x / _SQRT_2)
-
-
 def normal_mass(a: float, b: float) -> float:
     """P(a <= Z <= b); 0 for an empty interval."""
     if b < a:
         return 0.0
     # erfc keeps precision in whichever tail dominates
     return 0.5 * (erfc(a / _SQRT_2) - erfc(b / _SQRT_2))
-
-
-def normal_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)

@@ -65,11 +65,6 @@ class FactorCountSegment:
         if len(self.counts) != self.hi - self.lo:
             raise InvalidRangeError("counts length does not match range")
 
-    def omega(self, n: int) -> int:
-        if not self.lo <= n < self.hi:
-            raise InvalidRangeError(f"{n} outside [{self.lo}, {self.hi})")
-        return int(self.counts[n - self.lo])
-
 
 def _check_limit(hi: int) -> None:
     if hi - 1 > HARD_LIMIT:
@@ -381,24 +376,9 @@ def omega_profile(N: int, workers: int = 1, segment_length: int | None = None) -
     return omega_profiles([N], workers, segment_length)[0]
 
 
-def _resolve_profile(N: int, profile, workers: int = 1, segment_length=None) -> OmegaProfile:
-    """profile when given (it must be for N), else omega_profile(N)."""
-    if profile is None:
-        return omega_profile(N, workers, segment_length)
-    if profile.N != N:
-        raise InvalidRangeError(f"profile is for N={profile.N}, not {N}")
-    return profile
-
-
-def pi_k_histogram(
-    N: int,
-    workers: int = 1,
-    segment_length: int | None = None,
-    profile: OmegaProfile | None = None,
-) -> dict[int, int]:
+def pi_k_histogram(profile: OmegaProfile) -> dict[int, int]:
     """Exact {k: pi_k(N)} for all k, independent of segmentation and worker count."""
-    profile = _resolve_profile(N, profile, workers, segment_length)
-    if int(profile.pik.sum()) != N:
+    if int(profile.pik.sum()) != profile.N:
         raise InvalidRangeError("pi_k histogram does not partition [N]")
     return {k: int(v) for k, v in enumerate(profile.pik)}
 
@@ -440,17 +420,9 @@ def hardy_ramanujan_tail(
     return tail / N
 
 
-def residue_class_density(
-    N: int,
-    m: int,
-    r: int,
-    workers: int = 1,
-    segment_length: int | None = None,
-    profile: OmegaProfile | None = None,
-) -> float:
+def residue_class_density(profile: OmegaProfile, m: int, r: int) -> float:
     """|{n <= N : Omega(n) = r mod m}| / N."""
     if m < 1 or not 0 <= r < m:
         raise InvalidResidueError(f"residue {r} mod {m} is invalid")
-    profile = _resolve_profile(N, profile, workers, segment_length)
     ks = np.arange(len(profile.pik))
-    return int(profile.pik[ks % m == r].sum()) / N
+    return int(profile.pik[ks % m == r].sum()) / profile.N

@@ -23,89 +23,12 @@ from .errors import (
     RangeTooLargeError,
     SearchExhaustedError,
 )
-from .sieve import OmegaProfile, _check_limit, _resolve_profile, base_primes, omega_oracle
+from .sieve import OmegaProfile, _check_limit, base_primes, omega_oracle
 from .sieve import segment_spans
 
 MAX_SET_SIZE = 50_000  # caps |B1| = |B2|, and so the search's time and output
 MAX_RHO_INTERVALS = 10**5  # caps the rho-adic intervals of a search or a validation
 _FIRST_TABLE_LIMIT = 2**20  # the search's 2-almost-prime table starts here and doubles
-
-
-def phi(m: int, n: int) -> int:
-    """Coupling kernel gcd(m, n) - 1; zero exactly for coprime pairs."""
-    if m < 1 or n < 1:
-        raise InvalidRangeError("phi needs positive integers")
-    return math.gcd(m, n) - 1
-
-
-def coupling(B) -> float:
-    """Double log average of phi over B x B by the direct O(|B|^2) sum; a test oracle."""
-    elems = sorted(set(B))
-    if not elems:
-        raise EmptySetError("coupling of an empty set")
-    harmonic = math.fsum(1.0 / m for m in elems)
-    terms = []
-    for i, m in enumerate(elems):
-        terms.append((m - 1) / (m * m))  # diagonal
-        for n in elems[i + 1 :]:
-            g = math.gcd(m, n)
-            if g > 1:
-                terms.append(2.0 * (g - 1) / (m * n))
-    return math.fsum(terms) / (harmonic * harmonic)
-
-
-def coupling_grouped(B) -> float:
-    """Same value via the divisor-grouped rewrite.
-
-    gcd(m, n) - 1 = sum over divisors d > 1 of both, of totient(d), so the
-    double sum regroups as sum_d totient(d) (sum_{d | m in B} 1/m)^2.
-    Divisors and totients come from one smallest-prime-factor table over
-    [1, max B].  Independent computation path used to cross-check
-    `coupling`; a test oracle.
-    """
-    elems = sorted(set(B))
-    if not elems:
-        raise EmptySetError("coupling of an empty set")
-    harmonic = math.fsum(1.0 / m for m in elems)
-    spf = _smallest_prime_factors(elems[-1])
-    mass_by_divisor: dict[int, list[float]] = {}
-    totients: dict[int, int] = {}
-    for m in elems:
-        for d, tot in _divisors_with_totients(m, spf):
-            if d > 1:
-                mass_by_divisor.setdefault(d, []).append(1.0 / m)
-                totients[d] = tot
-    total = math.fsum(
-        totients[d] * math.fsum(masses) ** 2
-        for d, masses in mass_by_divisor.items()
-    )
-    return total / (harmonic * harmonic)
-
-
-def _smallest_prime_factors(limit: int) -> list[int]:
-    """spf[n] = the smallest prime factor of n, for 2 <= n <= limit."""
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            multiples = spf[p * p :: p]
-            multiples[multiples == 0] = p
-    unset = np.flatnonzero(spf == 0)
-    spf[unset] = unset  # primes, and 0 and 1
-    return spf.tolist()
-
-
-def _divisors_with_totients(n: int, spf: list[int]) -> list[tuple[int, int]]:
-    """Every (d, totient(d)) with d | n, from n's factorization."""
-    pairs = [(1, 1)]
-    while n > 1:
-        p = spf[n]
-        powers = [(1, 1)]
-        while n % p == 0:
-            n //= p
-            q, _ = powers[-1]
-            powers.append((q * p, q * (p - 1)))
-        pairs = [(d * q, t * u) for d, t in pairs for q, u in powers]
-    return pairs
 
 
 @dataclass(frozen=True)
@@ -351,23 +274,17 @@ def tk_discrepancy(B, N: int, scheme: AverageScheme = AverageScheme.CESARO) -> f
     return float(math.fsum(inner * inv)) / math.fsum(inv)
 
 
-def invariance_gap(
-    F: RealTestFunction,
-    a,
-    N: int,
-    *,
-    profile: OmegaProfile | None = None,
-) -> float:
+def invariance_gap(F: RealTestFunction, a, profile: OmegaProfile) -> float:
     """|E_[N] F(phi(n)) a(Omega(n)) - E_[N] F(phi(n)) a(Omega(n)+1)|."""
-    norm = EKNormalizer(N)
-    pik = _adjusted_pik(_resolve_profile(N, profile))
+    norm = EKNormalizer(profile.N)
+    pik = _adjusted_pik(profile)
     fvals = np.array([F(norm.normalize(k)) for k in range(len(pik))])
     a0 = np.array([complex(a(k)) for k in range(len(pik))])
     a1 = np.array([complex(a(k + 1)) for k in range(len(pik))])
     diff = math.fsum(pik * fvals * (a0.real - a1.real)), math.fsum(
         pik * fvals * (a0.imag - a1.imag)
     )
-    return abs(complex(*diff)) / N
+    return abs(complex(*diff)) / profile.N
 
 
 @dataclass(frozen=True)

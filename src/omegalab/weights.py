@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidRangeError, RangeTooLargeError, WindowRangeError, require_finite
-from .sieve import OmegaProfile, _resolve_profile
+from .sieve import OmegaProfile
 
 MAX_WINDOW_POINTS = 10**7  # k values in one Gaussian window
 MAX_WINDOW_K = 2**62  # largest k of a window (k is an int64)
@@ -85,17 +85,12 @@ def window_for(N: int, C: float = 3.0) -> GaussianWindowSpec:
     return GaussianWindowSpec(loglogn=math.log(math.log(N)), C=C)
 
 
-def exact_weights(
-    N: int,
-    *,
-    profile: OmegaProfile | None = None,
-) -> WeightVector:
+def exact_weights(profile: OmegaProfile) -> WeightVector:
     """w_k = pi_k(N)/N over the full realized k-range; sums to 1 exactly."""
-    profile = _resolve_profile(N, profile)
     return WeightVector(
         k_lo=0,
         k_hi=profile.k_max,
-        weights=profile.pik.astype(np.float64) / N,
+        weights=profile.pik.astype(np.float64) / profile.N,
         kind="exact",
     )
 
@@ -191,15 +186,10 @@ class ApproximationReport:
     max_rel_err_in_window: float
 
 
-def approximation_report(
-    N: int,
-    C: float = 3.0,
-    *,
-    profile: OmegaProfile | None = None,
-) -> ApproximationReport:
+def approximation_report(profile: OmegaProfile, C: float = 3.0) -> ApproximationReport:
     """Total-variation and max relative error of the Gaussian weights vs exact."""
-    window = window_for(N, C)
-    exact = exact_weights(N, profile=profile)
+    window = window_for(profile.N, C)
+    exact = exact_weights(profile)
     gauss = gaussian_weights(window)
     tv = 0.0
     max_rel = 0.0
@@ -209,4 +199,4 @@ def approximation_report(
         tv += abs(e - g)
         if e > 0:
             max_rel = max(max_rel, abs(e - g) / e)
-    return ApproximationReport(N=N, C=C, tv_distance=tv, max_rel_err_in_window=max_rel)
+    return ApproximationReport(N=profile.N, C=C, tv_distance=tv, max_rel_err_in_window=max_rel)

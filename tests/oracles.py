@@ -1,9 +1,10 @@
-"""Test oracles that share no stepping logic with the sieve."""
+"""Test oracles that share no stepping logic with the code they check."""
 
 import math
 
 import numpy as np
 
+from omegalab.errors import EmptySetError, InvalidRangeError
 from omegalab.sieve import base_primes, segment_spans, sieve_segment
 from omegalab.weights import GaussianWindowSpec, gaussian_weights
 
@@ -141,3 +142,80 @@ def oscillation_profile_oracle(blocks, checkpoints, C: float = 3.0) -> list:
             value = extrapolated_average_oracle(lambda k: block_scan_oracle(blocks, k), window)
             rows.append((loglogn, value.real))
     return sorted(rows)
+
+
+def phi(m: int, n: int) -> int:
+    """Coupling kernel gcd(m, n) - 1; zero exactly for coprime pairs."""
+    if m < 1 or n < 1:
+        raise InvalidRangeError("phi needs positive integers")
+    return math.gcd(m, n) - 1
+
+
+def coupling(B) -> float:
+    """Double log average of phi over B x B by the direct O(|B|^2) sum."""
+    elems = sorted(set(B))
+    if not elems:
+        raise EmptySetError("coupling of an empty set")
+    harmonic = math.fsum(1.0 / m for m in elems)
+    terms = []
+    for i, m in enumerate(elems):
+        terms.append((m - 1) / (m * m))  # diagonal
+        for n in elems[i + 1 :]:
+            g = math.gcd(m, n)
+            if g > 1:
+                terms.append(2.0 * (g - 1) / (m * n))
+    return math.fsum(terms) / (harmonic * harmonic)
+
+
+def coupling_grouped(B) -> float:
+    """Same value via the divisor-grouped rewrite.
+
+    gcd(m, n) - 1 = sum over divisors d > 1 of both, of totient(d), so the
+    double sum regroups as sum_d totient(d) (sum_{d | m in B} 1/m)^2.
+    Divisors and totients come from one smallest-prime-factor table over
+    [1, max B].  Independent computation path used to cross-check
+    `coupling`.
+    """
+    elems = sorted(set(B))
+    if not elems:
+        raise EmptySetError("coupling of an empty set")
+    harmonic = math.fsum(1.0 / m for m in elems)
+    spf = _smallest_prime_factors(elems[-1])
+    mass_by_divisor: dict[int, list[float]] = {}
+    totients: dict[int, int] = {}
+    for m in elems:
+        for d, tot in _divisors_with_totients(m, spf):
+            if d > 1:
+                mass_by_divisor.setdefault(d, []).append(1.0 / m)
+                totients[d] = tot
+    total = math.fsum(
+        totients[d] * math.fsum(masses) ** 2
+        for d, masses in mass_by_divisor.items()
+    )
+    return total / (harmonic * harmonic)
+
+
+def _smallest_prime_factors(limit: int) -> list[int]:
+    """spf[n] = the smallest prime factor of n, for 2 <= n <= limit."""
+    spf = np.zeros(limit + 1, dtype=np.int64)
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == 0:
+            multiples = spf[p * p :: p]
+            multiples[multiples == 0] = p
+    unset = np.flatnonzero(spf == 0)
+    spf[unset] = unset  # primes, and 0 and 1
+    return spf.tolist()
+
+
+def _divisors_with_totients(n: int, spf: list[int]) -> list[tuple[int, int]]:
+    """Every (d, totient(d)) with d | n, from n's factorization."""
+    pairs = [(1, 1)]
+    while n > 1:
+        p = spf[n]
+        powers = [(1, 1)]
+        while n % p == 0:
+            n //= p
+            q, _ = powers[-1]
+            powers.append((q * p, q * (p - 1)))
+        pairs = [(d * q, t * u) for d, t in pairs for q, u in powers]
+    return pairs

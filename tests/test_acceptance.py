@@ -34,11 +34,12 @@ from omegalab.sieve import base_primes, omega_profile, segment_spans, sieve_segm
 from omegalab.twosets import (
     _interval_counts,
     construct_pair,
-    coupling_grouped,
     invariance_gap,
     tk_discrepancy,
 )
 from omegalab.weights import approximation_report
+
+from oracles import coupling_grouped
 
 GRID = [-3 + 0.25 * i for i in range(25)]
 GOLDEN_CONJUGATE = (math.sqrt(5) - 1) / 2
@@ -66,8 +67,8 @@ def test_03_liouville_average_decreases(profile_1e4, profile_1e6):
     assert time.monotonic() - start < 120.0
     orb = rotation_two_points_liouville()
     values = [
-        abs(average_along_omega(orb, n, profile=p).real)
-        for n, p in [(10**4, profile_1e4), (10**6, profile_1e6), (10**8, profile_1e8)]
+        abs(average_along_omega(orb, p).real)
+        for p in (profile_1e4, profile_1e6, profile_1e8)
     ]
     assert values[0] > values[1] > values[2]
     assert values[2] <= 0.01
@@ -79,7 +80,7 @@ def test_03_liouville_average_decreases(profile_1e4, profile_1e6):
 
 def test_04_residue_densities_mod_3(profile_1e8):
     dens = [
-        omegalab.residue_class_density(10**8, 3, r, profile=profile_1e8)
+        omegalab.residue_class_density(profile_1e8, 3, r)
         for r in range(3)
     ]
     for d in dens:
@@ -88,14 +89,14 @@ def test_04_residue_densities_mod_3(profile_1e8):
 
 
 def test_05_weyl_sums_small_and_identity(profile_1e8):
-    golden = weyl_sum(GOLDEN_CONJUGATE, 10**8, profile=profile_1e8)
-    third = weyl_sum(1 / 3, 10**8, profile=profile_1e8)
+    golden = weyl_sum(GOLDEN_CONJUGATE, profile_1e8)
+    third = weyl_sum(1 / 3, profile_1e8)
     assert abs(golden) <= 0.05
     assert abs(third) <= 0.05
     assert abs(golden) == pytest.approx(0.00980341919548976, rel=1e-9)
     via_density = sum(
         complex(math.cos(2 * math.pi * r / 3), math.sin(2 * math.pi * r / 3))
-        * omegalab.residue_class_density(10**8, 3, r, profile=profile_1e8)
+        * omegalab.residue_class_density(profile_1e8, 3, r)
         for r in range(3)
     )
     assert abs(third - via_density) <= 1e-12
@@ -103,8 +104,8 @@ def test_05_weyl_sums_small_and_identity(profile_1e8):
 
 def test_06_erdos_kac_discrepancy_decreases(profile_1e4, profile_1e6, profile_1e8):
     sups = [
-        ek_report(n, GRID, profile=p).sup_discrepancy
-        for n, p in [(10**4, profile_1e4), (10**6, profile_1e6), (10**8, profile_1e8)]
+        ek_report(p, GRID).sup_discrepancy
+        for p in (profile_1e4, profile_1e6, profile_1e8)
     ]
     assert sups[0] > sups[1] > sups[2]
     assert sups == pytest.approx(
@@ -114,8 +115,8 @@ def test_06_erdos_kac_discrepancy_decreases(profile_1e4, profile_1e6, profile_1e
 
 def test_07_gaussian_weight_tv_decreases(profile_1e4, profile_1e6, profile_1e8):
     tvs = [
-        approximation_report(n, 3.0, profile=p).tv_distance
-        for n, p in [(10**4, profile_1e4), (10**6, profile_1e6), (10**8, profile_1e8)]
+        approximation_report(p, 3.0).tv_distance
+        for p in (profile_1e4, profile_1e6, profile_1e8)
     ]
     assert tvs[0] > tvs[1] > tvs[2]
     assert tvs == pytest.approx(
@@ -125,21 +126,19 @@ def test_07_gaussian_weight_tv_decreases(profile_1e4, profile_1e6, profile_1e8):
 
 def test_08_correlation_at_desk_scale(profile_1e8):
     F = smoothed_indicator(-1, 1)
-    liouville_corr = correlation_sum(
-        F, rotation_two_points_liouville(), 10**8, profile=profile_1e8
-    )
+    liouville_corr = correlation_sum(F, rotation_two_points_liouville(), profile_1e8)
     assert abs(liouville_corr) <= 0.02
     orb3 = residue_indicator_orbit(3, 1)
-    rot_corr = correlation_sum(F, orb3, 10**8, profile=profile_1e8)
-    product = ek_weighted_average(F, 10**8, profile=profile_1e8) / 3
+    rot_corr = correlation_sum(F, orb3, profile_1e8)
+    product = ek_weighted_average(F, profile_1e8) / 3
     assert abs(rot_corr - product) <= 0.02
 
 
 def test_09_invariance_gap_decreases(profile_1e4, profile_1e6, profile_1e8):
     F = smoothed_indicator(-2, 2)
     gaps = [
-        invariance_gap(F, lambda k: (-1) ** k, n, profile=p)
-        for n, p in [(10**4, profile_1e4), (10**6, profile_1e6), (10**8, profile_1e8)]
+        invariance_gap(F, lambda k: (-1) ** k, p)
+        for p in (profile_1e4, profile_1e6, profile_1e8)
     ]
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps == pytest.approx(
@@ -236,6 +235,6 @@ def test_13_determinism_across_worker_counts(profile_1e8):
         assert prof.pik.tobytes() == profile_1e8.pik.tobytes()
         assert prof.inv_weights.tobytes() == profile_1e8.inv_weights.tobytes()
         # identical profiles force identical downstream output; spot-check one
-        rep = ek_report(10**8, GRID, profile=prof)
-        ref = ek_report(10**8, GRID, profile=profile_1e8)
+        rep = ek_report(prof, GRID)
+        ref = ek_report(profile_1e8, GRID)
         assert repr(rep) == repr(ref)

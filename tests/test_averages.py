@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from omegalab import liouville, omega_oracle, residue_class_density
+from omegalab import liouville, omega_oracle, omega_profile, residue_class_density
 from omegalab.averages import (
     AverageScheme,
     EKNormalizer,
@@ -60,13 +60,13 @@ def test_liouville_average_small_oracle():
     # n <= 10: lambda = +,-,-,+,-,+,-,-,+,+  ->  sum = 0
     assert brute_liouville_average(10) == 0.0
     orb = rotation_two_points_liouville()
-    assert average_along_omega(orb, 10).real == pytest.approx(0.0, abs=1e-15)
+    assert average_along_omega(orb, omega_profile(10)).real == pytest.approx(0.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("N", [100, 1000])
 def test_average_along_omega_matches_brute_force(N):
     orb = rotation_two_points_liouville()
-    got = average_along_omega(orb, N)
+    got = average_along_omega(orb, omega_profile(N))
     assert got.real == pytest.approx(brute_liouville_average(N), abs=1e-12)
     assert got.imag == 0.0
 
@@ -78,7 +78,7 @@ def test_logarithmic_average_matches_brute_force():
         (1.0 if omega_oracle(n) % 3 == 1 else 0.0) / n for n in range(1, N + 1)
     )
     den = math.fsum(1.0 / n for n in range(1, N + 1))
-    got = average_along_omega(orb, N, AverageScheme.LOGARITHMIC)
+    got = average_along_omega(orb, omega_profile(N), AverageScheme.LOGARITHMIC)
     assert got.real == pytest.approx(num / den, abs=1e-12)
 
 
@@ -86,22 +86,23 @@ def test_constant_orbit_average_is_constant():
     from omegalab.dynamics import FiniteRotation
 
     orb = FiniteRotation(m=1, start=0, g_values=(0.7,))
-    assert average_along_omega(orb, 12345).real == pytest.approx(0.7, abs=1e-12)
+    assert average_along_omega(orb, omega_profile(12345)).real == pytest.approx(0.7, abs=1e-12)
 
 
 def test_weyl_sum_trivial_and_half():
-    assert weyl_sum(0.0, 999) == pytest.approx(1.0, abs=1e-15)
-    assert weyl_sum(0.5, 10).real == pytest.approx(brute_liouville_average(10), abs=1e-12)
+    assert weyl_sum(0.0, omega_profile(999)) == pytest.approx(1.0, abs=1e-15)
+    assert weyl_sum(0.5, omega_profile(10)).real == pytest.approx(
+        brute_liouville_average(10), abs=1e-12
+    )
 
 
 def test_weyl_sum_rational_identity(profile_1e4):
     # two computation paths: exponential sum vs residue-class densities
-    N = 10**4
     for p, q in [(1, 3), (2, 5)]:
-        direct = weyl_sum(p / q, N, profile=profile_1e4)
+        direct = weyl_sum(p / q, profile_1e4)
         via_density = sum(
             cmath.exp(2j * math.pi * p * r / q)
-            * residue_class_density(N, q, r, profile=profile_1e4)
+            * residue_class_density(profile_1e4, q, r)
             for r in range(q)
         )
         assert abs(direct - via_density) < 1e-12
@@ -125,13 +126,13 @@ def test_grid_cells_partition():
 
 def test_ek_report_wide_cell_counts_everything(profile_1e4):
     N = 10**4
-    rep = ek_report(N, [-50.0, 50.0], profile=profile_1e4)
+    rep = ek_report(profile_1e4, [-50.0, 50.0])
     assert rep.empirical[0] == pytest.approx((N - 2) / N, abs=1e-12)
     assert rep.gaussian[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ek_report_sub_probability(profile_1e4):
-    rep = ek_report(10**4, GRID, profile=profile_1e4)
+    rep = ek_report(profile_1e4, GRID)
     assert all(0.0 <= e <= 1.0 for e in rep.empirical)
     assert math.fsum(rep.empirical) <= 1.0 + 1e-12
     assert math.fsum(rep.gaussian) == pytest.approx(
@@ -146,9 +147,9 @@ def test_ek_weighted_average_trivial(profile_1e4):
     N = 10**4
     zero = smoothed_indicator(-1, 1)
     zero = type(zero)(fn=lambda x: 0.0, support_lo=-2, support_hi=2, bound=0.0)
-    assert ek_weighted_average(zero, N, profile=profile_1e4) == 0.0
+    assert ek_weighted_average(zero, profile_1e4) == 0.0
     proxy = interval_indicator(-100, 100)
-    assert ek_weighted_average(proxy, N, profile=profile_1e4) == pytest.approx(
+    assert ek_weighted_average(proxy, profile_1e4) == pytest.approx(
         (N - 2) / N, abs=1e-12
     )
 
@@ -156,13 +157,10 @@ def test_ek_weighted_average_trivial(profile_1e4):
 def test_ek_weighted_average_matches_report_cell(profile_1e6):
     # smoothed indicator vs the exact-cell mass: difference bounded by the
     # empirical mass of the two ramp strips
-    N = 10**6
     lo, hi, ramp = -1.0, 1.0, 0.5
-    smooth = ek_weighted_average(smoothed_indicator(lo, hi, ramp), N, profile=profile_1e6)
-    exact = ek_weighted_average(interval_indicator(lo, hi), N, profile=profile_1e6)
-    strips = ek_weighted_average(
-        interval_indicator(lo - ramp, hi + ramp), N, profile=profile_1e6
-    ) - exact
+    smooth = ek_weighted_average(smoothed_indicator(lo, hi, ramp), profile_1e6)
+    exact = ek_weighted_average(interval_indicator(lo, hi), profile_1e6)
+    strips = ek_weighted_average(interval_indicator(lo - ramp, hi + ramp), profile_1e6) - exact
     assert abs(smooth - exact) <= strips + 1e-12
 
 
@@ -171,32 +169,31 @@ def test_correlation_sum_trivial_and_degenerate(profile_1e4):
     zero = interval_indicator(-1, 1)
     zero = type(zero)(fn=lambda x: 0.0, support_lo=-1, support_hi=1, bound=0.0)
     orb = residue_indicator_orbit(3, 1)
-    assert correlation_sum(zero, orb, N, profile=profile_1e4) == 0.0
+    assert correlation_sum(zero, orb, profile_1e4) == 0.0
     # F == 1 on all realized phi values reduces to the plain average along
     # Omega(n) once the n in {1, 2} exclusion is undone
     proxy = interval_indicator(-100, 100)
-    got = correlation_sum(proxy, orb, N, profile=profile_1e4)
-    full = average_along_omega(orb, N, profile=profile_1e4)
+    got = correlation_sum(proxy, orb, profile_1e4)
+    full = average_along_omega(orb, profile_1e4)
     excluded = (orb.value_at(0) + orb.value_at(1)) / N
     assert abs(got - (full - excluded)) < 1e-12
 
 
 def test_shifted_average_sign_flip(profile_1e4):
-    N = 10**4
     a = lambda k: (-1) ** k
-    s0 = shifted_omega_average(a, N, 0, profile=profile_1e4)
-    s1 = shifted_omega_average(a, N, 1, profile=profile_1e4)
+    s0 = shifted_omega_average(a, profile_1e4, 0)
+    s1 = shifted_omega_average(a, profile_1e4, 1)
     assert s1 == -s0
-    assert shifted_omega_average(lambda k: 1.0, N, 7, profile=profile_1e4) == (
+    assert shifted_omega_average(lambda k: 1.0, profile_1e4, 7) == (
         pytest.approx(1.0, abs=1e-12)
     )
     with pytest.raises(InvalidRangeError):
-        shifted_omega_average(a, N, -1, profile=profile_1e4)
+        shifted_omega_average(a, profile_1e4, -1)
 
 
 def test_shifted_average_small_oracle():
     a = lambda k: (-1) ** k
-    assert shifted_omega_average(a, 10, 0).real == pytest.approx(
+    assert shifted_omega_average(a, omega_profile(10), 0).real == pytest.approx(
         brute_liouville_average(10), abs=1e-12
     )
 
@@ -208,7 +205,9 @@ def test_harmonic_sum_matches_fsum():
 
 def test_log_average_stream_matches_brute_force():
     N = 1000
-    got = average_along_omega(rotation_two_points_liouville(), N, AverageScheme.LOGARITHMIC)
+    got = average_along_omega(
+        rotation_two_points_liouville(), omega_profile(N), AverageScheme.LOGARITHMIC
+    )
     num = math.fsum((-1) ** omega_oracle(n) / n for n in range(1, N + 1))
     den = math.fsum(1.0 / n for n in range(1, N + 1))
     assert got.real == pytest.approx(num / den, abs=1e-12)
@@ -244,6 +243,12 @@ def test_log_trick_validation():
         log_trick_discrepancy(liouville, 100, 1)
     with pytest.raises(InvalidPError):
         log_trick_discrepancy(liouville, 2, 3)
+
+
+@pytest.mark.parametrize("N", [0, -5, 1])
+def test_log_trick_bound_needs_n_at_least_p(N):
+    with pytest.raises(InvalidPError, match="need N >= p"):
+        log_trick_bound(1.0, N, 2)
 
 
 def test_smoothed_indicator_shape():

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import csv
 import io
@@ -10,14 +11,20 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import block_scan_oracle, extrapolated_average_oracle, oscillation_profile_oracle
+from oracles import (
+    block_scan_oracle,
+    coupling,
+    extrapolated_average_oracle,
+    oscillation_profile_oracle,
+)
 
 import omegalab
-from omegalab import AverageScheme, average_along_omega, cli, sieve, twosets, weights
+from omegalab import AverageScheme, average_along_omega, cli, omega_profile, sieve, twosets, weights
 from omegalab.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 from omegalab.counterexample import Checkpoints, merge_intervals
 from omegalab.dynamics import rotation_two_points_liouville
@@ -74,8 +81,9 @@ def test_pnt_decades_equal_per_checkpoint_averages(capsys):
     assert [row["N"] for row in rows] == [10, 100, 1000, 10**4, 10**5, 123456]
     orbit = rotation_two_points_liouville()
     for row in rows:
-        ces = average_along_omega(orbit, row["N"], AverageScheme.CESARO)
-        log = average_along_omega(orbit, row["N"], AverageScheme.LOGARITHMIC)
+        prof = omega_profile(row["N"])
+        ces = average_along_omega(orbit, prof, AverageScheme.CESARO)
+        log = average_along_omega(orbit, prof, AverageScheme.LOGARITHMIC)
         assert (row["cesaro_liouville"], row["log_liouville"]) == (ces.real, log.real)
 
 
@@ -180,21 +188,37 @@ def test_twosets_allow_partial(capsys):
     assert payload["coupling_b1"] > 0.05
 
 
-def test_twosets_partial_couplings_are_the_carried_ones(capsys, monkeypatch):
-    def recomputed(B):
-        raise AssertionError("twosets recomputed a coupling after the search")
-
-    monkeypatch.setattr(twosets, "coupling", recomputed)
-    monkeypatch.setattr(twosets, "coupling_grouped", recomputed)
+def test_twosets_partial_couplings_are_the_carried_ones(capsys):
+    """Only the search's incremental sums compute a coupling in src/omegalab,
+    and the emitted couplings match the direct O(|B|^2) oracle."""
+    names = {"_IncrementalCoupling", "coupling", "coupling_grouped"}
+    found = set()
+    for path in sorted(Path(omegalab.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.alias)):
+                    name = node.name
+                else:
+                    continue
+                if name in names:
+                    found.add((owner, name))
+    assert found == {
+        ("twosets._IncrementalCoupling", "_IncrementalCoupling"),
+        ("twosets.construct_pair", "_IncrementalCoupling"),
+    }
     code, out = run(
         capsys, "twosets", "--limit", "10000", "--epsilon", "0.1", "--rho", "1.05",
         "--allow-partial", "--quiet",
     )
-    monkeypatch.undo()
     assert code == EXIT_OK
     payload = json.loads(out)
-    assert payload["coupling_b1"] == pytest.approx(twosets.coupling(payload["b1"]), rel=1e-12)
-    assert payload["coupling_b2"] == pytest.approx(twosets.coupling(payload["b2"]), rel=1e-12)
+    assert payload["coupling_b1"] == pytest.approx(coupling(payload["b1"]), rel=1e-12)
+    assert payload["coupling_b2"] == pytest.approx(coupling(payload["b2"]), rel=1e-12)
 
 
 def test_twosets_limit_is_checked_before_base_primes(capsys, monkeypatch):
@@ -432,6 +456,23 @@ def test_unwritable_out_fails_before_the_handler(capsys, tmp_path, monkeypatch, 
 def test_bad_workers_or_precision_fail_before_the_handler(capsys, monkeypatch, argv):
     monkeypatch.setattr(cli, "_cmd_pik", lambda args: pytest.fail("the handler ran"))
     code = main(argv)  # without --quiet: no progress line either
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["weyl", "--beta", "nan"],
+     ["erdos-kac", "--grid", "1:0:1"],
+     ["weights", "--C", "-1"],
+     ["weights", "--C", "nan"],
+     ["shifted", "--shift", "-1"]],
+)
+def test_bad_options_fail_before_sieving(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sieve, "omega_profiles", lambda *a, **k: pytest.fail("sieved"))
+    code = main([*argv, "--limit", str(10**10), "--workers", "2"])  # no --quiet
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert captured.out == ""

@@ -125,17 +125,16 @@ def test_loglog_interval_count_matches_scan():
 def test_average_along_omega_blocks_two_paths(profile_1e4):
     seq = erdos_blocks(3)
     N = 10**4
-    via_profile = average_along_omega_blocks(seq, N, profile=profile_1e4)
+    via_profile = average_along_omega_blocks(seq, profile_1e4)
     direct = sum(seq(omega_oracle(n)) for n in range(1, N + 1)) / N
     assert via_profile == pytest.approx(direct, abs=1e-15)
 
 
 def test_average_along_omega_blocks_trivial(profile_1e4):
-    N = 10**4
     everything = BlockSequence(blocks=((0, 100),))
-    assert average_along_omega_blocks(everything, N, profile=profile_1e4) == 1.0
+    assert average_along_omega_blocks(everything, profile_1e4) == 1.0
     empty = BlockSequence(blocks=())
-    assert average_along_omega_blocks(empty, N, profile=profile_1e4) == 0.0
+    assert average_along_omega_blocks(empty, profile_1e4) == 0.0
 
 
 def test_oscillation_profile_contrast():

@@ -15,7 +15,6 @@ from oracles import bulk_omega_oracle, hardy_ramanujan_tail_oracle, pi_k_by_coun
 
 import omegalab
 from omegalab import (
-    FactorCountSegment,
     hardy_ramanujan_tail,
     kernels,
     liouville,
@@ -286,7 +285,7 @@ def test_profile_inv_weights_sum_to_harmonic(profile_1e4):
 
 
 def test_histogram_small_oracle():
-    hist = pi_k_histogram(100)
+    hist = pi_k_histogram(omega_profile(100))
     brute = {}
     for n in range(1, 101):
         brute[omega_oracle(n)] = brute.get(omega_oracle(n), 0) + 1
@@ -295,16 +294,16 @@ def test_histogram_small_oracle():
 
 def test_residue_density_examples(profile_1e4):
     # n <= 10 with even Omega: 1, 4, 6, 9, 10
-    assert residue_class_density(10, 2, 0) == 0.5
-    dens = [residue_class_density(10**4, 3, r, profile=profile_1e4) for r in range(3)]
+    assert residue_class_density(omega_profile(10), 2, 0) == 0.5
+    dens = [residue_class_density(profile_1e4, 3, r) for r in range(3)]
     assert math.isclose(sum(dens), 1.0, rel_tol=1e-12)
 
 
 def test_residue_density_errors():
     with pytest.raises(InvalidResidueError):
-        residue_class_density(100, 3, 3)
+        residue_class_density(omega_profile(100), 3, 3)
     with pytest.raises(InvalidRangeError):
-        residue_class_density(0, 3, 1)
+        residue_class_density(omega_profile(0), 3, 1)
 
 
 def test_hardy_ramanujan_tail_monotone_in_c():
@@ -389,6 +388,27 @@ def test_only_the_profile_path_sieves():
         ("cli._cmd_sieve", "sieve_segment"),
         ("sieve.omega_profiles", "map_segments"),
     }
+
+
+def test_every_consumer_takes_a_profile():
+    """No function in src/omegalab defaults a profile parameter to None,
+    and no helper resolves one from N."""
+    forks = []
+    for path in sorted(Path(omegalab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name == "_resolve_profile":
+                forks.append(f"{path.stem}.{node.name}")
+            params = node.args
+            positional = params.posonlyargs + params.args
+            defaults = [None] * (len(positional) - len(params.defaults)) + params.defaults
+            pairs = [*zip(positional, defaults), *zip(params.kwonlyargs, params.kw_defaults)]
+            for arg, default in pairs:
+                if (arg.arg == "profile" and isinstance(default, ast.Constant)
+                        and default.value is None):
+                    forks.append(f"{path.stem}.{node.name}({arg.arg}=None)")
+    assert forks == []
 
 
 def test_segment_validation():
@@ -527,13 +547,6 @@ def test_segment_spans_rejects_nonpositive_length():
             omega_profile(10, segment_length=bad)
 
 
-def test_factor_count_segment_accessor():
-    seg = FactorCountSegment(lo=10, hi=20, counts=sieve_segment(10, 20).counts)
-    assert seg.omega(12) == 3
-    with pytest.raises(InvalidRangeError):
-        seg.omega(20)
-
-
 def test_profile_worker_counts_agree_at_1e6(profile_1e6):
     for workers in (1, 3):
         prof = omega_profile(10**6, workers=workers)
@@ -589,19 +602,12 @@ def test_nonpositive_workers_are_rejected(workers):
         hardy_ramanujan_tail(1000, 1.0, workers)  # through map_segments
 
 
-def test_mismatched_profile_is_rejected(profile_1e4):
-    with pytest.raises(InvalidRangeError):
-        residue_class_density(100, 3, 0, profile=profile_1e4)
-    with pytest.raises(InvalidRangeError):
-        pi_k_histogram(100, profile=profile_1e4)
-
-
 def test_histogram_rejects_a_profile_that_does_not_partition_n(profile_1e4):
     pik = profile_1e4.pik.copy()
     pik[1] -= 1  # one prime fewer: the counts sum to N - 1
     short = OmegaProfile(profile_1e4.N, pik, profile_1e4.inv_weights)
     with pytest.raises(InvalidRangeError):
-        pi_k_histogram(profile_1e4.N, profile=short)
+        pi_k_histogram(short)
 
 
 @pytest.mark.parametrize("sub", ["", "sub"])

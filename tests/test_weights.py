@@ -67,7 +67,7 @@ def test_weight_vector_lookup():
 
 
 def test_exact_weights_sum_to_one(profile_1e4):
-    wv = exact_weights(10**4, profile=profile_1e4)
+    wv = exact_weights(profile_1e4)
     assert wv.total() == pytest.approx(1.0, abs=1e-15)
     assert wv.kind == "exact"
 
@@ -152,7 +152,7 @@ def test_tn_operator_bit_identical_to_per_k_oracle(loglogn):
 
 
 def test_approximation_report_fields(profile_1e6):
-    rep = approximation_report(10**6, 3.0, profile=profile_1e6)
+    rep = approximation_report(profile_1e6, 3.0)
     assert rep.N == 10**6
     assert 0.0 < rep.tv_distance < 2.0
     assert rep.max_rel_err_in_window > 0.0
