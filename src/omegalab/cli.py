@@ -208,6 +208,7 @@ def _parse_grid(spec: str):
 def _cmd_erdos_kac(args):
     grid = _parse_grid(args.grid)
     averages.grid_cells(grid)  # checks --grid before sieving
+    averages.EKNormalizer(args.limit)  # checks --limit >= 3 before sieving
     report = averages.ek_report(_profile(args, args.limit), grid)
     rows = [
         (a, b, emp, gau, abs(emp - gau))
@@ -228,6 +229,7 @@ def _parse_bump(spec: str, ramp: float):
 def _cmd_correlate(args):
     orbit = dynamics.parse_system(args.system)
     F = _parse_bump(args.bump, args.ramp)
+    averages.EKNormalizer(args.limit)  # checks --limit >= 3 before sieving
     prof = _profile(args, args.limit)
     value = averages.correlation_sum(F, orbit, prof)
     ek = averages.ek_weighted_average(F, prof)
@@ -318,6 +320,7 @@ class _AlreadyEmitted(Exception):
 def _cmd_invariance(args):
     F = _parse_bump(args.bump, args.ramp)
     a = _parse_arith(args.a)
+    averages.EKNormalizer(args.limit)  # checks --limit >= 3 before sieving
     gap = twosets.invariance_gap(F, a, _profile(args, args.limit))
     return ("N", "gap"), [(args.limit, gap)], {"limit": args.limit, "a": args.a}
 

@@ -40,15 +40,23 @@ CACHE_ENV_VAR = "OMEGALAB_CACHE"
 
 @lru_cache(maxsize=8)
 def base_primes(limit: int) -> np.ndarray:
-    """Primes <= limit by a plain sieve of Eratosthenes (int64 array)."""
+    """Primes <= limit (int64 array) by a sieve of Eratosthenes over the odd numbers.
+
+    flags[i] stands for 2 i + 1, so the sieve holds (limit + 1) // 2 bytes
+    and makes no pass for 2.  flags[0] (the number 1) stays set: its slot in
+    the result becomes the prime 2.
+    """
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64, copy=False)
+    flags = np.ones((limit + 1) // 2, dtype=bool)
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if flags[p // 2]:
+            flags[p * p // 2 :: p] = False
+    primes = np.flatnonzero(flags).astype(np.int64, copy=False)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 @dataclass(frozen=True)

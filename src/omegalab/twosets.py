@@ -28,6 +28,7 @@ from .sieve import segment_spans
 
 MAX_SET_SIZE = 50_000  # caps |B1| = |B2|, and so the search's time and output
 MAX_RHO_INTERVALS = 10**5  # caps the rho-adic intervals of a search or a validation
+MAX_SEARCH_LIMIT = 10**9  # caps the search's base primes, half a byte per integer
 _FIRST_TABLE_LIMIT = 2**20  # the search's 2-almost-prime table starts here and doubles
 
 
@@ -112,31 +113,51 @@ def _interval_counts(elems, rho: float) -> dict[int, int]:
     return dict(zip(*(a.tolist() for a in np.unique(js, return_counts=True))))
 
 
-class _IncrementalCoupling:
-    """Coupling of a growing set, updated in O(number of prime factors).
+class _BatchCoupling:
+    """Coupling of a growing set, from sums that batches of elements extend.
 
-    Uses the divisor-grouped form; elements must arrive with their prime
-    factorization (1 or 2 prime factors here).
+    Uses the divisor-grouped form: the coupling is
+    (sum_p (p - 1) T_p^2 + sum_{m in B composite} totient(m) / m^2) / H^2,
+    where T_p sums 1/m over the m in B that p divides and H over all of B.
+    Each batch does the float operations of adding its elements one at a
+    time, in order, so the sums do not depend on how elements are batched.
     """
 
     def __init__(self):
         self.harmonic = 0.0
-        self.prime_mass: dict[int, float] = {}
+        self.prime_mass: dict[int, float] = {}  # T_p, kept by add_semiprimes
         self.prime_part = 0.0  # sum_p (p-1) T_p^2
         self.self_part = 0.0  # sum_m totient(m) / m^2 for composite divisors
 
-    def add(self, m: int, factors: tuple) -> None:
-        inv = 1.0 / m
-        self.harmonic += inv
-        for p in set(factors):
-            t_old = self.prime_mass.get(p, 0.0)
-            t_new = t_old + inv
-            self.prime_mass[p] = t_new
-            self.prime_part += (p - 1) * (t_new * t_new - t_old * t_old)
-        if len(factors) == 2:  # divisor d = m itself contributes totient(m)/m^2
-            p, q = factors
+    def add_primes(self, primes: np.ndarray) -> None:
+        """Add ascending primes to a set of primes none of them is in.
+
+        Each p enters with T_p going from 0.0 to 1/p, so its term is
+        (p - 1) (1/p)^2; a seeded add.accumulate sums inv and the terms in
+        order, as a loop of += would.
+        """
+        inv = 1.0 / primes
+        terms = (primes - 1) * (inv * inv)
+        self.harmonic = float(np.add.accumulate(np.concatenate(([self.harmonic], inv)))[-1])
+        self.prime_part = float(np.add.accumulate(np.concatenate(([self.prime_part], terms)))[-1])
+
+    def add_semiprimes(self, rows: np.ndarray) -> None:
+        """Add 2-almost primes m = p q, given as rows (m, p, q), in order."""
+        harmonic, part, self_part = self.harmonic, self.prime_part, self.self_part
+        mass = self.prime_mass
+        get = mass.get
+        for m, p, q in rows.tolist():
+            inv = 1.0 / m
+            harmonic += inv
+            for f in {p, q}:  # a set's order, so that part adds its terms in that order
+                t_old = get(f, 0.0)
+                t_new = t_old + inv
+                mass[f] = t_new
+                part += (f - 1) * (t_new * t_new - t_old * t_old)
+            # the divisor d = m itself contributes totient(m)/m^2
             tot = (p - 1) * (q - 1) if p != q else p * p - p
-            self.self_part += tot * inv * inv
+            self_part += tot * inv * inv
+        self.harmonic, self.prime_part, self.self_part = harmonic, part, self_part
 
     def value(self) -> float:
         if self.harmonic == 0.0:
@@ -199,6 +220,12 @@ def construct_pair(
     search_limit, only when the scan reaches past it.  The table over a
     smaller limit is a prefix of the full one, so the result does not
     depend on where the table stops.
+
+    The intervals one table covers are scanned as a batch: searchsorted
+    gives every interval's end on both sides, and a cumulative sum capped
+    at max_set_size every interval's take.  Only the intervals that take
+    elements run Python code; each hands its elements to the couplings in
+    one call.  The result is the one a scan element by element would give.
     """
     if not 0 < epsilon < 1:
         raise InvalidRangeError("epsilon must lie in (0, 1)")
@@ -206,35 +233,50 @@ def construct_pair(
         raise InvalidRangeError("rho must lie in (1, 1 + epsilon]")
     if search_limit < 1:
         raise InvalidRangeError(f"search limit must be >= 1, got {search_limit}")
-    _check_limit(search_limit + 1)  # before base_primes allocates limit + 1 bytes
+    if search_limit > MAX_SEARCH_LIMIT:  # before base_primes allocates limit / 2 bytes
+        raise RangeTooLargeError(
+            f"search limit {search_limit} is over the cap of {MAX_SEARCH_LIMIT}"
+        )
     bounds = _rho_bounds(rho, rho_index(search_limit, rho))
     primes = base_primes(search_limit)
+    ends1 = np.searchsorted(primes, bounds, side="right")
     table_limit = 0  # the first interval builds the table over min(2**20, search_limit)
     b1: list[int] = []
     b2: list[int] = []
-    c1 = _IncrementalCoupling()
-    c2 = _IncrementalCoupling()
-    ends1 = np.searchsorted(primes, bounds, side="right").tolist()
-    i1 = i2 = 0
-    for bound, n1 in zip(bounds.tolist(), ends1):
-        while table_limit < min(bound, search_limit):
+    c1 = _BatchCoupling()
+    c2 = _BatchCoupling()
+    j = i1 = i2 = 0  # the first interval not scanned, and the elements before it
+    while True:
+        while table_limit < min(float(bounds[j]), search_limit):
             table_limit = min(max(2 * table_limit, _FIRST_TABLE_LIMIT), search_limit)
             almost = _almost_primes_2(table_limit, primes)
-        # m <= bound exactly when m <= floor(bound), for m < 2**53; an int
-        # key also spares converting the column to float for every interval
-        n2 = int(np.searchsorted(almost[:, 0], math.floor(bound), side="right"))
-        take = max(0, min(n1 - i1, n2 - i2, max_set_size - len(b1)))
-        for p in primes[i1 : i1 + take].tolist():
-            b1.append(p)
-            c1.add(p, (p,))
-        for m, fp, fq in almost[i2 : i2 + take].tolist():
-            b2.append(m)
-            c2.add(m, (fp, fq))
-        i1, i2 = n1, n2
-        if b1 and c1.value() <= epsilon and c2.value() <= epsilon:
-            return PrimeSetPair(tuple(b1), tuple(b2), rho, epsilon, (c1.value(), c2.value()))
-        if len(b1) >= max_set_size:
+        # this table holds every 2-almost prime <= bound for the intervals j..stop-1
+        if table_limit == search_limit:
+            stop = len(bounds)
+        else:
+            stop = int(np.searchsorted(bounds, table_limit, side="right"))
+        # m <= bound exactly when m <= floor(bound), for m < 2**53
+        keys = np.floor(bounds[j:stop]).astype(np.int64)
+        n1 = ends1[j:stop]
+        n2 = np.searchsorted(almost[:, 0], keys, side="right")
+        start1 = np.concatenate(([i1], n1[:-1]))
+        start2 = np.concatenate(([i2], n2[:-1]))
+        sizes = np.minimum(len(b1) + np.cumsum(np.minimum(n1 - start1, n2 - start2)),
+                           max_set_size)
+        takes = np.diff(sizes, prepend=len(b1))
+        capped = int(np.searchsorted(sizes, max_set_size))  # the interval that fills B1
+        for k in np.flatnonzero(takes[: capped + 1] > 0).tolist():
+            s1, s2, take = int(start1[k]), int(start2[k]), int(takes[k])
+            ones, twos = primes[s1 : s1 + take], almost[s2 : s2 + take]
+            b1 += ones.tolist()
+            b2 += twos[:, 0].tolist()
+            c1.add_primes(ones)
+            c2.add_semiprimes(twos)
+            if c1.value() <= epsilon and c2.value() <= epsilon:
+                return PrimeSetPair(tuple(b1), tuple(b2), rho, epsilon, (c1.value(), c2.value()))
+        if capped < len(sizes) or stop == len(bounds):
             break
+        j, i1, i2 = stop, int(n1[-1]), int(n2[-1])
     achieved = (c1.value(), c2.value()) if b1 else None
     reason = f"best achieved {achieved}"
     if b1:  # the diagonal terms alone give coupling(B) >= 1/(2 sum_{m in B} 1/m)

@@ -1,12 +1,24 @@
 """Test oracles that share no stepping logic with the code they check."""
 
+import heapq
 import math
 
 import numpy as np
 
 from omegalab.errors import EmptySetError, InvalidRangeError
 from omegalab.sieve import base_primes, segment_spans, sieve_segment
+from omegalab.twosets import _almost_primes_2_harmonic, rho_index
 from omegalab.weights import GaussianWindowSpec, gaussian_weights
+
+
+def eratosthenes(limit: int) -> np.ndarray:
+    """Primes <= limit by the plain sieve of Eratosthenes over every integer."""
+    flags = np.ones(max(limit + 1, 2), dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags[: limit + 1]).astype(np.int64)
 
 
 def bulk_omega_oracle(lo: int, hi: int) -> np.ndarray:
@@ -219,3 +231,94 @@ def _divisors_with_totients(n: int, spf: list[int]) -> list[tuple[int, int]]:
             powers.append((q * p, q * (p - 1)))
         pairs = [(d * q, t * u) for d, t in pairs for q, u in powers]
     return pairs
+
+
+class IncrementalCoupling:
+    """Coupling of a growing set, updated one element at a time.
+
+    Uses the divisor-grouped form; elements must arrive with their prime
+    factorization (1 or 2 prime factors here).
+    """
+
+    def __init__(self):
+        self.harmonic = 0.0
+        self.prime_mass: dict[int, float] = {}
+        self.prime_part = 0.0  # sum_p (p-1) T_p^2
+        self.self_part = 0.0  # sum_m totient(m) / m^2 for composite divisors
+
+    def add(self, m: int, factors: tuple) -> None:
+        inv = 1.0 / m
+        self.harmonic += inv
+        for p in set(factors):
+            t_old = self.prime_mass.get(p, 0.0)
+            t_new = t_old + inv
+            self.prime_mass[p] = t_new
+            self.prime_part += (p - 1) * (t_new * t_new - t_old * t_old)
+        if len(factors) == 2:  # divisor d = m itself contributes totient(m)/m^2
+            p, q = factors
+            tot = (p - 1) * (q - 1) if p != q else p * p - p
+            self.self_part += tot * inv * inv
+
+    def value(self) -> float:
+        if self.harmonic == 0.0:
+            raise EmptySetError("coupling of an empty set")
+        return (self.prime_part + self.self_part) / (self.harmonic * self.harmonic)
+
+
+def _products(primes: list[int], i: int, end: int):
+    """(p * q, p, q) for p = primes[i] and q = primes[i], ..., primes[end - 1]."""
+    p = primes[i]
+    for k in range(i, end):
+        yield p * primes[k], p, primes[k]
+
+
+def two_sets_scan_oracle(epsilon: float, rho: float, search_limit: int, max_set_size: int):
+    """construct_pair's (b1, b2, couplings, exhaustion message or None), by one
+    rho-adic interval and one element at a time.
+
+    The primes come from eratosthenes, and the 2-almost primes, with their
+    factors, from a heap merge of the ascending rows p * q (q >= p prime), so
+    no table is built.  Each kept element goes to an IncrementalCoupling on
+    its own.  The floor over all sets <= search_limit in the message is
+    computed as construct_pair computes it; its tests are separate.
+    """
+    primes = eratosthenes(search_limit)
+    plist = primes.tolist()
+    rows = [_products(plist, i, int(np.searchsorted(primes, search_limit // p, side="right")))
+            for i, p in enumerate(plist) if p * p <= search_limit]
+    semiprimes = heapq.merge(*rows)
+    pending = next(semiprimes, None)
+    b1, b2 = [], []
+    c1, c2 = IncrementalCoupling(), IncrementalCoupling()
+    k1 = 0
+    for j in range(rho_index(search_limit, rho) + 1):
+        bound = rho ** (j + 1)
+        ones, twos = [], []
+        while k1 < len(plist) and plist[k1] <= bound:
+            ones.append(plist[k1])
+            k1 += 1
+        while pending is not None and pending[0] <= bound:
+            twos.append(pending)
+            pending = next(semiprimes, None)
+        take = max(0, min(len(ones), len(twos), max_set_size - len(b1)))
+        for p in ones[:take]:
+            b1.append(p)
+            c1.add(p, (p,))
+        for m, p, q in twos[:take]:
+            b2.append(m)
+            c2.add(m, (p, q))
+        if b1 and c1.value() <= epsilon and c2.value() <= epsilon:
+            return tuple(b1), tuple(b2), (c1.value(), c2.value()), None
+        if len(b1) >= max_set_size:
+            break
+    achieved = (c1.value(), c2.value()) if b1 else None
+    reason = f"best achieved {achieved}"
+    if b1:
+        own = (0.5 / c1.harmonic, 0.5 / c2.harmonic)
+        inv = 1.0 / primes
+        pool = (0.5 / float(np.sum(inv)),
+                0.5 / _almost_primes_2_harmonic(search_limit, primes, inv))
+        reason += (f"; proven floor 1/(2 sum 1/m): ({own[0]:.3g}, {own[1]:.3g}) for these "
+                   f"sets, ({pool[0]:.3g}, {pool[1]:.3g}) for any sets <= {search_limit}")
+    message = f"coupling target {epsilon} not reached by limit {search_limit}: {reason}"
+    return tuple(b1) or None, tuple(b2) or None, achieved, message

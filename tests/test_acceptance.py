@@ -193,7 +193,7 @@ def test_10b_two_sets_coupling_target(best_two_sets):
     # H_B = sum of 1/m over B.  For B1 H_B1 <= sum of 1/p over all primes
     # <= 10^7 = 3.0414, so no B1 gets below 0.1644, and the search must
     # exhaust.  Its carried couplings are checked against oracles that share
-    # no code with _IncrementalCoupling (the closed form for primes and the
+    # no code with _BatchCoupling (the closed form for primes and the
     # divisor-grouped sum) and against each set's own floor 1/(2 H_B).
     _, _, _, exhausted = best_two_sets
     assert diagonal_floor(base_primes(10**7)) > 0.1

@@ -24,7 +24,9 @@ from oracles import (
 )
 
 import omegalab
-from omegalab import AverageScheme, average_along_omega, cli, omega_profile, sieve, twosets, weights
+from omegalab import (
+    AverageScheme, average_along_omega, cli, kernels, omega_profile, sieve, twosets, weights,
+)
 from omegalab.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 from omegalab.counterexample import Checkpoints, merge_intervals
 from omegalab.dynamics import rotation_two_points_liouville
@@ -189,9 +191,10 @@ def test_twosets_allow_partial(capsys):
 
 
 def test_twosets_partial_couplings_are_the_carried_ones(capsys):
-    """Only the search's incremental sums compute a coupling in src/omegalab,
-    and the emitted couplings match the direct O(|B|^2) oracle."""
-    names = {"_IncrementalCoupling", "coupling", "coupling_grouped"}
+    """Only the search's batched coupling sums compute a coupling in
+    src/omegalab, and the emitted couplings match the direct O(|B|^2) oracle."""
+    names = {"_BatchCoupling", "IncrementalCoupling", "_IncrementalCoupling", "coupling",
+             "coupling_grouped"}
     found = set()
     for path in sorted(Path(omegalab.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -208,8 +211,8 @@ def test_twosets_partial_couplings_are_the_carried_ones(capsys):
                 if name in names:
                     found.add((owner, name))
     assert found == {
-        ("twosets._IncrementalCoupling", "_IncrementalCoupling"),
-        ("twosets.construct_pair", "_IncrementalCoupling"),
+        ("twosets._BatchCoupling", "_BatchCoupling"),
+        ("twosets.construct_pair", "_BatchCoupling"),
     }
     code, out = run(
         capsys, "twosets", "--limit", "10000", "--epsilon", "0.1", "--rho", "1.05",
@@ -250,6 +253,22 @@ def test_twosets_rho_close_to_one_is_resource_error(capsys):
     assert len(captured.err.splitlines()) == 1
     assert "rho-adic intervals" in captured.err
     assert peak < 10**6  # neither the 1.6e13 bounds nor base_primes(10**7) were allocated
+
+
+def test_twosets_limit_over_the_search_cap_is_resource_error(capsys):
+    tracemalloc.start()
+    try:
+        code = main(["twosets", "--limit", str(10**10), "--epsilon", "0.1", "--rho", "1.05"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == EXIT_RESOURCE
+    assert captured.out == ""
+    assert captured.err == (
+        f"omegalab: search limit {10**10} is over the cap of {twosets.MAX_SEARCH_LIMIT}\n"
+    )
+    assert peak < 10**6  # base_primes(10**10) would take 5 GB
 
 
 @pytest.mark.parametrize("limit", ["0", "-5"])
@@ -477,6 +496,18 @@ def test_bad_options_fail_before_sieving(capsys, monkeypatch, argv):
     assert code == EXIT_USAGE
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("limit", ["2", "1", "-4"])
+@pytest.mark.parametrize("cmd", ["erdos-kac", "correlate", "invariance"])
+def test_ek_limit_below_three_fails_before_sieving(capsys, monkeypatch, cmd, limit):
+    monkeypatch.setattr(kernels, "omega_segment", lambda *a, **k: pytest.fail("sieved"))
+    monkeypatch.setattr(sieve, "omega_profiles", lambda *a, **k: pytest.fail("sieved"))
+    code = main([cmd, "--limit", limit])  # no --quiet
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == "omegalab: EK normalizer needs N >= 3\n"
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import bulk_omega_oracle, hardy_ramanujan_tail_oracle, pi_k_by_counting
+from oracles import bulk_omega_oracle, eratosthenes, hardy_ramanujan_tail_oracle, pi_k_by_counting
 
 import omegalab
 from omegalab import (
@@ -81,7 +81,20 @@ def test_base_primes_peak_is_flags_plus_result():
     finally:
         tracemalloc.stop()
     assert len(primes) == 664_579 and primes.dtype == np.int64  # pi(10^7)
-    assert peak <= (limit + 1) + primes.nbytes + 2**20
+    assert peak <= (limit + 1) // 2 + primes.nbytes + 2**20  # one flag per odd number
+
+
+def _base_primes_cases():
+    squares = [p * p + d for p in (2, 3, 5, 7, 11, 97, 997, 1009) for d in (-1, 0, 1)]
+    powers = [2**k + d for k in range(21) for d in (-1, 1)]
+    return sorted(set(range(301)) | set(squares) | set(powers) | {10**6 + 3})
+
+
+def test_base_primes_matches_eratosthenes():
+    for limit in _base_primes_cases():
+        primes = base_primes(limit)
+        assert primes.dtype == np.int64
+        assert primes.tolist() == eratosthenes(limit).tolist(), limit
 
 
 def test_sieve_matches_trial_division_to_one_million(omega_to_1e6):

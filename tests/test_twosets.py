@@ -19,8 +19,8 @@ from omegalab.errors import (
 from omegalab.sieve import DEFAULT_SEGMENT_LENGTH, base_primes, omega_oracle
 from omegalab.twosets import (
     MAX_RHO_INTERVALS,
+    MAX_SEARCH_LIMIT,
     PrimeSetPair,
-    _IncrementalCoupling,
     _almost_primes_2,
     _almost_primes_2_harmonic,
     _interval_counts,
@@ -32,7 +32,7 @@ from omegalab.twosets import (
     tk_discrepancy,
 )
 
-from oracles import coupling, coupling_grouped, phi
+from oracles import IncrementalCoupling, coupling, coupling_grouped, phi, two_sets_scan_oracle
 
 
 def test_phi_hand_values():
@@ -130,7 +130,7 @@ def test_coupling_primes_upper_bound():
 
 
 def test_incremental_coupling_matches_direct():
-    inc = _IncrementalCoupling()
+    inc = IncrementalCoupling()
     elems = []
     for m, fp, fq in [(2, 2, None), (3, 3, None), (4, 2, 2), (6, 2, 3), (35, 5, 7)]:
         factors = (fp,) if fq is None else (fp, fq)
@@ -231,6 +231,24 @@ def test_growing_table_gives_the_same_search(monkeypatch, epsilon, rho, limit, c
     assert limits[-1] >= max(whole[1] or [0])  # B2 past 64 forces doublings
 
 
+@pytest.mark.parametrize(
+    "epsilon, rho, limit, cap",
+    [
+        (0.1, 1.05, 10**7, 50_000),  # stops at the set-size cap, near 6.1e5
+        (0.1, 1.05, 5 * 10**4, 50_000),
+        (0.1, 1.01, 10**6, 50_000),
+        (0.5, 1.5, 10**4, 50_000),
+        (0.1, 1.05, 10**5, 300),
+        (0.1, 1.05, 10**4, 0),
+        (0.1, 1.0000925, 10**4, 50_000),  # about 10^5 intervals, none takes anything
+    ],
+)
+def test_batched_search_matches_the_element_scan(epsilon, rho, limit, cap):
+    got = _search(epsilon, rho, limit, max_set_size=cap)
+    # the same lists, couplings equal as floats (not approximately), the same message
+    assert got == two_sets_scan_oracle(epsilon, rho, limit, cap)
+
+
 def test_short_search_builds_only_the_first_table(monkeypatch):
     limits = _recording_table(monkeypatch)
     with pytest.raises(SearchExhaustedError):
@@ -250,6 +268,20 @@ def test_rho_close_to_one_fails_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 10**6  # the 1.6e13 bounds, or base_primes(10**7), would take far more
+
+
+def test_search_limit_cap_is_exact(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def no_base_primes(limit):
+        raise Reached(limit)
+
+    monkeypatch.setattr(twosets, "base_primes", no_base_primes)
+    with pytest.raises(Reached):
+        construct_pair(0.1, 1.05, MAX_SEARCH_LIMIT)
+    with pytest.raises(RangeTooLargeError, match="over the cap"):
+        construct_pair(0.1, 1.05, MAX_SEARCH_LIMIT + 1)
 
 
 def test_rho_bounds_cap_is_exact():
