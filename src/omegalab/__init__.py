@@ -15,6 +15,7 @@ from .averages import (
     interval_indicator,
     log_trick_bound,
     log_trick_discrepancy,
+    residue_class_density,
     shifted_omega_average,
     smoothed_indicator,
     weyl_sum,
@@ -41,7 +42,6 @@ from .dynamics import (
 )
 from .kernels import active_backend
 from .sieve import (
-    FactorCountSegment,
     OmegaProfile,
     hardy_ramanujan_tail,
     liouville,
@@ -49,7 +49,6 @@ from .sieve import (
     omega_profile,
     omega_profiles,
     pi_k_histogram,
-    residue_class_density,
     sieve_segment,
 )
 from .twosets import (

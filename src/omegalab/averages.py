@@ -3,9 +3,10 @@
 Every average over [1, N] is a fold over sieve segments, reduced through the
 per-k totals of an OmegaProfile; the value of any bounded a(Omega(n)) over
 [N] is exactly sum_k pi_k(N) a(k) / N, so no pass ever materializes all
-Omega values at once.  The Erdos-Kac normalizer always uses log log N with
-the outer N (not log log n), and n in {1, 2} are skipped in every
-phi-normalized sum.
+Omega values at once.  That sum is one dot product, _dot, and every average
+along Omega in the package reduces through it.  The Erdos-Kac normalizer
+always uses log log N with the outer N (not log log n), and n in {1, 2} are
+skipped in every phi-normalized sum.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import ObservableOrbit, exponential_orbit
+from .dynamics import ObservableOrbit, exponential_orbit, residue_indicator_orbit
 from .errors import (
     DegenerateGridError,
     EmptySetError,
@@ -59,9 +60,13 @@ def _values(a: Callable[[int], complex], k_max: int) -> np.ndarray:
 
 
 def _dot(weights: np.ndarray, values: np.ndarray) -> complex:
-    return complex(
-        math.fsum(weights * values.real), math.fsum(weights * values.imag)
-    )
+    """sum_k weights[k] values[k], each part rounded once by fsum.
+
+    fsum rounds the exact sum of the products, so the result does not
+    depend on their order.  A real values array skips the imaginary fsum.
+    """
+    im = math.fsum(weights * values.imag) if np.iscomplexobj(values) else 0.0
+    return complex(math.fsum(weights * values.real), im)
 
 
 def average_along_omega(
@@ -83,6 +88,11 @@ def _scheme_average(prof: OmegaProfile, values: np.ndarray, scheme: AverageSchem
 def weyl_sum(beta: float, profile: OmegaProfile) -> complex:
     """(1/N) sum_{n<=N} e^{2 pi i beta Omega(n)}."""
     return average_along_omega(exponential_orbit(beta), profile)
+
+
+def residue_class_density(profile: OmegaProfile, m: int, r: int) -> float:
+    """|{n <= N : Omega(n) = r mod m}| / N."""
+    return average_along_omega(residue_indicator_orbit(m, r), profile).real
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +175,16 @@ def _adjusted_pik(prof: OmegaProfile) -> np.ndarray:
     return pik
 
 
+def _ek_weights(F: RealTestFunction, profile: OmegaProfile) -> np.ndarray:
+    """The phi-weights pi_k F(phi(k)), with n in {1, 2} removed.
+
+    (1/N) sum_{n<=N} F(phi(n)) b(Omega(n)) is _dot(weights, b(k)) / N.
+    """
+    norm = EKNormalizer(profile.N)
+    pik = _adjusted_pik(profile)
+    return pik * np.array([F(norm.normalize(k)) for k in range(len(pik))])
+
+
 @dataclass(frozen=True)
 class EKReport:
     """Empirical vs Gaussian interval masses of the normalized Omega values."""
@@ -207,20 +227,14 @@ def ek_report(profile: OmegaProfile, grid: Sequence[float]) -> EKReport:
 
 def ek_weighted_average(F: RealTestFunction, profile: OmegaProfile) -> float:
     """(1/N) sum F(phi(n)); tends to the Gaussian integral of F."""
-    norm = EKNormalizer(profile.N)
-    pik = _adjusted_pik(profile)
-    values = np.array([F(norm.normalize(k)) for k in range(len(pik))])
-    return float(math.fsum(pik * values)) / profile.N
+    return _dot(_ek_weights(F, profile), np.ones(profile.k_max + 1)).real / profile.N
 
 
 def correlation_sum(
     F: RealTestFunction, orbit: ObservableOrbit, profile: OmegaProfile
 ) -> complex:
     """(1/N) sum F(phi(n)) g(T^{Omega(n)} x); limit is (Gaussian integral of F) * space mean."""
-    norm = EKNormalizer(profile.N)
-    pik = _adjusted_pik(profile)
-    weights = pik * np.array([F(norm.normalize(k)) for k in range(len(pik))])
-    return _dot(weights, _values(orbit.value_at, len(pik) - 1)) / profile.N
+    return _dot(_ek_weights(F, profile), _values(orbit.value_at, profile.k_max)) / profile.N
 
 
 def shifted_omega_average(

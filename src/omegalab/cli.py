@@ -29,10 +29,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_args(args)
-        header, rows, meta = args.handler(args)
-        _emit(args, header, rows, meta)
-    except _AlreadyEmitted:
-        return EXIT_OK
+        table = args.handler(args)
+        if table is not None:  # None: the handler wrote its own document
+            _emit(args, *table)
     except (RangeTooLargeError, SearchExhaustedError) as exc:
         print(f"omegalab: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -83,6 +82,8 @@ def _progress(args, message: str) -> None:
 
 def _profiles(args, checkpoints):
     """Profiles at each checkpoint, from one pass over [1, max(checkpoints)]."""
+    if min(checkpoints) < 1:  # before the progress line
+        raise InvalidRangeError(f"--limit must be >= 1, got {min(checkpoints)}")
     n = max(checkpoints)
     sieve._check_limit(n + 1)  # before any span list is built
     spans = sieve.segment_spans(n, args.segment_length)
@@ -132,7 +133,8 @@ def _write(args, text):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (header, rows, meta)
+# Subcommand handlers: each returns (header, rows, meta), or None when it
+# writes its own document
 # ---------------------------------------------------------------------------
 
 
@@ -143,11 +145,8 @@ def _cmd_sieve(args):
             f"sieve --lo {args.lo} --hi {args.hi}: more than"
             f" {sieve.DEFAULT_SEGMENT_LENGTH} integers in one range"
         )
-    seg = sieve.sieve_segment(args.lo, args.hi)
-    rows = [
-        (n, int(seg.counts[n - args.lo]), sieve.liouville(int(seg.counts[n - args.lo])))
-        for n in range(args.lo, args.hi)
-    ]
+    counts = sieve.sieve_segment(args.lo, args.hi).tolist()
+    rows = [(n, c, sieve.liouville(c)) for n, c in zip(range(args.lo, args.hi), counts)]
     return ("n", "omega", "liouville"), rows, {"lo": args.lo, "hi": args.hi}
 
 
@@ -310,11 +309,6 @@ def _cmd_twosets(args):
         "coupling_b2": c2,
     }
     _write(args, json.dumps(payload, indent=2) + "\n")
-    raise _AlreadyEmitted
-
-
-class _AlreadyEmitted(Exception):
-    pass
 
 
 def _cmd_invariance(args):

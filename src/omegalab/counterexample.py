@@ -15,6 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .averages import average_along_omega
+from .dynamics import SymbolicOrbit
 from .errors import BlockOverflowError, InvalidIntervalError, InvalidRangeError
 from .sieve import OmegaProfile
 from .weights import GaussianWindowSpec, extrapolated_average
@@ -176,8 +178,7 @@ def _last_n_with_loglog_at_most(x: float) -> int:
 
 def average_along_omega_blocks(seq: BlockSequence, profile: OmegaProfile) -> float:
     """Cesaro average of a(Omega(n)) over [1, N], exactly sum_k pi_k(N) a(k) / N."""
-    inside = seq(np.arange(profile.k_max + 1, dtype=np.int64)).astype(bool)
-    return int(profile.pik[inside].sum()) / profile.N
+    return average_along_omega(SymbolicOrbit(seq), profile).real
 
 
 def oscillation_profile(

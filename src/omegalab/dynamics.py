@@ -121,11 +121,29 @@ def rotation_two_points_liouville() -> FiniteRotation:
     return FiniteRotation(m=2, start=0, g_values=(1, -1))
 
 
-def residue_indicator_orbit(m: int, r: int) -> FiniteRotation:
+@dataclass(frozen=True)
+class ResidueIndicator(ObservableOrbit):
+    """Rotation on m points seen through the indicator of r; holds no table of m values."""
+
+    m: int
+    r: int
+    bound: float = 1.0
+
+    def __post_init__(self):
+        if self.m < 1 or not 0 <= self.r < self.m:
+            raise InvalidResidueError(f"residue {self.r} mod {self.m} is invalid")
+
+    @property
+    def space_mean(self) -> float:
+        return 1 / self.m
+
+    def value_at(self, k: int) -> int:
+        return int(k % self.m == self.r)
+
+
+def residue_indicator_orbit(m: int, r: int) -> ResidueIndicator:
     """Indicator of the residue class r mod m; space mean 1/m."""
-    if m < 1 or not 0 <= r < m:
-        raise InvalidResidueError(f"residue {r} mod {m} is invalid")
-    return FiniteRotation(m=m, start=0, g_values=tuple(int(k == r) for k in range(m)))
+    return ResidueIndicator(m=m, r=r)
 
 
 def exponential_orbit(beta: float) -> ExponentialOrbit:

@@ -22,7 +22,6 @@ from . import kernels
 from .errors import (
     CacheWriteError,
     InvalidRangeError,
-    InvalidResidueError,
     RangeTooLargeError,
     require_finite,
 )
@@ -33,6 +32,7 @@ DEFAULT_SEGMENT_LENGTH = 1 << 22
 MAX_SEGMENT_LENGTH = 1 << 24  # the kernel holds about 6 B per integer: 100 MB
 REDUCE_BLOCK = 1 << 16  # integers per pi_k/harmonic reduction step
 HARD_LIMIT = 10**10
+MAX_SEGMENTS = 10**5  # spans of one pass; the default length needs 2385 at HARD_LIMIT
 
 CACHE_MAGIC = b"OMP1"
 CACHE_ENV_VAR = "OMEGALAB_CACHE"
@@ -59,21 +59,6 @@ def base_primes(limit: int) -> np.ndarray:
     return primes
 
 
-@dataclass(frozen=True)
-class FactorCountSegment:
-    """Contiguous block of Omega values: counts[i] = Omega(lo + i)."""
-
-    lo: int
-    hi: int  # exclusive
-    counts: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.hi <= self.lo or self.lo < 1:
-            raise InvalidRangeError(f"bad segment range [{self.lo}, {self.hi})")
-        if len(self.counts) != self.hi - self.lo:
-            raise InvalidRangeError("counts length does not match range")
-
-
 def _check_limit(hi: int) -> None:
     if hi - 1 > HARD_LIMIT:
         raise RangeTooLargeError(
@@ -86,13 +71,12 @@ def _check_workers(workers: int) -> None:
         raise InvalidRangeError(f"workers must be >= 1, got {workers}")
 
 
-def sieve_segment(lo: int, hi: int) -> FactorCountSegment:
-    """Exact Omega(n) for lo <= n < hi via the segmented sieve."""
+def sieve_segment(lo: int, hi: int) -> np.ndarray:
+    """Exact Omega(n) for lo <= n < hi via the segmented sieve: uint8, [i] = Omega(lo + i)."""
     if lo >= hi or lo < 1:
         raise InvalidRangeError(f"invalid range [{lo}, {hi})")
     _check_limit(hi)
-    primes = base_primes(math.isqrt(max(hi - 1, 1)))
-    return FactorCountSegment(lo, hi, kernels.omega_segment(lo, hi, primes))
+    return kernels.omega_segment(lo, hi, base_primes(math.isqrt(max(hi - 1, 1))))
 
 
 def omega_oracle(n: int) -> int:
@@ -218,7 +202,8 @@ def segment_spans(n_max: int, segment_length: int | None = None):
     """Spans (lo, hi) covering 1..n_max, each of the configured length.
 
     segment_length None means DEFAULT_SEGMENT_LENGTH; any other value must
-    be a positive integer no larger than MAX_SEGMENT_LENGTH.
+    be a positive integer no larger than MAX_SEGMENT_LENGTH.  More than
+    MAX_SEGMENTS spans raise RangeTooLargeError before the list is built.
     """
     length = DEFAULT_SEGMENT_LENGTH if segment_length is None else segment_length
     if length < 1:
@@ -226,6 +211,12 @@ def segment_spans(n_max: int, segment_length: int | None = None):
     if length > MAX_SEGMENT_LENGTH:
         raise RangeTooLargeError(
             f"segment length {length} exceeds the cap {MAX_SEGMENT_LENGTH}"
+        )
+    count = -(-n_max // length)
+    if count > MAX_SEGMENTS:
+        raise RangeTooLargeError(
+            f"[1, {n_max}] needs {count} segments of length {length}, "
+            f"over the cap of {MAX_SEGMENTS}; use a longer segment length"
         )
     return [(lo, min(lo + length, n_max + 1)) for lo in range(1, n_max + 1, length)]
 
@@ -235,15 +226,13 @@ def _pool_size(workers: int, n_spans: int) -> int:
     return max(1, min(workers, n_spans, os.cpu_count() or 1))
 
 
-def map_segments(n_max, chunk_fn, workers=1, segment_length=None):
+def map_segments(spans, chunk_fn, workers=1):
     """Apply chunk_fn to every span; results come back in segment order.
 
     The pool starts _pool_size processes at once, never more than the
     machine has CPUs or there are spans.
     """
     _check_workers(workers)
-    _check_limit(n_max + 1)
-    spans = segment_spans(n_max, segment_length)
     size = _pool_size(workers, len(spans))
     if size == 1:
         return [chunk_fn(span) for span in spans]
@@ -311,7 +300,7 @@ def _profile_chunk(span, cuts=()):
     record = _cache_read(lo, hi)
     parts = []
     if record is None or inside:
-        counts = sieve_segment(lo, hi).counts
+        counts = sieve_segment(lo, hi)
         parts = _reduce(counts, lo, [n + 1 for n in inside] + ([hi] if record is None else []))
         if record is None:
             record = np.array([parts.pop()], dtype=RECORD_DTYPE)
@@ -358,7 +347,7 @@ def omega_profiles(
     wanted = set(checkpoints)
     cuts = sorted(wanted - {hi - 1 for _, hi in spans})
     chunk_fn = partial(_profile_chunk, cuts=tuple(cuts)) if cuts else _profile_chunk
-    chunks = map_segments(n_max, chunk_fn, workers, segment_length)
+    chunks = map_segments(spans, chunk_fn, workers)
     pik = np.zeros(MAX_OMEGA + 1, dtype=np.int64)
     inv = np.zeros(MAX_OMEGA + 1, dtype=np.float64)
     totals = {}
@@ -426,11 +415,3 @@ def hardy_ramanujan_tail(
     pik = {p.N: np.pad(p.pik, (0, k_max + 1 - len(p.pik))) for p in profiles}
     tail = sum(int(pik[a[k]][k] - pik[2][k] + pik[N][k] - pik[b[k] - 1][k]) for k in ks)
     return tail / N
-
-
-def residue_class_density(profile: OmegaProfile, m: int, r: int) -> float:
-    """|{n <= N : Omega(n) = r mod m}| / N."""
-    if m < 1 or not 0 <= r < m:
-        raise InvalidResidueError(f"residue {r} mod {m} is invalid")
-    ks = np.arange(len(profile.pik))
-    return int(profile.pik[ks % m == r].sum()) / profile.N

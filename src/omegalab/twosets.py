@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .averages import AverageScheme, EKNormalizer, RealTestFunction, _adjusted_pik
+from .averages import AverageScheme, RealTestFunction, _dot, _ek_weights, _values
 from .errors import (
     EmptySetError,
     InvalidPError,
@@ -318,15 +318,9 @@ def tk_discrepancy(B, N: int, scheme: AverageScheme = AverageScheme.CESARO) -> f
 
 def invariance_gap(F: RealTestFunction, a, profile: OmegaProfile) -> float:
     """|E_[N] F(phi(n)) a(Omega(n)) - E_[N] F(phi(n)) a(Omega(n)+1)|."""
-    norm = EKNormalizer(profile.N)
-    pik = _adjusted_pik(profile)
-    fvals = np.array([F(norm.normalize(k)) for k in range(len(pik))])
-    a0 = np.array([complex(a(k)) for k in range(len(pik))])
-    a1 = np.array([complex(a(k + 1)) for k in range(len(pik))])
-    diff = math.fsum(pik * fvals * (a0.real - a1.real)), math.fsum(
-        pik * fvals * (a0.imag - a1.imag)
-    )
-    return abs(complex(*diff)) / profile.N
+    weights = _ek_weights(F, profile)
+    step = _values(a, profile.k_max) - _values(lambda k: a(k + 1), profile.k_max)
+    return abs(_dot(weights, step)) / profile.N
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .averages import _dot
 from .errors import InvalidRangeError, RangeTooLargeError, WindowRangeError, require_finite
 from .sieve import OmegaProfile
 
@@ -154,9 +155,7 @@ def tn_operator(indicator, window: GaussianWindowSpec) -> float:
     the int64 array of the window's k, and returns an array of truth values
     (or one value, broadcast over the window).
     """
-    ks = window.ks()
-    hits = np.broadcast_to(np.asarray(indicator(ks), dtype=bool), ks.shape)
-    return math.fsum(gaussian_weights(window).weights * hits)
+    return extrapolated_average(lambda ks: np.asarray(indicator(ks), dtype=bool), window).real
 
 
 def extrapolated_average(a, window: GaussianWindowSpec) -> complex:
@@ -165,15 +164,11 @@ def extrapolated_average(a, window: GaussianWindowSpec) -> complex:
     Interpreted as the approximate value of (1/N) sum a(Omega(n)) at the
     virtual N with the window's log log N; needs no sieve data.  a is called
     once, on the int64 array of the window's k, and returns an array of
-    values (or one value, broadcast over the window).  fsum rounds the exact
-    sum of the products, so the result does not depend on their order.
+    values (or one value, broadcast over the window).
     """
     ks = window.ks()
     values = np.broadcast_to(a(ks), ks.shape)
-    w = gaussian_weights(window).weights
-    re = math.fsum(w * values.real)
-    im = math.fsum(w * values.imag) if np.iscomplexobj(values) else 0.0
-    return complex(re, im)
+    return _dot(gaussian_weights(window).weights, values)
 
 
 @dataclass(frozen=True)

@@ -105,7 +105,7 @@ def hardy_ramanujan_tail_oracle(N: int, C: float) -> float:
     sd_n = math.sqrt(math.log(math.log(N)))
     tail = 0
     for lo, hi in segment_spans(N):
-        counts = sieve_segment(lo, hi).counts
+        counts = sieve_segment(lo, hi)
         ns = np.arange(lo, hi, dtype=np.float64)
         mask = ns >= 3  # log log n undefined/negative below 3
         loglog = np.zeros_like(ns)
@@ -143,6 +143,73 @@ def tn_operator_oracle(indicator, window: GaussianWindowSpec) -> float:
             for k, w in zip(window.ks(), wv.weights)
         )
     )
+
+
+# The reductions along Omega as they were written before every one went
+# through averages._dot: integer sums of pi_k, and fsums written out per site.
+
+
+def residue_class_density_by_count(profile, m: int, r: int) -> float:
+    """|{n <= N : Omega(n) = r mod m}| / N, by an integer sum of pi_k."""
+    ks = np.arange(len(profile.pik))
+    return int(profile.pik[ks % m == r].sum()) / profile.N
+
+
+def block_average_by_count(seq, profile) -> float:
+    """(1/N) sum seq(Omega(n)) for a 0/1 block sequence, by an integer sum of pi_k."""
+    inside = seq(np.arange(profile.k_max + 1, dtype=np.int64)).astype(bool)
+    return int(profile.pik[inside].sum()) / profile.N
+
+
+def _phi_weights(F, profile) -> np.ndarray:
+    """pi_k F((k - L) / sqrt(L)), L = log log N, with n = 1 and n = 2 removed."""
+    pik = profile.pik.astype(np.float64).copy()
+    pik[0] -= 1
+    if profile.N >= 2:
+        pik[1] -= 1
+    mean = math.log(math.log(profile.N))
+    return pik * np.array([F((k - mean) / math.sqrt(mean)) for k in range(len(pik))])
+
+
+def ek_weighted_average_fsum(F, profile) -> float:
+    """(1/N) sum F(phi(n)) by one fsum of the phi-weights."""
+    return float(math.fsum(_phi_weights(F, profile))) / profile.N
+
+
+def correlation_sum_two_fsums(F, orbit, profile) -> complex:
+    """(1/N) sum F(phi(n)) g(T^{Omega(n)} x), one fsum per part."""
+    weights = _phi_weights(F, profile)
+    values = np.array([orbit.value_at(k) for k in range(len(weights))], dtype=complex)
+    re, im = math.fsum(weights * values.real), math.fsum(weights * values.imag)
+    return complex(re, im) / profile.N
+
+
+def invariance_gap_two_fsums(F, a, profile) -> float:
+    """|(1/N) sum F(phi(n)) (a(Omega(n)) - a(Omega(n) + 1))|, one fsum per part."""
+    weights = _phi_weights(F, profile)
+    a0 = np.array([complex(a(k)) for k in range(len(weights))])
+    a1 = np.array([complex(a(k + 1)) for k in range(len(weights))])
+    re = math.fsum(weights * (a0.real - a1.real))
+    im = math.fsum(weights * (a0.imag - a1.imag))
+    return abs(complex(re, im)) / profile.N
+
+
+def extrapolated_average_by_parts(a, window: GaussianWindowSpec) -> complex:
+    """sum_k w_k a(k), a called once on the window; one fsum per part, none
+    for the imaginary part of a real array."""
+    ks = window.ks()
+    values = np.broadcast_to(a(ks), ks.shape)
+    w = gaussian_weights(window).weights
+    re = math.fsum(w * values.real)
+    im = math.fsum(w * values.imag) if np.iscomplexobj(values) else 0.0
+    return complex(re, im)
+
+
+def tn_operator_fsum(indicator, window: GaussianWindowSpec) -> float:
+    """sum_k w_k indicator(k), indicator called once on the window, by one fsum."""
+    ks = window.ks()
+    hits = np.broadcast_to(np.asarray(indicator(ks), dtype=bool), ks.shape)
+    return math.fsum(gaussian_weights(window).weights * hits)
 
 
 def oscillation_profile_oracle(blocks, checkpoints, C: float = 3.0) -> list:

@@ -51,7 +51,7 @@ def test_01_sieve_matches_trial_division_to_1e6(omega_to_1e6):
     start = time.monotonic()
     for lo, hi in segment_spans(10**6):
         seg = sieve_segment(lo, hi + 1)
-        assert np.array_equal(seg.counts.astype(np.int64), omega_to_1e6[lo - 1 : hi])
+        assert np.array_equal(seg.astype(np.int64), omega_to_1e6[lo - 1 : hi])
     assert time.monotonic() - start < 30.0
 
 

@@ -1,13 +1,19 @@
+import ast
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 
+import omegalab
 from omegalab import liouville, omega_oracle, omega_profile, residue_class_density
 from omegalab.averages import (
     AverageScheme,
     EKNormalizer,
+    RealTestFunction,
+    _dot,
     average,
     average_along_omega,
     correlation_sum,
@@ -22,8 +28,10 @@ from omegalab.averages import (
     smoothed_indicator,
     weyl_sum,
 )
+from omegalab.counterexample import BlockSequence, average_along_omega_blocks, erdos_blocks
 from omegalab.dynamics import (
     exponential_orbit,
+    parse_system,
     residue_indicator_orbit,
     rotation_two_points_liouville,
 )
@@ -32,7 +40,11 @@ from omegalab.errors import (
     EmptySetError,
     InvalidPError,
     InvalidRangeError,
+    InvalidResidueError,
 )
+
+from omegalab.twosets import invariance_gap
+from omegalab.weights import GaussianWindowSpec, extrapolated_average, tn_operator
 
 GRID = [-3 + 0.25 * i for i in range(25)]
 
@@ -106,6 +118,20 @@ def test_weyl_sum_rational_identity(profile_1e4):
             for r in range(q)
         )
         assert abs(direct - via_density) < 1e-12
+
+
+def test_residue_density_examples(profile_1e4):
+    # n <= 10 with even Omega: 1, 4, 6, 9, 10
+    assert residue_class_density(omega_profile(10), 2, 0) == 0.5
+    dens = [residue_class_density(profile_1e4, 3, r) for r in range(3)]
+    assert math.isclose(sum(dens), 1.0, rel_tol=1e-12)
+
+
+def test_residue_density_errors():
+    with pytest.raises(InvalidResidueError):
+        residue_class_density(omega_profile(100), 3, 3)
+    with pytest.raises(InvalidRangeError):
+        residue_class_density(omega_profile(0), 3, 1)
 
 
 def test_ek_normalizer():
@@ -260,3 +286,100 @@ def test_smoothed_indicator_shape():
     assert F(2.0) == 0.0
     with pytest.raises(InvalidRangeError):
         smoothed_indicator(-1, 1, 0.0)
+
+
+def test_reductions_match_the_formulas_they_replaced(profile_1e4, profile_1e6):
+    """Every average along Omega, bit for bit (by repr) against its pre-_dot formula."""
+    tests = [smoothed_indicator(-1, 1, 0.5), interval_indicator(-0.5, 2.0),
+             RealTestFunction(lambda x: -x, -3.0, 3.0, 3.0)]  # negative: signed zeros
+    orbits = [rotation_two_points_liouville(), residue_indicator_orbit(3, 1),
+              exponential_orbit(0.3), parse_system("circle:alpha=0.618")]
+    arith = [lambda k: (-1) ** k, lambda k: 0.5, lambda k: cmath.exp(0.7j * k)]
+    blocks = [erdos_blocks(3), BlockSequence(((0, 0),)), BlockSequence(((2, 5), (9, 30)))]
+    for prof in (omega_profile(3), omega_profile(10), profile_1e4, profile_1e6):
+        for m in (1, 2, 3, 7, 40):
+            for r in {0, 1 % m, m - 1}:
+                assert repr(residue_class_density(prof, m, r)) == repr(
+                    oracles.residue_class_density_by_count(prof, m, r))
+        for seq in blocks:
+            assert repr(average_along_omega_blocks(seq, prof)) == repr(
+                oracles.block_average_by_count(seq, prof))
+        for F in tests:
+            assert repr(ek_weighted_average(F, prof)) == repr(
+                oracles.ek_weighted_average_fsum(F, prof))
+            for orbit in orbits:
+                assert repr(correlation_sum(F, orbit, prof)) == repr(
+                    oracles.correlation_sum_two_fsums(F, orbit, prof))
+            for a in arith:
+                assert repr(invariance_gap(F, a, prof)) == repr(
+                    oracles.invariance_gap_two_fsums(F, a, prof))
+    values = [erdos_blocks(18), lambda ks: ks % 3 == 1, lambda ks: np.exp(0.3j * ks),
+              lambda ks: 1.0, lambda ks: (ks % 5) - 2.5]
+    indicators = [lambda ks: ks % 3 == 1, lambda ks: True, lambda ks: ks % 2]
+    for loglogn in (2.5, 27.0, 1e4, 1e6):
+        window = GaussianWindowSpec(loglogn=loglogn)
+        for a in values:
+            assert repr(extrapolated_average(a, window)) == repr(
+                oracles.extrapolated_average_by_parts(a, window))
+        for indicator in indicators:
+            assert repr(tn_operator(indicator, window)) == repr(
+                oracles.tn_operator_fsum(indicator, window))
+
+
+def test_dot_skips_the_imaginary_fsum_of_a_real_array(monkeypatch):
+    calls = []
+    real_fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda xs: calls.append(1) or real_fsum(xs))
+    weights = np.array([0.5, 0.25, -0.125])
+    assert repr(_dot(weights, np.array([1, 2, 3]))) == repr(complex(0.625, 0.0))
+    assert len(calls) == 1
+    assert repr(_dot(weights, np.array([1, 2j, -1]))) == repr(complex(0.625, 0.5))
+    assert len(calls) == 3
+
+
+def _mentions():
+    """{module.top-level name: every name and .attribute it mentions} in src/omegalab."""
+    found = {}
+    for path in sorted(Path(omegalab.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = found.setdefault(f"{path.stem}.{getattr(top, 'name', '<module>')}", set())
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add("." + node.attr)
+    return found
+
+
+def test_every_average_along_omega_reduces_through_dot():
+    """The averages along Omega reduce through _dot and build no sum of their own;
+    only _ek_weights builds phi-weights, and pi_k and the harmonic masses are
+    read outside sieve.py and averages.py only where a table needs them."""
+    found = _mentions()
+    assert "sieve.residue_class_density" not in found
+    through = {
+        "averages.residue_class_density": "average_along_omega",
+        "counterexample.average_along_omega_blocks": "average_along_omega",
+        "averages.ek_weighted_average": "_dot",
+        "averages.correlation_sum": "_dot",
+        "twosets.invariance_gap": "_dot",
+        "weights.extrapolated_average": "_dot",
+        "weights.tn_operator": "extrapolated_average",
+    }
+    for owner, via in through.items():
+        assert via in found[owner], owner
+        assert not found[owner] & {".fsum", ".sum", "sum", ".pik"}, owner
+
+    def owners(name):
+        return {owner for owner, names in found.items() if name in names}
+
+    assert owners("_ek_weights") == {
+        "averages.ek_weighted_average", "averages.correlation_sum", "twosets.invariance_gap"}
+    assert owners("_adjusted_pik") == {"averages._ek_weights", "averages.ek_report"}
+    assert owners(".normalize") == {"averages._ek_weights", "averages.ek_report"}
+    outside = {"sieve", "averages"}
+    assert {o for o in owners(".pik") if o.split(".")[0] not in outside} == {
+        "cli._cmd_pik", "weights.exact_weights"}
+    # OmegaProfile.harmonic_sum is the profile's own method
+    assert {o for o in owners(".inv_weights") if not o.startswith("averages.")} == {
+        "sieve.OmegaProfile"}

@@ -106,10 +106,9 @@ def test_erdos_kac_grid(capsys):
 
 
 def test_correlate_systems(capsys):
-    code, out = run(
-        capsys, "correlate", "--limit", "10000", "--system", "rot:m=3,r=1", "--quiet"
-    )
-    assert code == EXIT_OK
+    for system in ("rot:m=3,r=1", "rot:m=1000000000000,r=1"):  # no table of m values
+        code, out = run(capsys, "correlate", "--limit", "10000", "--system", system, "--quiet")
+        assert code == EXIT_OK
 
 
 def test_correlate_unknown_system(capsys):
@@ -362,6 +361,23 @@ def test_segment_length_over_the_cap_is_resource_error(capsys):
     assert "segment length" in captured.err
 
 
+def test_segment_count_over_the_cap_is_resource_error(capsys):
+    tracemalloc.start()
+    try:
+        code = main(["pik", "--limit", str(10**10), "--segment-length", "1"])  # no --quiet
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == EXIT_RESOURCE
+    assert captured.out == ""
+    assert captured.err == (
+        f"omegalab: [1, {10**10}] needs {10**10} segments of length 1, over the cap of "
+        f"{sieve.MAX_SEGMENTS}; use a longer segment length\n"
+    )
+    assert peak < 10**6  # 10^10 span tuples were not built
+
+
 def test_invariance(capsys):
     code, out = run(capsys, "invariance", "--limit", "10000", "--a", "parity", "--quiet")
     assert code == EXIT_OK
@@ -508,6 +524,21 @@ def test_ek_limit_below_three_fails_before_sieving(capsys, monkeypatch, cmd, lim
     assert code == EXIT_USAGE
     assert captured.out == ""
     assert captured.err == "omegalab: EK normalizer needs N >= 3\n"
+
+
+@pytest.mark.parametrize("limit", ["0", "-5"])
+@pytest.mark.parametrize("argv", [
+    ["pik"], ["pnt", "--stride", "decade"], ["weyl", "--beta", "0.5"], ["shifted"],
+    ["counterexample", "--mode", "sieve"],
+])
+def test_limit_below_one_fails_before_the_progress_line(capsys, monkeypatch, argv, limit):
+    monkeypatch.setattr(kernels, "omega_segment", lambda *a, **k: pytest.fail("sieved"))
+    monkeypatch.setattr(sieve, "omega_profiles", lambda *a, **k: pytest.fail("sieved"))
+    code = main([*argv, "--limit", limit])  # no --quiet
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == f"omegalab: --limit must be >= 1, got {limit}\n"
 
 
 @pytest.mark.parametrize(
@@ -721,12 +752,9 @@ def test_every_declared_option_is_read(capsys, tmp_path):
         for argv in argvs:
             args = parser.parse_args([name, *argv, "--quiet"], namespace=RecordingNamespace())
             args._reads.clear()
-            try:
-                header, rows, meta = args.handler(args)
-            except cli._AlreadyEmitted:
-                pass
-            else:
-                cli._emit(args, header, rows, meta)
+            table = args.handler(args)
+            if table is not None:
+                cli._emit(args, *table)
             read |= args._reads
         if declared - read:
             unread[name] = sorted(declared - read)

@@ -27,6 +27,9 @@ def test_residue_indicator_orbit():
     orb = residue_indicator_orbit(3, 1)
     assert [orb.value_at(k) for k in range(6)] == [0, 1, 0, 0, 1, 0]
     assert orb.space_mean == pytest.approx(1 / 3)
+    huge = residue_indicator_orbit(10**12, 5)  # holds no table of 10^12 values
+    assert [huge.value_at(k) for k in (4, 5, 6, 10**12 + 5)] == [0, 1, 0, 1]
+    assert huge.space_mean == 1e-12
 
 
 def test_finite_rotation_validation():

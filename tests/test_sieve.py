@@ -22,13 +22,11 @@ from omegalab import (
     omega_profile,
     omega_profiles,
     pi_k_histogram,
-    residue_class_density,
     sieve_segment,
 )
 from omegalab.errors import (
     CacheWriteError,
     InvalidRangeError,
-    InvalidResidueError,
     RangeTooLargeError,
 )
 from omegalab.kernels import (
@@ -42,8 +40,10 @@ from omegalab.kernels import (
 )
 from omegalab.sieve import (
     CACHE_MAGIC,
+    DEFAULT_SEGMENT_LENGTH,
     HARD_LIMIT,
     MAX_OMEGA,
+    MAX_SEGMENTS,
     PROFILE_FILE_SIZE,
     RECORD_DTYPE,
     REDUCE_BLOCK,
@@ -61,7 +61,7 @@ from omegalab.sieve import (
 
 def test_first_ten_omega_values():
     seg = sieve_segment(1, 11)
-    assert list(seg.counts) == [0, 1, 1, 2, 1, 2, 1, 3, 2, 2]
+    assert list(seg) == [0, 1, 1, 2, 1, 2, 1, 3, 2, 2]
 
 
 def test_omega_oracle_small():
@@ -100,7 +100,7 @@ def test_base_primes_matches_eratosthenes():
 def test_sieve_matches_trial_division_to_one_million(omega_to_1e6):
     for lo, hi in segment_spans(10**6, 1 << 18):
         seg = sieve_segment(lo, hi + 1)
-        assert np.array_equal(seg.counts.astype(np.int64), omega_to_1e6[lo - 1 : hi])
+        assert np.array_equal(seg.astype(np.int64), omega_to_1e6[lo - 1 : hi])
 
 
 def assert_kernel_matches_oracle(lo, hi, expected=None):
@@ -212,7 +212,7 @@ def test_kernel_words_match_plain_loop_on_random_long_spans(lo, length):
 
 def assert_chunk_matches_bincount(lo, hi, cuts):
     """_profile_chunk at the span end and at every cut equals one bincount from lo."""
-    counts = sieve_segment(lo, hi).counts
+    counts = sieve_segment(lo, hi)
     weights = 1.0 / np.arange(lo, hi, dtype=np.float64)
     pik, inv, *parts = _profile_chunk((lo, hi), tuple(cuts))
     ends = [n + 1 for n in sorted(cuts)] + [hi]
@@ -262,14 +262,14 @@ def test_pool_starts_at_most_one_process_per_cpu_and_span(serial_pool, monkeypat
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     for workers, n_max, size in ((100_000, 10**4, 4), (3, 10**4, 3), (100_000, 2500, 3)):
         serial_pool.clear()
-        chunks = map_segments(n_max, _profile_chunk, workers, 1000)
+        chunks = map_segments(segment_spans(n_max, 1000), _profile_chunk, workers)
         assert serial_pool == [size]
         serial = [_profile_chunk(span) for span in segment_spans(n_max, 1000)]
         assert [c[1].tobytes() for c in chunks] == [c[1].tobytes() for c in serial]
     serial_pool.clear()
-    map_segments(1000, _profile_chunk, 100_000, 1000)  # one span: no pool
+    map_segments(segment_spans(1000, 1000), _profile_chunk, 100_000)  # one span: no pool
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one process
-    map_segments(10**4, _profile_chunk, 100_000, 1000)
+    map_segments(segment_spans(10**4, 1000), _profile_chunk, 100_000)
     assert serial_pool == []
 
 
@@ -303,20 +303,6 @@ def test_histogram_small_oracle():
     for n in range(1, 101):
         brute[omega_oracle(n)] = brute.get(omega_oracle(n), 0) + 1
     assert hist == brute
-
-
-def test_residue_density_examples(profile_1e4):
-    # n <= 10 with even Omega: 1, 4, 6, 9, 10
-    assert residue_class_density(omega_profile(10), 2, 0) == 0.5
-    dens = [residue_class_density(profile_1e4, 3, r) for r in range(3)]
-    assert math.isclose(sum(dens), 1.0, rel_tol=1e-12)
-
-
-def test_residue_density_errors():
-    with pytest.raises(InvalidResidueError):
-        residue_class_density(omega_profile(100), 3, 3)
-    with pytest.raises(InvalidRangeError):
-        residue_class_density(omega_profile(0), 3, 1)
 
 
 def test_hardy_ramanujan_tail_monotone_in_c():
@@ -401,6 +387,25 @@ def test_only_the_profile_path_sieves():
         ("cli._cmd_sieve", "sieve_segment"),
         ("sieve.omega_profiles", "map_segments"),
     }
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    """The unused-import rule of a linter, for src/omegalab (__init__ only re-exports)."""
+    unused = []
+    for path in sorted(Path(omegalab.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []
 
 
 def test_every_consumer_takes_a_profile():
@@ -558,6 +563,17 @@ def test_segment_spans_rejects_nonpositive_length():
             segment_spans(10, bad)
         with pytest.raises(InvalidRangeError):
             omega_profile(10, segment_length=bad)
+
+
+def test_segment_span_cap_is_exact():
+    assert len(segment_spans(HARD_LIMIT)) == -(-HARD_LIMIT // DEFAULT_SEGMENT_LENGTH) == 2385
+    assert len(segment_spans(MAX_SEGMENTS, 1)) == MAX_SEGMENTS
+    assert len(segment_spans(10 * MAX_SEGMENTS, 10)) == MAX_SEGMENTS
+    for n_max, length in ((MAX_SEGMENTS + 1, 1), (10 * MAX_SEGMENTS + 1, 10), (HARD_LIMIT, 1)):
+        with pytest.raises(RangeTooLargeError, match="over the cap"):
+            segment_spans(n_max, length)
+        with pytest.raises(RangeTooLargeError, match="over the cap"):
+            omega_profile(n_max, segment_length=length)
 
 
 def test_profile_worker_counts_agree_at_1e6(profile_1e6):
