@@ -3,7 +3,9 @@
 This is the segmented Omega/Liouville sieve of Borwein, Ferguson and
 Mossinghoff ("Sign changes in sums of the Liouville function", Math. Comp.
 77 (2008)), with both per-integer quantities it needs packed into a single
-uint32 accumulator so that each prime power costs one strided pass.
+uint16 accumulator (a 6-bit small-prime count below a 10-bit log field of
+LOG_SCALE = 30 units per bit of log2) so that each prime power costs one
+strided pass.
 
 Two steps from segmented prime sieves (Oliveira e Silva's, and Walisch's
 primesieve) cut the memory traffic of those passes:
@@ -14,9 +16,9 @@ primesieve) cut the memory traffic of those passes:
   instead of zeros; the strided passes for 2, 3, 5, 7 and 11 then start at
   16, 27, 25, 49 and 121.
 - Cache blocking.  The remaining prime powers below BLOCKED_BELOW run over
-  sub-blocks of SUB_BLOCK integers (1 MB of uint32, which stays in a 2 MiB
+  sub-blocks of SUB_BLOCK integers (1 MB of uint16, which stays in a 2 MiB
   L2) instead of streaming the whole segment once per power.  Powers from
-  BLOCKED_BELOW up make at most SUB_BLOCK / BLOCKED_BELOW = 256 hits per
+  BLOCKED_BELOW up make at most SUB_BLOCK / BLOCKED_BELOW = 512 hits per
   sub-block, too few to pay for a numpy call per sub-block, so they run
   over the whole segment.
 
@@ -28,15 +30,17 @@ from functools import lru_cache
 
 import numpy as np
 
-# acc = (scaled log2 of the smooth part << COUNT_BITS) | small-prime count
+# acc = (scaled log2 of the smooth part << COUNT_BITS) | small-prime count:
+# a 6-bit count below a 10-bit log field (omega_segment proves both fit)
+WORD = np.uint16
 COUNT_BITS = 6
 COUNT_MASK = (1 << COUNT_BITS) - 1
-LOG_SCALE = 1 << 20  # units per bit of log2
+LOG_SCALE = 30  # units per bit of log2
 
 PATTERN_POWERS = {2: 8, 3: 9, 5: 5, 7: 7, 11: 11}  # prime: largest power in the pattern
 PATTERN_PERIOD = math.prod(PATTERN_POWERS.values())  # 27720
 PATTERN_MIN_HI = max(PATTERN_POWERS) ** 2 + 1  # from here every pattern prime has p*p < hi
-SUB_BLOCK = 1 << 18
+SUB_BLOCK = 1 << 19
 BLOCKED_BELOW = 1024
 
 
@@ -45,15 +49,15 @@ def active_backend() -> str:
     return "numpy"
 
 
-def _step(p: int) -> np.uint32:
+def _step(p: int) -> np.uint16:
     """The packed word one hit of a power of p adds."""
-    return np.uint32((round(LOG_SCALE * math.log2(p)) << COUNT_BITS) | 1)
+    return WORD((round(LOG_SCALE * math.log2(p)) << COUNT_BITS) | 1)
 
 
 @lru_cache(maxsize=1)
 def _pattern() -> np.ndarray:
     """pattern[i]: the summed steps of the pattern powers dividing i (read-only)."""
-    pattern = np.zeros(PATTERN_PERIOD, dtype=np.uint32)
+    pattern = np.zeros(PATTERN_PERIOD, dtype=WORD)
     for p, top in PATTERN_POWERS.items():
         q = p
         while q <= top:
@@ -65,7 +69,7 @@ def _pattern() -> np.ndarray:
 
 def _presieved(lo: int, n: int) -> np.ndarray:
     """acc[i] = pattern[(lo + i) % PATTERN_PERIOD] for 0 <= i < n."""
-    acc = np.empty(n, dtype=np.uint32)
+    acc = np.empty(n, dtype=WORD)
     pattern = _pattern()
     start = lo % PATTERN_PERIOD
     rotated = np.concatenate((pattern[start:], pattern[:start]))
@@ -86,7 +90,7 @@ def _accumulate(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     ``(round(LOG_SCALE * log2 p) << COUNT_BITS) | 1``.  See omega_segment
     for what the two fields of a word mean.
 
-    Every word is the same uint32 sum whether or not the segment is
+    Every word is the same uint16 sum whether or not the segment is
     pre-sieved or blocked: the pattern holds exactly the steps of the
     pattern powers dividing n, and those powers are then left out of the
     strided passes; blocking only reorders the additions to a word.
@@ -101,7 +105,7 @@ def _accumulate(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
         acc = _presieved(lo, n)
         skip = PATTERN_POWERS
     else:
-        acc = np.zeros(n, dtype=np.uint32)
+        acc = np.zeros(n, dtype=WORD)
         skip = {}
     blocked = []
     for p in primes:
@@ -131,37 +135,43 @@ def omega_segment(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     Each hit of a prime power q = p**j on n adds the constant
     ``(round(LOG_SCALE * log2 p) << COUNT_BITS) | 1`` to ``acc[n - lo]``
     (_accumulate).  After all primes with p*p < hi, the low COUNT_BITS bits
-    hold the number of small prime factors of n with multiplicity, and the
+    hold the number h of small prime factors of n with multiplicity, and the
     high bits hold LOG_SCALE * log2 f up to rounding, where f is the smooth
-    part of n (the product of the small prime powers found).
+    part of n (the product of the small prime powers found).  Each hit
+    rounds by at most 1/2 unit, so the field is within h/2 units of
+    LOG_SCALE * log2 f, and h <= Omega(n) <= log2 n.
 
-    No overflow.  For n <= HARD_LIMIT = 10**10, Omega(n) <= 33 < 2**6, so
-    the count never carries into the log field.  Each hit rounds by at most
-    1/2 unit, so the log field is within 33/2 < 17 units of
-    LOG_SCALE * log2 f <= 2**20 * log2(10**10) < 3.5e7 < 2**26, and the
-    whole word stays below 2**32.  Every partial sum of a word's steps is
-    below its full sum, so no order of the additions overflows either.
+    No overflow.  For n <= HARD_LIMIT = 10**10, h <= 33 < 2**6, so the
+    count never carries into the log field, and the field is at most
+    30 * log2(10**10) + 33/2 <= 1014 < 2**10: the whole word stays below
+    2**16.  Every partial sum of a word's steps is below its full sum, so
+    no order of the additions overflows either.
 
     Exactness.  Every prime p with p*p < hi is sieved, so the cofactor n/f
     has only prime factors q with q*q >= hi > n; two of them would exceed
     n, so the cofactor is 1 or a single prime q > sqrt(n).  Either f = n
-    (add nothing), or f = n/q < sqrt(n) (add one).  In log units:
+    (add nothing), or f = n/q < sqrt(n) (add one).  In log units, with
+    h/2 <= 33/2:
 
-    - no cofactor:  field >= LOG_SCALE * log2 n - 17;
-    - one cofactor: field <  LOG_SCALE * log2 n / 2 + 17.
+    - no cofactor:  field >= LOG_SCALE * log2 n - 33/2;
+    - one cofactor: field <  LOG_SCALE * log2 n / 2 + 33/2.
 
-    On [m, hi) with m = max(lo, 2*isqrt(hi) + 2) >= 2*sqrt(hi), the
+    On [m, hi) with m = max(lo, 4*isqrt(hi) + 4) > 4*sqrt(hi), the
     segment-wide threshold T = LOG_SCALE * (log2 m + log2(hi)/2) / 2 lies
-    LOG_SCALE * log2(m / sqrt(hi)) / 2 >= 2**19 units from both cases'
-    bounds, far above the 17-unit rounding error.  On the prefix
-    [lo, m), which only a segment starting below 2*sqrt(hi) has, the
-    per-element threshold LOG_SCALE * 0.75 * log2 n is LOG_SCALE *
-    log2(n) / 4 >= 2**18 units from both bounds for n >= 2; n = 1 has
-    field 0 = threshold and gets nothing.  The comparison is strict:
-    a cofactor is counted iff field < threshold.
+    LOG_SCALE * log2(m / sqrt(hi)) / 2 > 15 * log2 4 = 30 units from both
+    cases' bounds (log2 n >= log2 m and log2 n < log2 hi), above the
+    33/2-unit rounding plus the 1 unit that t = int(T) truncates: a word
+    with no cofactor has field > T + 30 - 33/2 > t, and one with a
+    cofactor field < T - 30 + 33/2 < t.  On the prefix [lo, m), which only
+    a segment starting below 4*sqrt(hi) + 4 has, the per-element threshold
+    LOG_SCALE * 0.75 * log2 n = 22.5 * log2 n is 7.5 * log2 n units from
+    both bounds before rounding, and h/2 <= log2(n)/2 leaves a gap of
+    7 * log2 n >= 7 units for n >= 2; n = 1 has field 0 = threshold and
+    gets nothing.  The comparison is strict: a cofactor is counted iff
+    field < threshold.
     """
     acc = _accumulate(lo, hi, primes)
-    m = min(max(lo, 2 * math.isqrt(hi) + 2), hi)
+    m = min(max(lo, 4 * math.isqrt(hi) + 4), hi)
     counts = acc.astype(np.uint8)  # keeps the low 8 bits
     counts &= COUNT_MASK
     if m > lo:
@@ -172,5 +182,7 @@ def omega_segment(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     if hi > m:
         t = int(LOG_SCALE * (math.log2(m) + 0.5 * math.log2(hi)) / 2)
         # acc < t << COUNT_BITS iff field < t, as the count is < 2**COUNT_BITS
-        counts[m - lo :] += acc[m - lo :] < np.uint32(t << COUNT_BITS)
+        threshold = WORD(t << COUNT_BITS)
+        for b in range(m - lo, hi - lo, SUB_BLOCK):
+            counts[b : b + SUB_BLOCK] += acc[b : b + SUB_BLOCK] < threshold
     return counts

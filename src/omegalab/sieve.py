@@ -29,7 +29,7 @@ from .errors import (
 # Omega(n) <= log2(n) < 64 for every feasible n, so one byte per integer.
 MAX_OMEGA = 64
 DEFAULT_SEGMENT_LENGTH = 1 << 22
-MAX_SEGMENT_LENGTH = 1 << 24  # the kernel holds about 6 B per integer: 100 MB
+MAX_SEGMENT_LENGTH = 1 << 24  # sieve_segment peaks at 3.03 B per integer: 48.5 MB (tracemalloc)
 REDUCE_BLOCK = 1 << 16  # integers per pi_k/harmonic reduction step
 HARD_LIMIT = 10**10
 MAX_SEGMENTS = 10**5  # spans of one pass; the default length needs 2385 at HARD_LIMIT
@@ -71,12 +71,21 @@ def _check_workers(workers: int) -> None:
         raise InvalidRangeError(f"workers must be >= 1, got {workers}")
 
 
+def sieving_primes(hi: int) -> np.ndarray:
+    """Every prime p with p*p < hi, and maybe more: the kernel stops at the first p*p >= hi.
+
+    base_primes of the power of two at or above isqrt(hi - 1), so that the
+    segments of a pass share a few cached sieves instead of one each.
+    """
+    return base_primes(1 << (math.isqrt(max(hi - 1, 1)) - 1).bit_length())
+
+
 def sieve_segment(lo: int, hi: int) -> np.ndarray:
     """Exact Omega(n) for lo <= n < hi via the segmented sieve: uint8, [i] = Omega(lo + i)."""
     if lo >= hi or lo < 1:
         raise InvalidRangeError(f"invalid range [{lo}, {hi})")
     _check_limit(hi)
-    return kernels.omega_segment(lo, hi, base_primes(math.isqrt(max(hi - 1, 1))))
+    return kernels.omega_segment(lo, hi, sieving_primes(hi))
 
 
 def omega_oracle(n: int) -> int:

@@ -23,7 +23,7 @@ from .errors import (
     RangeTooLargeError,
     SearchExhaustedError,
 )
-from .sieve import OmegaProfile, _check_limit, base_primes, omega_oracle
+from .sieve import OmegaProfile, _check_limit, base_primes, omega_oracle, sieving_primes
 from .sieve import segment_spans
 
 MAX_SET_SIZE = 50_000  # caps |B1| = |B2|, and so the search's time and output
@@ -75,7 +75,7 @@ def _omega_of(elems) -> np.ndarray:
         a, b = np.searchsorted(values, [lo, hi]).tolist()
         if a < b:
             first, last = int(values[a]), int(values[b - 1])
-            counts = kernels.omega_segment(first, last + 1, base_primes(math.isqrt(last)))
+            counts = kernels.omega_segment(first, last + 1, sieving_primes(last + 1))
             omega[a:b] = counts[values[a:b] - first]
     return omega[where]
 
@@ -172,20 +172,15 @@ def _almost_primes_2(limit: int, primes: np.ndarray) -> np.ndarray:
     of limit // 2 or of any larger limit); only that part of it is read.
     """
     primes = primes[: np.searchsorted(primes, limit // 2, side="right")]
-    rows = []
-    for p in primes:
-        p = int(p)
-        if p * p > limit:
-            break
-        hi = np.searchsorted(primes, limit // p, side="right")
-        lo = np.searchsorted(primes, p, side="left")
-        qs = primes[lo:hi]
-        if len(qs):
-            rows.append(np.stack([p * qs, np.full(len(qs), p, dtype=np.int64), qs]))
-    if not rows:
-        return np.empty((0, 3), dtype=np.int64)
-    table = np.concatenate(rows, axis=1).T
-    return table[np.argsort(table[:, 0], kind="stable")]
+    small = primes[: np.searchsorted(primes, math.isqrt(limit), side="right")]
+    starts = np.arange(len(small))  # the q of p = primes[i] run from primes[i] on
+    lengths = np.searchsorted(primes, limit // small, side="right") - starts
+    ps = np.repeat(small, lengths)
+    shift = np.cumsum(lengths) - lengths - starts  # first row of each p, less its start
+    qs = primes[np.arange(len(ps)) - np.repeat(shift, lengths)]
+    ms = ps * qs
+    order = np.argsort(ms)  # the m are distinct (unique factorisation): no ties to keep
+    return np.stack((ms[order], ps[order], qs[order]), axis=1)
 
 
 def _almost_primes_2_harmonic(limit: int, primes: np.ndarray, inv: np.ndarray) -> float:

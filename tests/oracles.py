@@ -332,6 +332,26 @@ class IncrementalCoupling:
         return (self.prime_part + self.self_part) / (self.harmonic * self.harmonic)
 
 
+def almost_primes_2_by_rows(limit: int, primes: np.ndarray) -> np.ndarray:
+    """All (m, p, q) with m = p*q <= limit, p <= q prime, sorted by m: one
+    row block per prime p, then a stable sort of the stacked table."""
+    primes = primes[: np.searchsorted(primes, limit // 2, side="right")]
+    rows = []
+    for p in primes:
+        p = int(p)
+        if p * p > limit:
+            break
+        hi = np.searchsorted(primes, limit // p, side="right")
+        lo = np.searchsorted(primes, p, side="left")
+        qs = primes[lo:hi]
+        if len(qs):
+            rows.append(np.stack([p * qs, np.full(len(qs), p, dtype=np.int64), qs]))
+    if not rows:
+        return np.empty((0, 3), dtype=np.int64)
+    table = np.concatenate(rows, axis=1).T
+    return table[np.argsort(table[:, 0], kind="stable")]
+
+
 def _products(primes: list[int], i: int, end: int):
     """(p * q, p, q) for p = primes[i] and q = primes[i], ..., primes[end - 1]."""
     p = primes[i]

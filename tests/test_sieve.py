@@ -35,6 +35,7 @@ from omegalab.kernels import (
     PATTERN_MIN_HI,
     PATTERN_PERIOD,
     SUB_BLOCK,
+    WORD,
     _accumulate,
     omega_segment,
 )
@@ -103,6 +104,16 @@ def test_sieve_matches_trial_division_to_one_million(omega_to_1e6):
         assert np.array_equal(seg.astype(np.int64), omega_to_1e6[lo - 1 : hi])
 
 
+def test_a_pass_sieves_its_base_primes_once_per_power_of_two(profile_1e8):
+    base_primes.cache_clear()
+    profile = omega_profile(10**8)
+    # the 24 spans ask for the primes up to 2**11, 2**12, 2**13 or 2**14
+    assert base_primes.cache_info().misses <= 4
+    assert profile.pik[1:3].tolist() == [5_761_455, 17_427_258]  # published
+    assert profile.pik.tobytes() == profile_1e8.pik.tobytes()
+    assert profile.inv_weights.tobytes() == profile_1e8.inv_weights.tobytes()
+
+
 def assert_kernel_matches_oracle(lo, hi, expected=None):
     """The kernel on [lo, hi) against expected, by default bulk_omega_oracle(lo, hi)."""
     counts = omega_segment(lo, hi, base_primes(math.isqrt(hi - 1)))
@@ -120,8 +131,11 @@ def assert_kernel_matches_oracle(lo, hi, expected=None):
         (1, 1 << 12),
         (1, 1000),
         (10**6 - 17, 10**6 + 500),
-        # lo just below 2 * sqrt(hi): a short prefix with per-element thresholds
+        # lo below the threshold start m = 4 * isqrt(hi) + 4: a prefix with
+        # per-element thresholds; then lo one below, at and one above m
         (2 * math.isqrt(10**6) - 5, 10**6),
+        (4 * math.isqrt(10**6) - 5, 10**6),
+        *((4 * math.isqrt(10**6) + 4 + d, 10**6) for d in (-1, 0, 1)),
         (2**31 - 2**12, 2**31 + 2**12),
         (2**32 - 2**12, 2**32 + 2**12),
         (HARD_LIMIT - 2**14, HARD_LIMIT + 1),
@@ -138,15 +152,16 @@ def test_kernel_random_spans_match_oracle(lo, length):
     assert_kernel_matches_oracle(lo, min(lo + length, HARD_LIMIT + 1))
 
 
-def plain_accumulate(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
-    """The kernel's words by one strided pass per prime power over the whole
-    span, from zeros: the loop without pre-sieving or blocking."""
-    acc = np.zeros(hi - lo, dtype=np.uint32)
+def plain_accumulate(lo: int, hi: int, primes: np.ndarray, dtype) -> np.ndarray:
+    """The kernel's words, summed in dtype, by one strided pass per prime
+    power over the whole span, from zeros: the loop without pre-sieving or
+    blocking."""
+    acc = np.zeros(hi - lo, dtype=dtype)
     for p in primes:
         p = int(p)
         if p * p >= hi:
             break
-        step = np.uint32((round(LOG_SCALE * math.log2(p)) << COUNT_BITS) | 1)
+        step = dtype((round(LOG_SCALE * math.log2(p)) << COUNT_BITS) | 1)
         q = p
         while True:
             acc[(-lo) % q :: q] += step
@@ -159,8 +174,31 @@ def plain_accumulate(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
 def assert_words_match_plain_loop(lo, hi):
     primes = base_primes(math.isqrt(hi - 1))
     acc = _accumulate(lo, hi, primes)
-    assert acc.dtype == np.uint32
-    assert np.array_equal(acc, plain_accumulate(lo, hi, primes))
+    assert acc.dtype == WORD
+    assert np.array_equal(acc, plain_accumulate(lo, hi, primes, WORD))
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (2**33, 2**33 + 1),  # Omega = 33, the most below HARD_LIMIT
+        (3**20, 3**20 + 1),  # 20 steps of 3, each rounded up by 0.45 unit
+        (2 * 3**20, 2 * 3**20 + 1),
+        (HARD_LIMIT - 2**12, HARD_LIMIT + 1),
+    ],
+)
+def test_uint16_words_hold_the_extreme_n(lo, hi):
+    # the count field holds Omega(n) <= log2(HARD_LIMIT), and the log field
+    # its bound from the constants: 33 halves of rounding round up to 17
+    assert math.floor(math.log2(HARD_LIMIT)) < 2**COUNT_BITS
+    assert round(LOG_SCALE * math.log2(HARD_LIMIT)) + 17 < 2 ** (16 - COUNT_BITS)
+    primes = base_primes(math.isqrt(hi - 1))
+    acc = _accumulate(lo, hi, primes)
+    assert acc.dtype == np.uint16
+    wide = plain_accumulate(lo, hi, primes, np.int64)  # no word can wrap
+    assert wide.max() < 2**16
+    assert np.array_equal(acc.astype(np.int64), wide)
+    assert_kernel_matches_oracle(lo, hi)
 
 
 K_BIG = 10**8 // PATTERN_PERIOD  # a period start just below 10^8

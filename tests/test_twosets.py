@@ -3,6 +3,7 @@ import math
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,7 +33,14 @@ from omegalab.twosets import (
     tk_discrepancy,
 )
 
-from oracles import IncrementalCoupling, coupling, coupling_grouped, phi, two_sets_scan_oracle
+from oracles import (
+    IncrementalCoupling,
+    almost_primes_2_by_rows,
+    coupling,
+    coupling_grouped,
+    phi,
+    two_sets_scan_oracle,
+)
 
 
 def test_phi_hand_values():
@@ -166,6 +174,18 @@ def test_almost_primes_table():
     assert ms == [4, 6, 9, 10, 14, 15, 21, 22, 25, 26]
     for m, p, q in table:
         assert int(p) * int(q) == int(m)
+
+
+@pytest.mark.parametrize("limit", [1, 3, 4, 6, 10, 100, 2**20, 2**22])
+def test_almost_primes_table_matches_the_row_oracle(limit):
+    primes = base_primes(limit // 2)
+    table = _almost_primes_2(limit, primes)
+    expected = almost_primes_2_by_rows(limit, primes)
+    assert table.shape == expected.shape
+    assert table.dtype == expected.dtype == np.int64
+    assert np.array_equal(table, expected)
+    if limit < 4:
+        assert table.shape == (0, 3)
 
 
 @pytest.mark.parametrize("x", [4, 5, 9, 10, 30, 1000, 2**20 + 1])
