@@ -7,12 +7,10 @@ from .averages import (
     EKNormalizer,
     EKReport,
     RealTestFunction,
-    average,
     average_along_omega,
     correlation_sum,
     ek_report,
     ek_weighted_average,
-    interval_indicator,
     log_trick_bound,
     log_trick_discrepancy,
     residue_class_density,
@@ -48,13 +46,11 @@ from .sieve import (
     omega_oracle,
     omega_profile,
     omega_profiles,
-    pi_k_histogram,
     sieve_segment,
 )
 from .twosets import (
     PrimeSetPair,
     construct_pair,
-    dilation_sensitivity,
     invariance_gap,
     tk_discrepancy,
 )

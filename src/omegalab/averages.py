@@ -21,7 +21,6 @@ import numpy as np
 from .dynamics import ObservableOrbit, exponential_orbit, residue_indicator_orbit
 from .errors import (
     DegenerateGridError,
-    EmptySetError,
     InvalidPError,
     InvalidRangeError,
     require_finite,
@@ -33,26 +32,6 @@ from .sieve import OmegaProfile, omega_profiles
 class AverageScheme(Enum):
     CESARO = "cesaro"
     LOGARITHMIC = "logarithmic"
-
-
-def average(f, B, scheme: AverageScheme = AverageScheme.CESARO) -> complex:
-    """Scheme-average of f over the finite set B.
-
-    Cesaro: (1/|B|) sum f(n).  Logarithmic: sum f(n)/n normalized by
-    sum_{n in B} 1/n.
-    """
-    elems = sorted(B)
-    if not elems:
-        raise EmptySetError("averaging set is empty")
-    if scheme is AverageScheme.CESARO:
-        return _fsum_complex(f(n) for n in elems) / len(elems)
-    norm = math.fsum(1.0 / n for n in elems)
-    return _fsum_complex(f(n) / n for n in elems) / norm
-
-
-def _fsum_complex(values) -> complex:
-    pairs = [(complex(v).real, complex(v).imag) for v in values]
-    return complex(math.fsum(re for re, _ in pairs), math.fsum(im for _, im in pairs))
 
 
 def _values(a: Callable[[int], complex], k_max: int) -> np.ndarray:
@@ -139,11 +118,6 @@ class RealTestFunction:
         if x < self.support_lo or x > self.support_hi:
             return 0.0
         return self.fn(x)
-
-
-def interval_indicator(lo: float, hi: float) -> RealTestFunction:
-    """Exact indicator of [lo, hi] (for Erdos-Kac cross-checks)."""
-    return RealTestFunction(fn=lambda x: 1.0, support_lo=lo, support_hi=hi, bound=1.0)
 
 
 def smoothed_indicator(lo: float, hi: float, ramp: float = 1.0) -> RealTestFunction:
@@ -262,14 +236,7 @@ def harmonic_sum(N: int) -> float:
     return total
 
 
-def log_trick_discrepancy(
-    a: Callable[[int], complex],
-    N: int,
-    p: int,
-    *,
-    workers: int = 1,
-    segment_length: int | None = None,
-) -> float:
+def log_trick_discrepancy(a: Callable[[int], complex], N: int, p: int) -> float:
     """|E^log_{[N/p]} a(Omega) - E^log_{[N]} a(Omega)| for a bounded function a of k."""
     if p < 2:
         raise InvalidPError("p must be >= 2")
@@ -277,7 +244,7 @@ def log_trick_discrepancy(
         raise InvalidPError("need N >= p")
     head, full = (
         _scheme_average(prof, _values(a, prof.k_max), AverageScheme.LOGARITHMIC)
-        for prof in omega_profiles([N // p, N], workers, segment_length)
+        for prof in omega_profiles([N // p, N])
     )
     return abs(head - full)
 

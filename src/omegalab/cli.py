@@ -68,7 +68,6 @@ def _output_args(sub, table=True):
 
 def _sieve_args(sub):
     sub.add_argument("--workers", type=int, default=1)
-    sub.add_argument("--segment-length", type=int, default=sieve.DEFAULT_SEGMENT_LENGTH)
 
 
 def _limit_arg(sub):
@@ -86,10 +85,10 @@ def _profiles(args, checkpoints):
         raise InvalidRangeError(f"--limit must be >= 1, got {min(checkpoints)}")
     n = max(checkpoints)
     sieve._check_limit(n + 1)  # before any span list is built
-    spans = sieve.segment_spans(n, args.segment_length)
+    spans = sieve.segment_spans(n)
     _progress(args, f"sieving [1, {n}] in {len(spans)} segments "
                     f"({sieve._pool_size(args.workers, len(spans))} workers)")
-    return sieve.omega_profiles(checkpoints, args.workers, args.segment_length)
+    return sieve.omega_profiles(checkpoints, args.workers)
 
 
 def _profile(args, n):

@@ -10,6 +10,7 @@ computation is paired with Gaussian-weight checkpoints at virtual N.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,7 +18,12 @@ import numpy as np
 
 from .averages import average_along_omega
 from .dynamics import SymbolicOrbit
-from .errors import BlockOverflowError, InvalidIntervalError, InvalidRangeError
+from .errors import (
+    BlockOverflowError,
+    InvalidIntervalError,
+    InvalidRangeError,
+    RangeTooLargeError,
+)
 from .sieve import OmegaProfile
 from .weights import GaussianWindowSpec, extrapolated_average
 
@@ -124,7 +130,7 @@ def genericity_defect(seq: BlockSequence, N: int) -> float:
 
 
 def loglog_interval_count(N: int, lo: float, hi: float) -> int:
-    """Exact count of n in [3, N] with log log n in [lo, hi].
+    """Exact count of n in [3, N] with log log n in [lo, hi], for N <= 10**60.
 
     The boundaries are inverted (n ranges over an integer interval) rather
     than scanned: e^{e^x} is evaluated in extended precision and the cliff
@@ -132,48 +138,48 @@ def loglog_interval_count(N: int, lo: float, hi: float) -> int:
     """
     if N < 3:
         raise InvalidRangeError("N must be >= 3")
+    if N > _FAR:
+        raise RangeTooLargeError(f"N = {N} is over the cap of {_FAR}")
+    if math.isnan(lo) or math.isnan(hi):
+        raise InvalidIntervalError(f"interval [{lo}, {hi}] has a NaN bound")
     if lo >= hi:
         raise InvalidIntervalError("need lo < hi")
-    n_min = max(3, _first_n_with_loglog_at_least(lo))
-    n_max = min(N, _last_n_with_loglog_at_most(hi))
+    n_min = max(3, _first_n_crossing(lo, strict=False))
+    n_max = min(N, _first_n_crossing(hi, strict=True) - 1)
     return max(0, n_max - n_min + 1)
 
 
-_FAR = 10**60  # beyond any sievable N
+_FAR = 10**60  # the largest N counted
+# Neighbouring n <= _FAR differ in log log n by more than 1e-63, and 140
+# digits compute it to within 1e-138; Decimal's ln and exp are correctly rounded.
+_DIGITS = 140
 
 
 def _loglog_cmp(n: int, x: float, strict: bool) -> bool:
-    import mpmath  # only the exact interval count needs it; keeps CLI start-up light
+    # only the exact interval count needs decimal; keeps CLI start-up light
+    from decimal import Decimal, localcontext
 
-    with mpmath.workdps(60):
-        value = mpmath.log(mpmath.log(n))
-        return value > x if strict else value >= x
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        value = Decimal(n).ln().ln()
+        return value > Decimal(x) if strict else value >= Decimal(x)
 
 
 def _first_n_crossing(x: float, strict: bool) -> int:
-    """Smallest n >= 3 with log log n >= x (or > x when strict)."""
-    import mpmath
+    """Smallest n >= 3 with log log n >= x (or > x when strict), or _FAR + 1."""
+    from decimal import Decimal, localcontext
 
-    with mpmath.workdps(60):
-        val = mpmath.exp(mpmath.exp(x))
-        if val > _FAR:
-            return _FAR
-        cand = int(mpmath.floor(val))
+    if not _loglog_cmp(_FAR, x, strict):  # also keeps e^{e^x} inside Decimal's range
+        return _FAR + 1
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        cand = int(Decimal(x).exp().exp())
     n = max(3, cand - 2)
     while not _loglog_cmp(n, x, strict):
         n += 1
     while n > 3 and _loglog_cmp(n - 1, x, strict):
         n -= 1
     return n
-
-
-def _first_n_with_loglog_at_least(x: float) -> int:
-    return _first_n_crossing(x, strict=False)
-
-
-def _last_n_with_loglog_at_most(x: float) -> int:
-    first_above = _first_n_crossing(x, strict=True)
-    return _FAR if first_above >= _FAR else first_above - 1
 
 
 def average_along_omega_blocks(seq: BlockSequence, profile: OmegaProfile) -> float:

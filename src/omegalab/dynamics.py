@@ -57,7 +57,6 @@ class CircleRotation(ObservableOrbit):
 
     The space mean (the integral of g over [0, 1)) must be supplied by the
     caller; this module does not integrate arbitrary callables.
-    continuity_bound is the declared modulus-of-continuity (Lipschitz) bound.
     """
 
     alpha: float
@@ -65,7 +64,6 @@ class CircleRotation(ObservableOrbit):
     g: Callable[[float], complex]
     space_mean: complex
     bound: float
-    continuity_bound: float = math.inf
 
     def __post_init__(self):
         require_finite(alpha=self.alpha, start=self.start)
@@ -179,6 +177,5 @@ def parse_system(spec: str) -> ObservableOrbit:
             g=lambda x: cmath.exp(2j * math.pi * x),
             space_mean=0.0,
             bound=1.0,
-            continuity_bound=2.0 * math.pi,
         )
     raise UnknownSystemError(f"unknown system spec: {spec!r}")

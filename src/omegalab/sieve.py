@@ -382,13 +382,6 @@ def omega_profile(N: int, workers: int = 1, segment_length: int | None = None) -
     return omega_profiles([N], workers, segment_length)[0]
 
 
-def pi_k_histogram(profile: OmegaProfile) -> dict[int, int]:
-    """Exact {k: pi_k(N)} for all k, independent of segmentation and worker count."""
-    if int(profile.pik.sum()) != profile.N:
-        raise InvalidRangeError("pi_k histogram does not partition [N]")
-    return {k: int(v) for k, v in enumerate(profile.pik)}
-
-
 def hardy_ramanujan_tail(
     N: int, C: float, workers: int = 1, segment_length: int | None = None
 ) -> float:

@@ -18,17 +18,16 @@ from . import kernels
 from .averages import AverageScheme, RealTestFunction, _dot, _ek_weights, _values
 from .errors import (
     EmptySetError,
-    InvalidPError,
     InvalidRangeError,
     RangeTooLargeError,
     SearchExhaustedError,
 )
-from .sieve import OmegaProfile, _check_limit, base_primes, omega_oracle, sieving_primes
-from .sieve import segment_spans
+from .sieve import OmegaProfile, _check_limit, base_primes, segment_spans, sieving_primes
 
 MAX_SET_SIZE = 50_000  # caps |B1| = |B2|, and so the search's time and output
 MAX_RHO_INTERVALS = 10**5  # caps the rho-adic intervals of a search or a validation
 MAX_SEARCH_LIMIT = 10**9  # caps the search's base primes, half a byte per integer
+MAX_TK_N = 10**7  # tk_discrepancy peaks at 20 B (Cesaro), 28 B (log) per n: 280 MB (tracemalloc)
 _FIRST_TABLE_LIMIT = 2**20  # the search's 2-almost-prime table starts here and doubles
 
 
@@ -299,6 +298,8 @@ def tk_discrepancy(B, N: int, scheme: AverageScheme = AverageScheme.CESARO) -> f
         raise EmptySetError("tk_discrepancy of an empty set")
     if N < 1:
         raise InvalidRangeError("N must be >= 1")
+    if N > MAX_TK_N:  # before the arrays of N + 1 entries
+        raise RangeTooLargeError(f"tk_discrepancy N = {N} is over the cap of {MAX_TK_N}")
     harmonic = math.fsum(1.0 / m for m in elems)
     divisor_count = np.zeros(N + 1, dtype=np.int32)
     for m in elems:
@@ -316,23 +317,3 @@ def invariance_gap(F: RealTestFunction, a, profile: OmegaProfile) -> float:
     weights = _ek_weights(F, profile)
     step = _values(a, profile.k_max) - _values(lambda k: a(k + 1), profile.k_max)
     return abs(_dot(weights, step)) / profile.N
-
-
-@dataclass(frozen=True)
-class DilationSensitivity:
-    phi_shift: float
-    omega_shift: int
-
-
-def dilation_sensitivity(p: int, N) -> DilationSensitivity:
-    """Contrast of prime dilation: phi moves by 1/sqrt(log log N), Omega by 1.
-
-    Omega(pn) = Omega(n) + 1 by complete additivity, so the max shift of
-    the normalized value over n <= N/p is exactly 1/sqrt(log log N).
-    """
-    if p < 2 or omega_oracle(p) != 1:
-        raise InvalidPError(f"{p} is not prime")
-    loglog = math.log(math.log(N))
-    if loglog <= 0:
-        raise InvalidRangeError("need log log N > 0")
-    return DilationSensitivity(phi_shift=1.0 / math.sqrt(loglog), omega_shift=1)

@@ -130,19 +130,14 @@ def _erdos_weights_at(L: float, window: GaussianWindowSpec) -> WeightVector:
     return WeightVector(k_lo=k_lo, k_hi=k_hi, weights=weights, kind="erdos")
 
 
-def gaussian_weights(
-    window: GaussianWindowSpec, renormalize: bool = False
-) -> WeightVector:
+def gaussian_weights(window: GaussianWindowSpec) -> WeightVector:
     """w_k = (2 pi L)^{-1/2} exp(-(k - L)^2 / (2L)) on the window.
 
-    Raw by default (the averaging-operator convention); ``renormalize``
-    rescales to total mass 1 for distribution-style comparisons.
+    Raw, not rescaled to total mass 1 (the averaging-operator convention).
     """
     L = window.loglogn
     z = (window.ks().astype(np.float64) - L) / math.sqrt(L)
     weights = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi * L)
-    if renormalize:
-        weights = weights / math.fsum(weights)
     return WeightVector(
         k_lo=window.k_lo, k_hi=window.k_hi, weights=weights, kind="gaussian"
     )

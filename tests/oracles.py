@@ -2,9 +2,11 @@
 
 import heapq
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 
+from omegalab.averages import RealTestFunction
 from omegalab.errors import EmptySetError, InvalidRangeError
 from omegalab.sieve import base_primes, segment_spans, sieve_segment
 from omegalab.twosets import _almost_primes_2_harmonic, rho_index
@@ -113,6 +115,61 @@ def hardy_ramanujan_tail_oracle(N: int, C: float) -> float:
         dev = np.abs(counts.astype(np.float64) - loglog)
         tail += int(np.count_nonzero(mask & (dev > C * sd_n)))
     return tail / N
+
+
+def loglog_interval_count_by_exp(N: int, lo: float, hi: float, digits: int = 400) -> int:
+    """Count of n in [3, N] with lo <= log log n <= hi, from e^{e^x} at `digits` digits.
+
+    log log n >= x exactly when n >= e^{e^x}, so the n counted run from
+    ceil(e^{e^lo}) to floor(e^{e^hi}).  Only exp is evaluated, never log,
+    and the floor and ceiling are taken once, with no stepping.  A boundary
+    within 10^(100 - digits) of an integer fails the assertion.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+
+        def boundary(x):  # e^{e^x}, or N + 1 for any that is past N
+            inner = Decimal(x).exp()
+            return Decimal(N + 1) if inner > Decimal(N + 1).ln() else inner.exp()
+
+        a, b = boundary(lo), boundary(hi)
+        for v in (a, b):
+            assert v == N + 1 or abs(v - v.to_integral_value()) > Decimal(10) ** (100 - digits)
+        return max(0, min(N, math.floor(b)) - max(3, math.ceil(a)) + 1)
+
+
+def erfc_by_series(x: float, digits: int = 40) -> float:
+    """erfc(x) = 1 - erf(x), with erf's Maclaurin series summed in Decimal.
+
+    erf(x) = (2 / sqrt(pi)) sum_n (-1)^n x^(2n+1) / (n! (2n + 1)).  The
+    terms and the difference 1 - erf cancel about 2 x^2 / ln 10 digits,
+    which the working precision adds on top of `digits`.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits + int(2 * x * x / math.log(10)) + 20
+        eps = Decimal(10) ** -(ctx.prec + 5)
+
+        def atan_inv(m):  # atan(1/m) by its series
+            total, power, n = Decimal(0), Decimal(1) / m, 0
+            while power > eps:
+                total += (-1) ** n * power / (2 * n + 1)
+                power /= m * m
+                n += 1
+            return total
+
+        pi = 16 * atan_inv(5) - 4 * atan_inv(239)  # Machin's formula
+        x_d = Decimal(x)
+        total, term, n = Decimal(0), x_d, 0  # term = (-1)^n x^(2n+1) / n!
+        while n <= x * x or abs(term) > eps:
+            total += term / (2 * n + 1)
+            n += 1
+            term = -term * x_d * x_d / n
+        return float(1 - 2 * total / pi.sqrt())
+
+
+def interval_indicator(lo: float, hi: float) -> RealTestFunction:
+    """Exact indicator of [lo, hi], the exact-cell counterpart of smoothed_indicator."""
+    return RealTestFunction(fn=lambda x: 1.0, support_lo=lo, support_hi=hi, bound=1.0)
 
 
 def block_scan_oracle(blocks, n: int) -> int:

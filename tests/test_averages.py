@@ -14,14 +14,12 @@ from omegalab.averages import (
     EKNormalizer,
     RealTestFunction,
     _dot,
-    average,
     average_along_omega,
     correlation_sum,
     ek_report,
     ek_weighted_average,
     grid_cells,
     harmonic_sum,
-    interval_indicator,
     log_trick_bound,
     log_trick_discrepancy,
     shifted_omega_average,
@@ -37,7 +35,6 @@ from omegalab.dynamics import (
 )
 from omegalab.errors import (
     DegenerateGridError,
-    EmptySetError,
     InvalidPError,
     InvalidRangeError,
     InvalidResidueError,
@@ -51,21 +48,6 @@ GRID = [-3 + 0.25 * i for i in range(25)]
 
 def brute_liouville_average(N: int) -> float:
     return math.fsum((-1) ** omega_oracle(n) for n in range(1, N + 1)) / N
-
-
-def test_average_scheme_hand_values():
-    assert average(lambda n: 1.0, {5, 7, 9}) == 1.0
-    assert average(lambda n: 1.0, {5, 7, 9}, AverageScheme.LOGARITHMIC) == pytest.approx(
-        1.0, abs=1e-15
-    )
-    # log-average of f(n) = n over {1,2,3}: 3 / (11/6) = 18/11
-    got = average(lambda n: n, {1, 2, 3}, AverageScheme.LOGARITHMIC)
-    assert got.real == pytest.approx(18 / 11, abs=1e-15)
-
-
-def test_average_empty_set():
-    with pytest.raises(EmptySetError):
-        average(lambda n: n, set())
 
 
 def test_liouville_average_small_oracle():
@@ -174,7 +156,7 @@ def test_ek_weighted_average_trivial(profile_1e4):
     zero = smoothed_indicator(-1, 1)
     zero = type(zero)(fn=lambda x: 0.0, support_lo=-2, support_hi=2, bound=0.0)
     assert ek_weighted_average(zero, profile_1e4) == 0.0
-    proxy = interval_indicator(-100, 100)
+    proxy = oracles.interval_indicator(-100, 100)
     assert ek_weighted_average(proxy, profile_1e4) == pytest.approx(
         (N - 2) / N, abs=1e-12
     )
@@ -185,20 +167,20 @@ def test_ek_weighted_average_matches_report_cell(profile_1e6):
     # empirical mass of the two ramp strips
     lo, hi, ramp = -1.0, 1.0, 0.5
     smooth = ek_weighted_average(smoothed_indicator(lo, hi, ramp), profile_1e6)
-    exact = ek_weighted_average(interval_indicator(lo, hi), profile_1e6)
-    strips = ek_weighted_average(interval_indicator(lo - ramp, hi + ramp), profile_1e6) - exact
+    exact = ek_weighted_average(oracles.interval_indicator(lo, hi), profile_1e6)
+    wide = ek_weighted_average(oracles.interval_indicator(lo - ramp, hi + ramp), profile_1e6)
+    strips = wide - exact
     assert abs(smooth - exact) <= strips + 1e-12
 
 
 def test_correlation_sum_trivial_and_degenerate(profile_1e4):
     N = 10**4
-    zero = interval_indicator(-1, 1)
-    zero = type(zero)(fn=lambda x: 0.0, support_lo=-1, support_hi=1, bound=0.0)
+    zero = RealTestFunction(fn=lambda x: 0.0, support_lo=-1, support_hi=1, bound=0.0)
     orb = residue_indicator_orbit(3, 1)
     assert correlation_sum(zero, orb, profile_1e4) == 0.0
     # F == 1 on all realized phi values reduces to the plain average along
     # Omega(n) once the n in {1, 2} exclusion is undone
-    proxy = interval_indicator(-100, 100)
+    proxy = oracles.interval_indicator(-100, 100)
     got = correlation_sum(proxy, orb, profile_1e4)
     full = average_along_omega(orb, profile_1e4)
     excluded = (orb.value_at(0) + orb.value_at(1)) / N
@@ -290,7 +272,7 @@ def test_smoothed_indicator_shape():
 
 def test_reductions_match_the_formulas_they_replaced(profile_1e4, profile_1e6):
     """Every average along Omega, bit for bit (by repr) against its pre-_dot formula."""
-    tests = [smoothed_indicator(-1, 1, 0.5), interval_indicator(-0.5, 2.0),
+    tests = [smoothed_indicator(-1, 1, 0.5), oracles.interval_indicator(-0.5, 2.0),
              RealTestFunction(lambda x: -x, -3.0, 3.0, 3.0)]  # negative: signed zeros
     orbits = [rotation_two_points_liouville(), residue_indicator_orbit(3, 1),
               exponential_orbit(0.3), parse_system("circle:alpha=0.618")]

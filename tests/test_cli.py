@@ -331,10 +331,10 @@ def test_counterexample_window_too_large_exits_before_any_work(capsys):
 
 
 def test_cli_import_leaves_mpmath_unloaded():
-    """Start-up loads neither mpmath nor the process pool (multiprocessing)."""
+    """Start-up loads neither mpmath, decimal nor the process pool (multiprocessing)."""
     src = os.path.dirname(os.path.dirname(omegalab.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    lazy = ("mpmath", "concurrent.futures.process", "multiprocessing")
+    lazy = ("mpmath", "decimal", "concurrent.futures.process", "multiprocessing")
     probe = f"import sys, omegalab.cli; print([m for m in {lazy!r} if m in sys.modules])"
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, timeout=60, check=True)
@@ -343,39 +343,11 @@ def test_cli_import_leaves_mpmath_unloaded():
 
 def test_progress_line_shows_the_processes_used(capsys, serial_pool, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    code = main(["pik", "--limit", "10000", "--segment-length", "1000", "--workers", "100000"])
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LENGTH", 1000)
+    code = main(["pik", "--limit", "10000", "--workers", "100000"])
     assert code == EXIT_OK
     assert serial_pool == [4]
     assert capsys.readouterr().err == "sieving [1, 10000] in 10 segments (4 workers)\n"
-
-
-def test_segment_length_over_the_cap_is_resource_error(capsys):
-    cap = str(sieve.MAX_SEGMENT_LENGTH)
-    code, _ = run(capsys, "pik", "--limit", "100", "--segment-length", cap, "--quiet")
-    assert code == EXIT_OK
-    code = main(["pik", "--limit", "100", "--segment-length", str(sieve.MAX_SEGMENT_LENGTH + 1)])
-    captured = capsys.readouterr()
-    assert code == EXIT_RESOURCE
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert "segment length" in captured.err
-
-
-def test_segment_count_over_the_cap_is_resource_error(capsys):
-    tracemalloc.start()
-    try:
-        code = main(["pik", "--limit", str(10**10), "--segment-length", "1"])  # no --quiet
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    captured = capsys.readouterr()
-    assert code == EXIT_RESOURCE
-    assert captured.out == ""
-    assert captured.err == (
-        f"omegalab: [1, {10**10}] needs {10**10} segments of length 1, over the cap of "
-        f"{sieve.MAX_SEGMENTS}; use a longer segment length\n"
-    )
-    assert peak < 10**6  # 10^10 span tuples were not built
 
 
 def test_invariance(capsys):
@@ -433,7 +405,10 @@ def test_limit_is_checked_before_spans_are_built(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv", [["logpnt", "--limit", "100"], ["weights", "--limit", "100", "--compare"]]
+    "argv",
+    [["logpnt", "--limit", "100"],
+     ["weights", "--limit", "100", "--compare"],
+     ["pik", "--limit", "100", "--segment-length", "1000"]],
 )
 def test_removed_subcommand_and_option_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
@@ -562,13 +537,6 @@ def test_precision_flag(capsys):
     assert len(rows3[0][4]) < len(rows12[0][4])
 
 
-@pytest.mark.parametrize("length", ["-5", "0"])
-def test_nonpositive_segment_length_is_usage_error(capsys, length):
-    code, out = run(capsys, "pik", "--limit", "1000", "--segment-length", length, "--quiet")
-    assert code == EXIT_USAGE
-    assert out == ""
-
-
 @pytest.mark.parametrize(
     "grid", ["0:1:0", "0:1:-0.5", "a:b", "0:1", "0:1:0.1:2", "0:inf:1", "nan:1:0.1", "0:1:1e-9"]
 )
@@ -579,15 +547,16 @@ def test_bad_grid_is_usage_error(capsys, grid):
 
 
 def test_truncated_cache_file_is_resieved(capsys, tmp_path, monkeypatch):
-    _, fresh = run(capsys, "pik", "--limit", "5000", "--segment-length", "2048", "--quiet")
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LENGTH", 2048)
+    _, fresh = run(capsys, "pik", "--limit", "5000", "--quiet")
     monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
-    run(capsys, "pik", "--limit", "5000", "--segment-length", "2048", "--quiet")
+    run(capsys, "pik", "--limit", "5000", "--quiet")
     victim = sorted(tmp_path.iterdir())[0]
     victim.write_bytes(victim.read_bytes()[:-100])
-    code, out = run(capsys, "pik", "--limit", "5000", "--segment-length", "2048", "--quiet")
+    code, out = run(capsys, "pik", "--limit", "5000", "--quiet")
     assert code == EXIT_OK
     assert out == fresh
-    code, out = run(capsys, "pik", "--limit", "5000", "--segment-length", "2048", "--quiet")
+    code, out = run(capsys, "pik", "--limit", "5000", "--quiet")
     assert code == EXIT_OK
     assert out == fresh
 
@@ -597,10 +566,8 @@ def test_unwritable_cache_is_usage_error(capsys, tmp_path, monkeypatch, workers)
     blocker = tmp_path / "cache"
     blocker.write_bytes(b"")
     monkeypatch.setenv("OMEGALAB_CACHE", str(blocker))
-    code, out = run(
-        capsys, "pik", "--limit", "100", "--segment-length", "50", "--workers", workers,
-        "--quiet",
-    )
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LENGTH", 50)
+    code, out = run(capsys, "pik", "--limit", "100", "--workers", workers, "--quiet")
     assert code == EXIT_USAGE
     assert out == ""
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import (
     block_scan_oracle,
     extrapolated_average_oracle,
+    loglog_interval_count_by_exp,
     oscillation_profile_oracle,
 )
 
@@ -114,12 +115,41 @@ def test_loglog_interval_count_trivial_cases():
         loglog_interval_count(100, 2.0, 1.0)
     with pytest.raises(InvalidRangeError):
         loglog_interval_count(2, 0.0, 1.0)
+    assert loglog_interval_count(10**60, -math.inf, math.inf) == 10**60 - 2
+    with pytest.raises(RangeTooLargeError):
+        loglog_interval_count(10**60 + 1, 0.0, 1.0)
+    for lo, hi in ((math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(InvalidIntervalError):
+            loglog_interval_count(100, lo, hi)
 
 
 def test_loglog_interval_count_matches_scan():
     for lo, hi in [(0.5, 1.2), (1.0, 1.5), (0.2, 2.0)]:
         scan = sum(1 for n in range(3, 5001) if lo <= math.log(math.log(n)) <= hi)
         assert loglog_interval_count(5000, lo, hi) == scan
+
+
+@pytest.mark.parametrize("N", [10**59, 10**60], ids=["1e59", "1e60"])
+def test_loglog_interval_count_exact_at_the_cap(N):
+    """Boundaries at log log n rounded to a float, and one ulp either side.
+
+    Neighbouring n this large differ in log log n by under 1e-60; a 60-digit
+    comparison got 17 of these 24 counts wrong at 10**59 and 20 at 10**60.
+    """
+    for n in (N // 7, N // 2, N - 10**40, N):
+        x = math.log(math.log(n))
+        for edge in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)):
+            for lo, hi in ((edge, 5.0), (4.0, edge)):
+                expect = loglog_interval_count_by_exp(N, lo, hi)
+                assert loglog_interval_count(N, lo, hi) == expect, (n, lo, hi)
+
+
+def test_loglog_interval_count_matches_the_exp_oracle_on_random_intervals():
+    rng = random.Random(16)
+    for _ in range(60):
+        N = rng.randrange(3, 10 ** rng.randrange(2, 61) + 1)
+        lo, hi = sorted(rng.uniform(-1.0, 5.0) for _ in range(2))
+        assert loglog_interval_count(N, lo, hi) == loglog_interval_count_by_exp(N, lo, hi)
 
 
 def test_average_along_omega_blocks_two_paths(profile_1e4):

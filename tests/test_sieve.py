@@ -21,7 +21,6 @@ from omegalab import (
     omega_oracle,
     omega_profile,
     omega_profiles,
-    pi_k_histogram,
     sieve_segment,
 )
 from omegalab.errors import (
@@ -44,11 +43,11 @@ from omegalab.sieve import (
     DEFAULT_SEGMENT_LENGTH,
     HARD_LIMIT,
     MAX_OMEGA,
+    MAX_SEGMENT_LENGTH,
     MAX_SEGMENTS,
     PROFILE_FILE_SIZE,
     RECORD_DTYPE,
     REDUCE_BLOCK,
-    OmegaProfile,
     _cache_read,
     _cache_write,
     _profile_chunk,
@@ -336,7 +335,7 @@ def test_profile_inv_weights_sum_to_harmonic(profile_1e4):
 
 
 def test_histogram_small_oracle():
-    hist = pi_k_histogram(omega_profile(100))
+    hist = dict(enumerate(omega_profile(100).pik.tolist()))
     brute = {}
     for n in range(1, 101):
         brute[omega_oracle(n)] = brute.get(omega_oracle(n), 0) + 1
@@ -603,6 +602,27 @@ def test_segment_spans_rejects_nonpositive_length():
             omega_profile(10, segment_length=bad)
 
 
+def test_segment_length_over_the_cap_is_range_too_large():
+    assert segment_spans(100, MAX_SEGMENT_LENGTH) == [(1, 101)]
+    with pytest.raises(RangeTooLargeError, match="segment length"):
+        segment_spans(100, MAX_SEGMENT_LENGTH + 1)
+
+
+def test_segment_count_over_the_cap_raises_before_the_spans_are_built():
+    tracemalloc.start()
+    try:
+        with pytest.raises(RangeTooLargeError) as exc:
+            segment_spans(10**10, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == (
+        f"[1, {10**10}] needs {10**10} segments of length 1, over the cap of "
+        f"{MAX_SEGMENTS}; use a longer segment length"
+    )
+    assert peak < 10**6  # 10^10 span tuples were not built
+
+
 def test_segment_span_cap_is_exact():
     assert len(segment_spans(HARD_LIMIT)) == -(-HARD_LIMIT // DEFAULT_SEGMENT_LENGTH) == 2385
     assert len(segment_spans(MAX_SEGMENTS, 1)) == MAX_SEGMENTS
@@ -667,14 +687,6 @@ def test_nonpositive_workers_are_rejected(workers):
         omega_profiles([1000], workers)
     with pytest.raises(InvalidRangeError):
         hardy_ramanujan_tail(1000, 1.0, workers)  # through map_segments
-
-
-def test_histogram_rejects_a_profile_that_does_not_partition_n(profile_1e4):
-    pik = profile_1e4.pik.copy()
-    pik[1] -= 1  # one prime fewer: the counts sum to N - 1
-    short = OmegaProfile(profile_1e4.N, pik, profile_1e4.inv_weights)
-    with pytest.raises(InvalidRangeError):
-        pi_k_histogram(short)
 
 
 @pytest.mark.parametrize("sub", ["", "sub"])

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegalab.averages import AverageScheme, interval_indicator, smoothed_indicator
-from omegalab import twosets
+from omegalab.averages import AverageScheme, RealTestFunction, smoothed_indicator
+from omegalab import sieve, twosets
 from omegalab.errors import (
     EmptySetError,
-    InvalidPError,
     InvalidRangeError,
     RangeTooLargeError,
     SearchExhaustedError,
@@ -21,13 +20,13 @@ from omegalab.sieve import DEFAULT_SEGMENT_LENGTH, base_primes, omega_oracle
 from omegalab.twosets import (
     MAX_RHO_INTERVALS,
     MAX_SEARCH_LIMIT,
+    MAX_TK_N,
     PrimeSetPair,
     _almost_primes_2,
     _almost_primes_2_harmonic,
     _interval_counts,
     _rho_bounds,
     construct_pair,
-    dilation_sensitivity,
     invariance_gap,
     rho_index,
     tk_discrepancy,
@@ -338,7 +337,8 @@ def test_prime_set_pair_validation_from_the_sieve(tmp_path, monkeypatch):
     def no_oracle(n):
         raise AssertionError("validation fell back to trial division")
 
-    monkeypatch.setattr(twosets, "omega_oracle", no_oracle)
+    assert "omega_oracle" not in vars(twosets)
+    monkeypatch.setattr(sieve, "omega_oracle", no_oracle)
     monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
     big_prime, big_almost = _first_in_segment_two(1), _first_in_segment_two(2)
     assert rho_index(big_prime, 1.05) == rho_index(big_almost, 1.05)
@@ -430,6 +430,19 @@ def test_tk_discrepancy_hand_values():
         tk_discrepancy(set(), 10)
 
 
+@pytest.mark.parametrize("scheme", list(AverageScheme))
+def test_tk_discrepancy_over_the_cap_raises_before_allocating(scheme):
+    for N in (MAX_TK_N + 1, 10**12):
+        tracemalloc.start()
+        try:
+            with pytest.raises(RangeTooLargeError, match="over the cap"):
+                tk_discrepancy([2, 3], N, scheme)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6  # the arrays of N + 1 entries were not built
+
+
 def test_tk_discrepancy_log_scheme_brute_force():
     B = {2, 3}
     N = 50
@@ -448,18 +461,5 @@ def test_invariance_gap_constant_is_zero(profile_1e4):
 
 
 def test_invariance_gap_zero_function(profile_1e4):
-    zero = interval_indicator(-1, 1)
-    zero = type(zero)(fn=lambda x: 0.0, support_lo=-1, support_hi=1, bound=0.0)
+    zero = RealTestFunction(fn=lambda x: 0.0, support_lo=-1, support_hi=1, bound=0.0)
     assert invariance_gap(zero, lambda k: (-1) ** k, profile_1e4) == 0.0
-
-
-def test_dilation_sensitivity():
-    rec = dilation_sensitivity(7, math.e ** (math.e**4))
-    assert rec.phi_shift == pytest.approx(0.5, abs=1e-12)
-    assert rec.omega_shift == 1
-    with pytest.raises(InvalidPError):
-        dilation_sensitivity(8, 10**6)
-    # monotone decreasing in N
-    a = dilation_sensitivity(2, 10**4).phi_shift
-    b = dilation_sensitivity(2, 10**8).phi_shift
-    assert a > b
