@@ -25,7 +25,6 @@ from .errors import (
     InvalidRangeError,
     require_finite,
 )
-from .normal import normal_mass
 from .sieve import OmegaProfile, omega_profiles
 
 
@@ -108,7 +107,6 @@ class RealTestFunction:
     fn: Callable[[float], float]
     support_lo: float
     support_hi: float
-    bound: float
 
     def __post_init__(self):
         if self.support_lo >= self.support_hi:
@@ -137,7 +135,7 @@ def smoothed_indicator(lo: float, hi: float, ramp: float = 1.0) -> RealTestFunct
             return (x - (lo - ramp)) / ramp
         return ((hi + ramp) - x) / ramp
 
-    return RealTestFunction(fn=fn, support_lo=lo - ramp, support_hi=hi + ramp, bound=1.0)
+    return RealTestFunction(fn=fn, support_lo=lo - ramp, support_hi=hi + ramp)
 
 
 def _adjusted_pik(prof: OmegaProfile) -> np.ndarray:
@@ -176,6 +174,14 @@ def grid_cells(points: Sequence[float]) -> list[tuple[float, float]]:
     if len(pts) < 2:
         raise DegenerateGridError("grid needs at least two points")
     return [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
+
+
+def normal_mass(a: float, b: float) -> float:
+    """P(a <= Z <= b) for a standard normal Z; 0 for an empty interval.
+
+    Differences of erfc keep the precision of whichever tail dominates.
+    """
+    return 0.0 if b < a else 0.5 * (math.erfc(a / math.sqrt(2)) - math.erfc(b / math.sqrt(2)))
 
 
 def ek_report(profile: OmegaProfile, grid: Sequence[float]) -> EKReport:
@@ -226,16 +232,6 @@ def shifted_omega_average(
 # ---------------------------------------------------------------------------
 
 
-def harmonic_sum(N: int) -> float:
-    """A_N = sum_{n<=N} 1/n, accumulated in compensated summation."""
-    total = math.fsum(
-        float(np.sum(1.0 / np.arange(lo, hi, dtype=np.float64)))
-        for lo in range(1, N + 1, 1 << 22)
-        for hi in [min(lo + (1 << 22), N + 1)]
-    )
-    return total
-
-
 def log_trick_discrepancy(a: Callable[[int], complex], N: int, p: int) -> float:
     """|E^log_{[N/p]} a(Omega) - E^log_{[N]} a(Omega)| for a bounded function a of k."""
     if p < 2:
@@ -250,9 +246,13 @@ def log_trick_discrepancy(a: Callable[[int], complex], N: int, p: int) -> float:
 
 
 def log_trick_bound(M: float, N: int, p: int) -> float:
-    """Closed-form majorant 2M (1 - A_{floor(N/p)} / A_N)."""
+    """Closed-form majorant 2M (1 - A_{floor(N/p)} / A_N), A_N = sum_{n<=N} 1/n.
+
+    A_N is read from the profiles, the same sums log_trick_discrepancy divides by.
+    """
     if p < 2:
         raise InvalidPError("p must be >= 2")
     if N < p:
         raise InvalidPError("need N >= p")
-    return 2.0 * M * (1.0 - harmonic_sum(N // p) / harmonic_sum(N))
+    head, full = (prof.harmonic_sum() for prof in omega_profiles([N // p, N]))
+    return 2.0 * M * (1.0 - head / full)

@@ -332,7 +332,7 @@ def _cmd_counterexample(args):
     else:
         seq = counterexample.erdos_blocks(args.kmax)
     if args.mode == "extrapolate":
-        cps = [counterexample.Checkpoints(k) for k in range(1, args.kmax + 1)]
+        cps = map(counterexample.Checkpoints, range(1, args.kmax + 1))
         rows = counterexample.oscillation_profile(seq, cps, args.C)
         return ("loglogn", "value"), rows, {"kmax": args.kmax, "C": args.C}
     value = counterexample.average_along_omega_blocks(seq, _profile(args, args.limit))

@@ -28,6 +28,7 @@ from .sieve import OmegaProfile
 from .weights import GaussianWindowSpec, extrapolated_average
 
 MAX_BLOCK_BOUND = 2**62
+_MAX_BLOCK_K = max(k for k in range(64) if 3**k <= MAX_BLOCK_BOUND)  # 39
 _INT64 = np.iinfo(np.int64)
 
 
@@ -96,7 +97,7 @@ def erdos_blocks(k_max: int) -> BlockSequence:
     """Blocks [3^k - 2^k, 3^k + 2^k] for k = 1..k_max, merged where touching."""
     if k_max < 1:
         raise InvalidRangeError("k_max must be >= 1")
-    if 3**k_max > MAX_BLOCK_BOUND:
+    if k_max > _MAX_BLOCK_K:  # before 3^k_max is computed
         raise BlockOverflowError(f"3^{k_max} exceeds the supported integer range")
     intervals = [(3**k - 2**k, 3**k + 2**k) for k in range(1, k_max + 1)]
     return BlockSequence(merge_intervals(intervals))

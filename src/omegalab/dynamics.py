@@ -16,10 +16,9 @@ from .errors import InvalidResidueError, UnknownSystemError, require_finite
 
 
 class ObservableOrbit:
-    """Sampled observable g(T^k x) with declared space mean and sup bound."""
+    """Sampled observable g(T^k x) with declared space mean."""
 
     space_mean: complex
-    bound: float
 
     def value_at(self, k: int) -> complex:
         raise NotImplementedError
@@ -43,10 +42,6 @@ class FiniteRotation(ObservableOrbit):
     def space_mean(self) -> complex:
         return sum(self.g_values) / self.m
 
-    @property
-    def bound(self) -> float:
-        return max(abs(v) for v in self.g_values)
-
     def value_at(self, k: int) -> complex:
         return self.g_values[(self.start + k) % self.m]
 
@@ -63,7 +58,6 @@ class CircleRotation(ObservableOrbit):
     start: float
     g: Callable[[float], complex]
     space_mean: complex
-    bound: float
 
     def __post_init__(self):
         require_finite(alpha=self.alpha, start=self.start)
@@ -86,10 +80,6 @@ class ExponentialOrbit(ObservableOrbit):
     def space_mean(self) -> complex:
         return 1.0 + 0.0j if float(self.beta) == int(self.beta) else 0.0j
 
-    @property
-    def bound(self) -> float:
-        return 1.0
-
     def value_at(self, k: int) -> complex:
         # beta % 1.0 is beta itself on [0, 1), and keeps the phase finite
         return cmath.exp(2j * math.pi * (self.beta % 1.0) * k)
@@ -105,7 +95,6 @@ class SymbolicOrbit(ObservableOrbit):
 
     a: Callable[[int], int]
     space_mean: complex = 0.0
-    bound: float = 1.0
 
     def value_at(self, k: int) -> complex:
         v = self.a(k)
@@ -125,7 +114,6 @@ class ResidueIndicator(ObservableOrbit):
 
     m: int
     r: int
-    bound: float = 1.0
 
     def __post_init__(self):
         if self.m < 1 or not 0 <= self.r < self.m:
@@ -176,6 +164,5 @@ def parse_system(spec: str) -> ObservableOrbit:
             start=number("start") if "start" in kv else 0.0,
             g=lambda x: cmath.exp(2j * math.pi * x),
             space_mean=0.0,
-            bound=1.0,
         )
     raise UnknownSystemError(f"unknown system spec: {spec!r}")

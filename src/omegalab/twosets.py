@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .averages import AverageScheme, RealTestFunction, _dot, _ek_weights, _values
 from .errors import (
     EmptySetError,
@@ -22,7 +21,7 @@ from .errors import (
     RangeTooLargeError,
     SearchExhaustedError,
 )
-from .sieve import OmegaProfile, _check_limit, base_primes, segment_spans, sieving_primes
+from .sieve import OmegaProfile, _check_limit, base_primes, segment_spans, sieve_segment
 
 MAX_SET_SIZE = 50_000  # caps |B1| = |B2|, and so the search's time and output
 MAX_RHO_INTERVALS = 10**5  # caps the rho-adic intervals of a search or a validation
@@ -61,7 +60,7 @@ class PrimeSetPair:
 
 
 def _omega_of(elems) -> np.ndarray:
-    """Omega(m) for each m in elems, from the kernel.
+    """Omega(m) for each m in elems, from sieve_segment.
 
     Each segment span that holds elements is sieved from its smallest to its
     largest element, so memory stays within one segment."""
@@ -74,7 +73,7 @@ def _omega_of(elems) -> np.ndarray:
         a, b = np.searchsorted(values, [lo, hi]).tolist()
         if a < b:
             first, last = int(values[a]), int(values[b - 1])
-            counts = kernels.omega_segment(first, last + 1, sieving_primes(last + 1))
+            counts = sieve_segment(first, last + 1)
             omega[a:b] = counts[values[a:b] - first]
     return omega[where]
 

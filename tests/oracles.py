@@ -169,7 +169,7 @@ def erfc_by_series(x: float, digits: int = 40) -> float:
 
 def interval_indicator(lo: float, hi: float) -> RealTestFunction:
     """Exact indicator of [lo, hi], the exact-cell counterpart of smoothed_indicator."""
-    return RealTestFunction(fn=lambda x: 1.0, support_lo=lo, support_hi=hi, bound=1.0)
+    return RealTestFunction(fn=lambda x: 1.0, support_lo=lo, support_hi=hi)
 
 
 def block_scan_oracle(blocks, n: int) -> int:

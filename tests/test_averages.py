@@ -1,6 +1,7 @@
 import ast
 import cmath
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,6 @@ from omegalab.averages import (
     ek_report,
     ek_weighted_average,
     grid_cells,
-    harmonic_sum,
     log_trick_bound,
     log_trick_discrepancy,
     shifted_omega_average,
@@ -38,6 +38,7 @@ from omegalab.errors import (
     InvalidPError,
     InvalidRangeError,
     InvalidResidueError,
+    RangeTooLargeError,
 )
 
 from omegalab.twosets import invariance_gap
@@ -154,7 +155,7 @@ def test_ek_report_sub_probability(profile_1e4):
 def test_ek_weighted_average_trivial(profile_1e4):
     N = 10**4
     zero = smoothed_indicator(-1, 1)
-    zero = type(zero)(fn=lambda x: 0.0, support_lo=-2, support_hi=2, bound=0.0)
+    zero = type(zero)(fn=lambda x: 0.0, support_lo=-2, support_hi=2)
     assert ek_weighted_average(zero, profile_1e4) == 0.0
     proxy = oracles.interval_indicator(-100, 100)
     assert ek_weighted_average(proxy, profile_1e4) == pytest.approx(
@@ -175,7 +176,7 @@ def test_ek_weighted_average_matches_report_cell(profile_1e6):
 
 def test_correlation_sum_trivial_and_degenerate(profile_1e4):
     N = 10**4
-    zero = RealTestFunction(fn=lambda x: 0.0, support_lo=-1, support_hi=1, bound=0.0)
+    zero = RealTestFunction(fn=lambda x: 0.0, support_lo=-1, support_hi=1)
     orb = residue_indicator_orbit(3, 1)
     assert correlation_sum(zero, orb, profile_1e4) == 0.0
     # F == 1 on all realized phi values reduces to the plain average along
@@ -204,11 +205,6 @@ def test_shifted_average_small_oracle():
     assert shifted_omega_average(a, omega_profile(10), 0).real == pytest.approx(
         brute_liouville_average(10), abs=1e-12
     )
-
-
-def test_harmonic_sum_matches_fsum():
-    direct = math.fsum(1.0 / n for n in range(1, 10**5 + 1))
-    assert harmonic_sum(10**5) == pytest.approx(direct, abs=1e-12)
 
 
 def test_log_average_stream_matches_brute_force():
@@ -259,6 +255,13 @@ def test_log_trick_bound_needs_n_at_least_p(N):
         log_trick_bound(1.0, N, 2)
 
 
+def test_log_trick_bound_is_capped_at_once():
+    start = time.perf_counter()
+    with pytest.raises(RangeTooLargeError):
+        log_trick_bound(1.0, 10**30, 2)
+    assert time.perf_counter() - start < 1
+
+
 def test_smoothed_indicator_shape():
     F = smoothed_indicator(-1, 1, 0.5)
     assert F(0.0) == 1.0
@@ -273,7 +276,7 @@ def test_smoothed_indicator_shape():
 def test_reductions_match_the_formulas_they_replaced(profile_1e4, profile_1e6):
     """Every average along Omega, bit for bit (by repr) against its pre-_dot formula."""
     tests = [smoothed_indicator(-1, 1, 0.5), oracles.interval_indicator(-0.5, 2.0),
-             RealTestFunction(lambda x: -x, -3.0, 3.0, 3.0)]  # negative: signed zeros
+             RealTestFunction(lambda x: -x, -3.0, 3.0)]  # negative: signed zeros
     orbits = [rotation_two_points_liouville(), residue_indicator_orbit(3, 1),
               exponential_orbit(0.3), parse_system("circle:alpha=0.618")]
     arith = [lambda k: (-1) ** k, lambda k: 0.5, lambda k: cmath.exp(0.7j * k)]
@@ -365,3 +368,23 @@ def test_every_average_along_omega_reduces_through_dot():
     # OmegaProfile.harmonic_sum is the profile's own method
     assert {o for o in owners(".inv_weights") if not o.startswith("averages.")} == {
         "sieve.OmegaProfile"}
+
+
+def test_erfc_and_harmonic_sum_are_defined_once():
+    """src/omegalab defines no erfc of its own (normal_mass uses math.erfc),
+    and A_N = sum 1/n has one source, the profile's own harmonic_sum."""
+    names = {"erfc", "_erf_series", "_erfc_cf", "harmonic_sum"}
+    found = set()
+    for path in sorted(Path(omegalab.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    defined = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                found.update((owner, name) for name in defined if name in names)
+    assert found == {("sieve.OmegaProfile", "harmonic_sum")}

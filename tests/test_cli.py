@@ -614,9 +614,7 @@ FLOAT_ARGVS = st.one_of(
 )
 
 
-@settings(max_examples=160, deadline=None)
-@given(FLOAT_ARGVS)
-def test_float_options_exit_cleanly_without_non_finite_rows(argv):
+def _exits_cleanly_without_non_finite_rows(argv):
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -627,6 +625,30 @@ def test_float_options_exit_cleanly_without_non_finite_rows(argv):
     if code == EXIT_OK:
         assert "nan" not in out.getvalue().lower()
         assert "inf" not in out.getvalue().lower()
+
+
+@settings(max_examples=160, deadline=None)
+@given(FLOAT_ARGVS)
+def test_float_options_exit_cleanly_without_non_finite_rows(argv):
+    _exits_cleanly_without_non_finite_rows(argv)
+
+
+# kmax 19 to 26 evaluate windows of up to 9.6e6 k; from 27 on a window is
+# too large, and from 40 on 3^kmax is past MAX_BLOCK_BOUND.
+KMAX = st.integers(-5, 18) | st.integers(27, 10**12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(KMAX, st.sampled_from(["extrapolate", "sieve"]), st.booleans())
+def test_kmax_exits_cleanly_without_non_finite_rows(kmax, mode, with_blocks):
+    argv = ["counterexample", "--mode", mode, f"--kmax={kmax}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        if with_blocks:
+            path = os.path.join(tmp, "blocks.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump([[1, 10], [50, 80]], fh)
+            argv += ["--blocks", path]
+        _exits_cleanly_without_non_finite_rows(argv)
 
 
 # Block bounds anywhere in +-2^70, or near the windows probed below (k 0 to 65).

@@ -20,7 +20,6 @@ def test_two_point_rotation_is_parity():
     orb = rotation_two_points_liouville()
     assert [orb.value_at(k) for k in range(4)] == [1, -1, 1, -1]
     assert orb.space_mean == 0
-    assert orb.bound == 1
 
 
 def test_residue_indicator_orbit():
@@ -60,7 +59,6 @@ def test_circle_rotation_orbit():
         start=0.0,
         g=lambda x: cmath.exp(2j * math.pi * x),
         space_mean=0.0,
-        bound=1.0,
     )
     assert abs(orb.value_at(2) - (-1.0)) < 1e-14
 

@@ -1,34 +1,30 @@
 import math
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import erfc_by_series
 
-from omegalab.normal import erfc, normal_mass
-
-
-def test_erfc_against_math_library():
-    for x in np.linspace(-10, 10, 4001):
-        assert abs(erfc(float(x)) - math.erfc(float(x))) < 1e-13
+from omegalab.averages import normal_mass
 
 
 def test_erfc_against_decimal_series_tail():
-    for x in (2.0, 2.5, 3.0, 5.0, 8.0, 12.0, 20.0, 29.9):
+    # normal_mass leans on math.erfc: absolute error well inside 1e-12 on [0, 29.9]
+    for i in range(300):
+        x = i / 10
         exact = erfc_by_series(x)
-        assert abs(erfc(x) - exact) <= 1e-13 + 1e-10 * exact
+        assert abs(math.erfc(x) - exact) <= 1e-13 + 1e-10 * exact
 
 
 def test_erfc_anchor_values():
-    assert erfc(0.0) == 1.0
-    assert abs(erfc(1.0) - 0.15729920705028513) < 1e-14
-    assert erfc(31.0) == 0.0
+    assert math.erfc(0.0) == 1.0
+    assert abs(math.erfc(1.0) - 0.15729920705028513) < 1e-14
+    assert math.erfc(31.0) == 0.0
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.floats(-25, 25, allow_nan=False))
 def test_erfc_reflection(x):
-    assert abs(erfc(x) + erfc(-x) - 2.0) < 1e-12
+    assert abs(math.erfc(x) + math.erfc(-x) - 2.0) < 1e-12
 
 
 def test_normal_mass_95_percent():

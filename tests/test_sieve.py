@@ -404,7 +404,8 @@ def test_warm_tail_sieves_only_the_spans_that_hold_a_cut(tmp_path, monkeypatch):
 
 
 def test_only_the_profile_path_sieves():
-    """sieve_segment and map_segments are named only where the profile path needs them."""
+    """sieve_segment and map_segments are named only where the profile path, the
+    sieve table and the two-sets Omega lookup need them."""
     names = {"sieve_segment", "map_segments"}
     found = set()
     for path in sorted(Path(omegalab.__file__).parent.glob("*.py")):
@@ -422,6 +423,7 @@ def test_only_the_profile_path_sieves():
     assert found == {
         ("sieve._profile_chunk", "sieve_segment"),
         ("cli._cmd_sieve", "sieve_segment"),
+        ("twosets._omega_of", "sieve_segment"),
         ("sieve.omega_profiles", "map_segments"),
     }
 

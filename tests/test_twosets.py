@@ -461,5 +461,5 @@ def test_invariance_gap_constant_is_zero(profile_1e4):
 
 
 def test_invariance_gap_zero_function(profile_1e4):
-    zero = RealTestFunction(fn=lambda x: 0.0, support_lo=-1, support_hi=1, bound=0.0)
+    zero = RealTestFunction(fn=lambda x: 0.0, support_lo=-1, support_hi=1)
     assert invariance_gap(zero, lambda k: (-1) ** k, profile_1e4) == 0.0
