@@ -43,7 +43,6 @@ from .sieve import (
     OmegaProfile,
     hardy_ramanujan_tail,
     liouville,
-    omega_oracle,
     omega_profile,
     omega_profiles,
     sieve_segment,

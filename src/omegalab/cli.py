@@ -138,12 +138,7 @@ def _write(args, text):
 
 
 def _cmd_sieve(args):
-    # One row per integer, built in memory: cap the range at one segment.
-    if args.hi - args.lo > sieve.DEFAULT_SEGMENT_LENGTH:
-        raise RangeTooLargeError(
-            f"sieve --lo {args.lo} --hi {args.hi}: more than"
-            f" {sieve.DEFAULT_SEGMENT_LENGTH} integers in one range"
-        )
+    # One row per integer, built in memory: sieve_segment caps the range at one segment.
     counts = sieve.sieve_segment(args.lo, args.hi).tolist()
     rows = [(n, c, sieve.liouville(c)) for n, c in zip(range(args.lo, args.hi), counts)]
     return ("n", "omega", "liouville"), rows, {"lo": args.lo, "hi": args.hi}
@@ -249,7 +244,7 @@ def _cmd_correlate(args):
 def _cmd_weights(args):
     window = weights.window_for(args.limit, args.C)  # checks --C before sieving
     exact = weights.exact_weights(_profile(args, args.limit))
-    erdos = weights.erdos_weights(args.limit, window)
+    erdos = weights.erdos_weights(window)
     gauss = weights.gaussian_weights(window)
     k_hi = max(exact.k_hi, window.k_hi)
     rows = [

@@ -40,7 +40,7 @@ class WindowRangeError(OmegalabError, ValueError):
 
 
 class InvalidPError(OmegalabError, ValueError):
-    """p < 2 (log-trick) or p not prime (dilation)."""
+    """p < 2 or N < p in the log-trick."""
 
 
 class InvalidIntervalError(OmegalabError, ValueError):

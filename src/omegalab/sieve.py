@@ -29,7 +29,9 @@ from .errors import (
 # Omega(n) <= log2(n) < 64 for every feasible n, so one byte per integer.
 MAX_OMEGA = 64
 DEFAULT_SEGMENT_LENGTH = 1 << 22
-MAX_SEGMENT_LENGTH = 1 << 24  # sieve_segment peaks at 3.03 B per integer: 48.5 MB (tracemalloc)
+# segment_spans' longest segment: the kernel peaks at 3.03 B per integer,
+# 48.5 MB at this length (tracemalloc).  sieve_segment takes one default segment.
+MAX_SEGMENT_LENGTH = 1 << 24
 REDUCE_BLOCK = 1 << 16  # integers per pi_k/harmonic reduction step
 HARD_LIMIT = 10**10
 MAX_SEGMENTS = 10**5  # spans of one pass; the default length needs 2385 at HARD_LIMIT
@@ -81,33 +83,18 @@ def sieving_primes(hi: int) -> np.ndarray:
 
 
 def sieve_segment(lo: int, hi: int) -> np.ndarray:
-    """Exact Omega(n) for lo <= n < hi via the segmented sieve: uint8, [i] = Omega(lo + i)."""
+    """Exact Omega(n) for lo <= n < hi via the segmented sieve: uint8, [i] = Omega(lo + i).
+
+    At most DEFAULT_SEGMENT_LENGTH integers, the span of one pass segment.
+    """
     if lo >= hi or lo < 1:
         raise InvalidRangeError(f"invalid range [{lo}, {hi})")
     _check_limit(hi)
+    if hi - lo > DEFAULT_SEGMENT_LENGTH:
+        raise RangeTooLargeError(
+            f"[{lo}, {hi}) has more than {DEFAULT_SEGMENT_LENGTH} integers in one range"
+        )
     return kernels.omega_segment(lo, hi, sieving_primes(hi))
-
-
-def omega_oracle(n: int) -> int:
-    """Omega(n) by naive trial division.  Test oracle / single queries only."""
-    if n < 1:
-        raise InvalidRangeError("n must be >= 1")
-    count = 0
-    for d in (2, 3):
-        while n % d == 0:
-            n //= d
-            count += 1
-    d = 5
-    step = 2
-    while d * d <= n:
-        while n % d == 0:
-            n //= d
-            count += 1
-        d += step
-        step = 6 - step  # 5, 7, 11, 13, ... (6k +- 1)
-    if n > 1:
-        count += 1
-    return count
 
 
 def liouville(omega_value: int) -> int:
@@ -337,9 +324,7 @@ class OmegaProfile:
         return float(math.fsum(self.inv_weights))
 
 
-def omega_profiles(
-    checkpoints, workers: int = 1, segment_length: int | None = None
-) -> list[OmegaProfile]:
+def omega_profiles(checkpoints, workers: int = 1) -> list[OmegaProfile]:
     """The profile at every N in checkpoints, from one pass over [1, max N].
 
     Each result is bit-identical to a pass that ends at its N: whole spans
@@ -352,7 +337,7 @@ def omega_profiles(
         raise InvalidRangeError("checkpoints must be a non-empty list of N >= 1")
     n_max = max(checkpoints)
     _check_limit(n_max + 1)  # before the span list is built
-    spans = segment_spans(n_max, segment_length)
+    spans = segment_spans(n_max)
     wanted = set(checkpoints)
     cuts = sorted(wanted - {hi - 1 for _, hi in spans})
     chunk_fn = partial(_profile_chunk, cuts=tuple(cuts)) if cuts else _profile_chunk
@@ -378,13 +363,11 @@ def _profile_at(N: int, pik: np.ndarray, inv: np.ndarray) -> OmegaProfile:
     return OmegaProfile(N, pik[: k_max + 1].copy(), inv[: k_max + 1].copy())
 
 
-def omega_profile(N: int, workers: int = 1, segment_length: int | None = None) -> OmegaProfile:
-    return omega_profiles([N], workers, segment_length)[0]
+def omega_profile(N: int, workers: int = 1) -> OmegaProfile:
+    return omega_profiles([N], workers)[0]
 
 
-def hardy_ramanujan_tail(
-    N: int, C: float, workers: int = 1, segment_length: int | None = None
-) -> float:
+def hardy_ramanujan_tail(N: int, C: float, workers: int = 1) -> float:
     """Fraction of n <= N with |Omega(n) - log log n| > C * sqrt(log log N).
 
     n in {1, 2} are excluded (log log n undefined or negative there); their
@@ -413,7 +396,7 @@ def hardy_ramanujan_tail(
     ks = range(k_max + 1)
     a = [2 + bisect_left(ns, True, key=lambda n: not dev(k, n) > band) for k in ks]
     b = [3 + bisect_left(ns, True, key=lambda n: -dev(k, n) > band) for k in ks]
-    profiles = omega_profiles(sorted({2, N, *a, *(n - 1 for n in b)}), workers, segment_length)
+    profiles = omega_profiles(sorted({2, N, *a, *(n - 1 for n in b)}), workers)
     pik = {p.N: np.pad(p.pik, (0, k_max + 1 - len(p.pik))) for p in profiles}
     tail = sum(int(pik[a[k]][k] - pik[2][k] + pik[N][k] - pik[b[k] - 1][k]) for k in ks)
     return tail / N

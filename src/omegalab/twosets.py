@@ -193,13 +193,7 @@ def _almost_primes_2_harmonic(limit: int, primes: np.ndarray, inv: np.ndarray) -
     return math.fsum(float(inv[i]) * float(np.sum(inv[i:end])) for i, end in enumerate(ends))
 
 
-def construct_pair(
-    epsilon: float,
-    rho: float,
-    search_limit: int,
-    *,
-    max_set_size: int = MAX_SET_SIZE,
-) -> PrimeSetPair:
+def construct_pair(epsilon: float, rho: float, search_limit: int) -> PrimeSetPair:
     """Scan rho-adic intervals ascending, matching primes with 2-almost primes.
 
     Within each interval the ascending-smallest min(#primes, #2-almost)
@@ -216,7 +210,7 @@ def construct_pair(
 
     The intervals one table covers are scanned as a batch: searchsorted
     gives every interval's end on both sides, and a cumulative sum capped
-    at max_set_size every interval's take.  Only the intervals that take
+    at MAX_SET_SIZE every interval's take.  Only the intervals that take
     elements run Python code; each hands its elements to the couplings in
     one call.  The result is the one a scan element by element would give.
     """
@@ -255,9 +249,9 @@ def construct_pair(
         start1 = np.concatenate(([i1], n1[:-1]))
         start2 = np.concatenate(([i2], n2[:-1]))
         sizes = np.minimum(len(b1) + np.cumsum(np.minimum(n1 - start1, n2 - start2)),
-                           max_set_size)
+                           MAX_SET_SIZE)
         takes = np.diff(sizes, prepend=len(b1))
-        capped = int(np.searchsorted(sizes, max_set_size))  # the interval that fills B1
+        capped = int(np.searchsorted(sizes, MAX_SET_SIZE))  # the interval that fills B1
         for k in np.flatnonzero(takes[: capped + 1] > 0).tolist():
             s1, s2, take = int(start1[k]), int(start2[k]), int(takes[k])
             ones, twos = primes[s1 : s1 + take], almost[s2 : s2 + take]

@@ -27,7 +27,6 @@ class WeightVector:
     k_lo: int
     k_hi: int
     weights: np.ndarray
-    kind: str  # exact | erdos | gaussian
 
     def __post_init__(self):
         if self.k_hi < self.k_lo:
@@ -67,6 +66,10 @@ class GaussianWindowSpec:
                 f"the window of C = {self.C} at log log N = {self.loglogn} exceeds "
                 f"{MAX_WINDOW_POINTS} points or k = {MAX_WINDOW_K}"
             )
+        if self.k_hi < self.k_lo:
+            raise WindowRangeError(
+                f"the window of C = {self.C} at log log N = {self.loglogn} holds no integer k"
+            )
 
     @property
     def k_lo(self) -> int:
@@ -92,32 +95,21 @@ def exact_weights(profile: OmegaProfile) -> WeightVector:
         k_lo=0,
         k_hi=profile.k_max,
         weights=profile.pik.astype(np.float64) / profile.N,
-        kind="exact",
     )
 
 
-def erdos_weights(N: int, window: GaussianWindowSpec) -> WeightVector:
+def erdos_weights(window: GaussianWindowSpec) -> WeightVector:
     """Product-form estimate (1/log N) L^{k-1} / (k-1)! on the window, k >= 1.
 
-    Anchored in log-space at k0 = round(L) and extended by the exact
-    recurrence w_{k+1}/w_k = L/k, so the ratio identity holds to rounding
-    and nothing overflows for virtual L.
+    L = log log N is the window's centre.  The window is not empty and
+    k_hi >= L > 1, so it holds some k >= 1.  Anchored in log-space at
+    k0 = round(L) and extended by the exact recurrence w_{k+1}/w_k = L/k,
+    so the ratio identity holds to rounding and nothing overflows for
+    virtual L.
     """
-    if N < 16:
-        raise InvalidRangeError("need N >= 16 so that log log N > 1")
-    L = math.log(math.log(N))
-    if abs(window.loglogn - L) > 1e-9:
-        raise WindowRangeError(
-            f"window centered at {window.loglogn}, but log log N = {L}"
-        )
-    return _erdos_weights_at(L, window)
-
-
-def _erdos_weights_at(L: float, window: GaussianWindowSpec) -> WeightVector:
+    L = window.loglogn
     k_lo = max(1, window.k_lo)
     k_hi = window.k_hi
-    if k_hi < k_lo:
-        raise WindowRangeError("window contains no k >= 1")
     k0 = min(max(k_lo, round(L)), k_hi)
     # log w_k0 = -L + (k0 - 1) log L - log (k0 - 1)!
     log_anchor = -L + (k0 - 1) * math.log(L) - math.lgamma(k0)
@@ -127,7 +119,7 @@ def _erdos_weights_at(L: float, window: GaussianWindowSpec) -> WeightVector:
         weights[k - k_lo] = weights[k - 1 - k_lo] * (L / (k - 1))
     for k in range(k0 - 1, k_lo - 1, -1):
         weights[k - k_lo] = weights[k + 1 - k_lo] * (k / L)
-    return WeightVector(k_lo=k_lo, k_hi=k_hi, weights=weights, kind="erdos")
+    return WeightVector(k_lo=k_lo, k_hi=k_hi, weights=weights)
 
 
 def gaussian_weights(window: GaussianWindowSpec) -> WeightVector:
@@ -138,9 +130,7 @@ def gaussian_weights(window: GaussianWindowSpec) -> WeightVector:
     L = window.loglogn
     z = (window.ks().astype(np.float64) - L) / math.sqrt(L)
     weights = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi * L)
-    return WeightVector(
-        k_lo=window.k_lo, k_hi=window.k_hi, weights=weights, kind="gaussian"
-    )
+    return WeightVector(k_lo=window.k_lo, k_hi=window.k_hi, weights=weights)
 
 
 def tn_operator(indicator, window: GaussianWindowSpec) -> float:

@@ -23,6 +23,28 @@ def eratosthenes(limit: int) -> np.ndarray:
     return np.flatnonzero(flags[: limit + 1]).astype(np.int64)
 
 
+def omega_oracle(n: int) -> int:
+    """Omega(n) by naive trial division."""
+    if n < 1:
+        raise InvalidRangeError("n must be >= 1")
+    count = 0
+    for d in (2, 3):
+        while n % d == 0:
+            n //= d
+            count += 1
+    d = 5
+    step = 2
+    while d * d <= n:
+        while n % d == 0:
+            n //= d
+            count += 1
+        d += step
+        step = 6 - step  # 5, 7, 11, 13, ... (6k +- 1)
+    if n > 1:
+        count += 1
+    return count
+
+
 def bulk_omega_oracle(lo: int, hi: int) -> np.ndarray:
     """Omega(n) for lo <= n < hi by vectorized trial division."""
     ns = np.arange(lo, hi, dtype=np.int64)

@@ -39,7 +39,7 @@ from omegalab.twosets import (
 )
 from omegalab.weights import approximation_report
 
-from oracles import coupling_grouped
+from oracles import coupling_grouped, omega_oracle
 
 GRID = [-3 + 0.25 * i for i in range(25)]
 GOLDEN_CONJUGATE = (math.sqrt(5) - 1) / 2
@@ -177,8 +177,8 @@ def test_10a_two_sets_structure_and_runtime(best_two_sets):
     pair, couplings, elapsed, _ = best_two_sets
     assert elapsed < 60.0
     # item (i): membership predicates
-    assert all(omegalab.omega_oracle(p) == 1 for p in pair.b1)
-    assert all(omegalab.omega_oracle(m) == 2 for m in pair.b2)
+    assert all(omega_oracle(p) == 1 for p in pair.b1)
+    assert all(omega_oracle(m) == 2 for m in pair.b2)
     # item (ii): per-interval cardinality equality
     assert _interval_counts(pair.b1, pair.rho) == _interval_counts(pair.b2, pair.rho)
     # discrepancy bound at 10^6 against the achieved couplings

@@ -1,0 +1,49 @@
+"""The library's settable surface: no parameter that only tests set or that the code derives."""
+
+import ast
+import dataclasses
+import inspect
+from pathlib import Path
+
+import omegalab
+from omegalab import sieve, twosets, weights
+
+
+def test_public_signatures():
+    assert str(inspect.signature(sieve.omega_profiles)) == (
+        "(checkpoints, workers: 'int' = 1) -> 'list[OmegaProfile]'"
+    )
+    assert str(inspect.signature(sieve.omega_profile)) == (
+        "(N: 'int', workers: 'int' = 1) -> 'OmegaProfile'"
+    )
+    assert str(inspect.signature(sieve.hardy_ramanujan_tail)) == (
+        "(N: 'int', C: 'float', workers: 'int' = 1) -> 'float'"
+    )
+    assert str(inspect.signature(twosets.construct_pair)) == (
+        "(epsilon: 'float', rho: 'float', search_limit: 'int') -> 'PrimeSetPair'"
+    )
+    assert str(inspect.signature(weights.erdos_weights)) == (
+        "(window: 'GaussianWindowSpec') -> 'WeightVector'"
+    )
+    assert [f.name for f in dataclasses.fields(weights.WeightVector)] == [
+        "k_lo", "k_hi", "weights",
+    ]
+
+
+def test_trial_division_lives_only_in_the_test_oracles():
+    modules = [m for m in vars(omegalab).values() if inspect.ismodule(m)]
+    assert sieve in modules
+    for module in (omegalab, *modules):
+        assert "omega_oracle" not in vars(module), module.__name__
+
+
+def test_only_segment_spans_takes_a_segment_length():
+    takers = []
+    for path in sorted(Path(omegalab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                params = node.args
+                names = {a.arg for a in params.posonlyargs + params.args + params.kwonlyargs}
+                if names & {"segment_length", "max_set_size"}:
+                    takers.append(f"{path.stem}.{node.name}")
+    assert takers == ["sieve.segment_spans"]

@@ -311,7 +311,7 @@ def test_inverted_block_pair_is_usage_error(capsys, tmp_path, argv, content):
 
 
 def test_sieve_range_over_one_segment_is_resource_error(capsys, monkeypatch):
-    monkeypatch.setattr(sieve, "sieve_segment", lambda lo, hi: pytest.fail("sieved"))
+    monkeypatch.setattr(kernels, "omega_segment", lambda *a: pytest.fail("sieved"))
     for hi in (sieve.DEFAULT_SEGMENT_LENGTH + 2, 10**9):
         code = main(["sieve", "--lo", "1", "--hi", str(hi)])
         captured = capsys.readouterr()
@@ -487,6 +487,21 @@ def test_bad_options_fail_before_sieving(capsys, monkeypatch, argv):
     assert code == EXIT_USAGE
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["sieve", "--lo", str(-10**12), "--hi", "3"], f"invalid range [{-10**12}, 3)"),
+     (["weights", "--limit", str(10**8), "--C", "0.01"],
+      f"the window of C = 0.01 at log log N = {math.log(math.log(10**8))} holds no integer k")],
+)
+def test_bad_range_or_empty_window_fails_before_sieving(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(kernels, "omega_segment", lambda *a: pytest.fail("sieved"))
+    code = main(argv)  # no --quiet
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == f"omegalab: {message}\n"
 
 
 @pytest.mark.parametrize("limit", ["2", "1", "-4"])

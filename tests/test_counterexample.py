@@ -9,6 +9,7 @@ from oracles import (
     block_scan_oracle,
     extrapolated_average_oracle,
     loglog_interval_count_by_exp,
+    omega_oracle,
     oscillation_profile_oracle,
 )
 
@@ -29,7 +30,6 @@ from omegalab.errors import (
     InvalidRangeError,
     RangeTooLargeError,
 )
-from omegalab.sieve import omega_oracle
 from omegalab.weights import GaussianWindowSpec, extrapolated_average
 
 INT64 = np.iinfo(np.int64)

@@ -11,16 +11,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import bulk_omega_oracle, eratosthenes, hardy_ramanujan_tail_oracle, pi_k_by_counting
+from oracles import (
+    bulk_omega_oracle,
+    eratosthenes,
+    hardy_ramanujan_tail_oracle,
+    omega_oracle,
+    pi_k_by_counting,
+)
 
 import omegalab
 from omegalab import (
     hardy_ramanujan_tail,
     kernels,
     liouville,
-    omega_oracle,
     omega_profile,
     omega_profiles,
+    sieve,
     sieve_segment,
 )
 from omegalab.errors import (
@@ -351,12 +357,13 @@ def test_hardy_ramanujan_tail_monotone_in_c():
 
 
 @pytest.mark.parametrize("N", [3, 4, 15, 16, 17, 10**3, 10**5 + 3, 10**6])
-def test_hardy_ramanujan_tail_bit_identical_to_per_n_oracle(N):
+def test_hardy_ramanujan_tail_bit_identical_to_per_n_oracle(N, monkeypatch):
     for C in (0.01, 0.5, 1, 2, 3, 50):
         expect = hardy_ramanujan_tail_oracle(N, C).hex()
-        for segment_length in (None, 12345):
+        for segment_length in (DEFAULT_SEGMENT_LENGTH, 12345):
+            monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LENGTH", segment_length)
             for workers in (1, 2):
-                got = hardy_ramanujan_tail(N, C, workers, segment_length)
+                got = hardy_ramanujan_tail(N, C, workers)
                 assert got.hex() == expect, (C, segment_length, workers)
 
 
@@ -390,7 +397,8 @@ def test_warm_tail_sieves_only_the_spans_that_hold_a_cut(tmp_path, monkeypatch):
     assert 0 < len(holding) < len(spans)
 
     monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
-    omega_profile(N, segment_length=length)
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LENGTH", length)
+    omega_profile(N)
     sieved = []
     real_kernel = kernels.omega_segment
 
@@ -399,7 +407,7 @@ def test_warm_tail_sieves_only_the_spans_that_hold_a_cut(tmp_path, monkeypatch):
         return real_kernel(lo, hi, primes)
 
     monkeypatch.setattr(kernels, "omega_segment", counting_kernel)
-    assert hardy_ramanujan_tail(N, C, segment_length=length) == expect
+    assert hardy_ramanujan_tail(N, C) == expect
     assert sieved == holding
 
 
@@ -468,13 +476,17 @@ def test_every_consumer_takes_a_profile():
     assert forks == []
 
 
-def test_segment_validation():
-    with pytest.raises(InvalidRangeError):
-        sieve_segment(10, 10)
-    with pytest.raises(InvalidRangeError):
-        sieve_segment(0, 5)
+def test_segment_validation(monkeypatch):
+    assert len(sieve_segment(1, DEFAULT_SEGMENT_LENGTH + 1)) == DEFAULT_SEGMENT_LENGTH
+    monkeypatch.setattr(kernels, "omega_segment", lambda *a: pytest.fail("sieved"))
+    for lo, hi in ((10, 10), (0, 5), (-10**12, 3)):  # -10**12: a bad range, not a long one
+        with pytest.raises(InvalidRangeError):
+            sieve_segment(lo, hi)
     with pytest.raises(RangeTooLargeError):
         sieve_segment(1, 10**10 + 2)
+    for lo, hi in ((1, DEFAULT_SEGMENT_LENGTH + 2), (1, 10**10), (10**9, 10**9 + 10**8)):
+        with pytest.raises(RangeTooLargeError, match=f"more than {DEFAULT_SEGMENT_LENGTH}"):
+            sieve_segment(lo, hi)
 
 
 def with_crc(body: bytes) -> bytes:
@@ -544,13 +556,14 @@ def test_flipped_bit_in_inv_is_a_miss(tmp_path, monkeypatch):
 
 def test_warm_store_profiles_need_no_kernel(tmp_path, monkeypatch):
     checkpoints = [5000, 20000, 60000]  # span ends at segment length 5000
-    reference = omega_profiles(checkpoints, segment_length=5000)
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LENGTH", 5000)
+    reference = omega_profiles(checkpoints)
     monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
-    omega_profiles(checkpoints, segment_length=5000)
+    omega_profiles(checkpoints)
     assert len(os.listdir(tmp_path)) == 12
     monkeypatch.setattr(kernels, "omega_segment", no_kernel)  # forked workers inherit it
     for workers in (1, 2):
-        warm = omega_profiles(checkpoints, workers, segment_length=5000)
+        warm = omega_profiles(checkpoints, workers)
         for prof, ref in zip(warm, reference):
             assert prof.pik.tobytes() == ref.pik.tobytes()
             assert prof.inv_weights.tobytes() == ref.inv_weights.tobytes()
@@ -558,13 +571,14 @@ def test_warm_store_profiles_need_no_kernel(tmp_path, monkeypatch):
 
 def test_checkpoint_inside_a_span_on_a_warm_store(tmp_path, monkeypatch):
     monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
-    omega_profiles([60000], segment_length=5000)
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LENGTH", 5000)
+    omega_profiles([60000])
     checkpoints = [12345, 7, 60000, 59999]
-    warm = omega_profiles(checkpoints, segment_length=5000)
+    warm = omega_profiles(checkpoints)
     assert len(os.listdir(tmp_path)) == 12
     monkeypatch.delenv("OMEGALAB_CACHE")
     for prof in warm:
-        ref = omega_profile(prof.N, segment_length=5000)
+        ref = omega_profile(prof.N)
         assert prof.pik.tobytes() == ref.pik.tobytes()
         assert prof.inv_weights.tobytes() == ref.inv_weights.tobytes()
 
@@ -600,8 +614,6 @@ def test_segment_spans_rejects_nonpositive_length():
     for bad in (0, -5):
         with pytest.raises(InvalidRangeError):
             segment_spans(10, bad)
-        with pytest.raises(InvalidRangeError):
-            omega_profile(10, segment_length=bad)
 
 
 def test_segment_length_over_the_cap_is_range_too_large():
@@ -625,15 +637,16 @@ def test_segment_count_over_the_cap_raises_before_the_spans_are_built():
     assert peak < 10**6  # 10^10 span tuples were not built
 
 
-def test_segment_span_cap_is_exact():
+def test_segment_span_cap_is_exact(monkeypatch):
     assert len(segment_spans(HARD_LIMIT)) == -(-HARD_LIMIT // DEFAULT_SEGMENT_LENGTH) == 2385
     assert len(segment_spans(MAX_SEGMENTS, 1)) == MAX_SEGMENTS
     assert len(segment_spans(10 * MAX_SEGMENTS, 10)) == MAX_SEGMENTS
     for n_max, length in ((MAX_SEGMENTS + 1, 1), (10 * MAX_SEGMENTS + 1, 10), (HARD_LIMIT, 1)):
         with pytest.raises(RangeTooLargeError, match="over the cap"):
             segment_spans(n_max, length)
+        monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LENGTH", length)
         with pytest.raises(RangeTooLargeError, match="over the cap"):
-            omega_profile(n_max, segment_length=length)
+            omega_profile(n_max)
 
 
 def test_profile_worker_counts_agree_at_1e6(profile_1e6):
@@ -644,8 +657,6 @@ def test_profile_worker_counts_agree_at_1e6(profile_1e6):
 
 
 def test_profile_checks_partition_identity(monkeypatch):
-    from omegalab import sieve
-
     def lossy_chunk(span):
         pik, inv = _profile_chunk(span)
         pik[1] -= 1
@@ -664,12 +675,12 @@ PROFILE_CHECKPOINTS = [
 
 
 @pytest.mark.parametrize("segment_length", [None, 12345, 1 << 16])
-def test_omega_profiles_match_standalone_profiles(segment_length):
-    standalone = {
-        n: omega_profile(n, segment_length=segment_length) for n in set(PROFILE_CHECKPOINTS)
-    }
+def test_omega_profiles_match_standalone_profiles(segment_length, monkeypatch):
+    if segment_length is not None:
+        monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LENGTH", segment_length)
+    standalone = {n: omega_profile(n) for n in set(PROFILE_CHECKPOINTS)}
     for workers in (1, 2):
-        profiles = omega_profiles(PROFILE_CHECKPOINTS, workers, segment_length)
+        profiles = omega_profiles(PROFILE_CHECKPOINTS, workers)
         assert [p.N for p in profiles] == PROFILE_CHECKPOINTS
         for prof in profiles:
             ref = standalone[prof.N]

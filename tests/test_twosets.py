@@ -9,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omegalab.averages import AverageScheme, RealTestFunction, smoothed_indicator
-from omegalab import sieve, twosets
+from omegalab import twosets
 from omegalab.errors import (
     EmptySetError,
     InvalidRangeError,
     RangeTooLargeError,
     SearchExhaustedError,
 )
-from omegalab.sieve import DEFAULT_SEGMENT_LENGTH, base_primes, omega_oracle
+from omegalab.sieve import DEFAULT_SEGMENT_LENGTH, base_primes
 from omegalab.twosets import (
     MAX_RHO_INTERVALS,
     MAX_SEARCH_LIMIT,
@@ -37,6 +37,7 @@ from oracles import (
     almost_primes_2_by_rows,
     coupling,
     coupling_grouped,
+    omega_oracle,
     phi,
     two_sets_scan_oracle,
 )
@@ -202,10 +203,10 @@ def test_almost_primes_table_from_a_longer_prime_array():
         assert _almost_primes_2(limit, primes).tolist() == own.tolist()
 
 
-def _search(*args, **kwargs):
+def _search(*args):
     """construct_pair's lists, couplings and message, whether it succeeds or not."""
     try:
-        pair = construct_pair(*args, **kwargs)
+        pair = construct_pair(*args)
         return pair.b1, pair.b2, pair.couplings, None
     except SearchExhaustedError as exc:
         pair = exc.best_pair
@@ -238,12 +239,13 @@ def _recording_table(monkeypatch):
 )
 def test_growing_table_gives_the_same_search(monkeypatch, epsilon, rho, limit, cap):
     limits = _recording_table(monkeypatch)
+    monkeypatch.setattr(twosets, "MAX_SET_SIZE", cap)
     monkeypatch.setattr(twosets, "_FIRST_TABLE_LIMIT", 2**62)
-    whole = _search(epsilon, rho, limit, max_set_size=cap)
+    whole = _search(epsilon, rho, limit)
     assert limits == [limit]
     limits.clear()
     monkeypatch.setattr(twosets, "_FIRST_TABLE_LIMIT", 64)
-    grown = _search(epsilon, rho, limit, max_set_size=cap)
+    grown = _search(epsilon, rho, limit)
     assert grown == whole  # the same lists, bit-identical couplings, the same message
     assert limits[0] == min(64, limit) and limits[-1] <= limit
     assert all(b == min(2 * a, limit) for a, b in zip(limits, limits[1:]))
@@ -262,16 +264,18 @@ def test_growing_table_gives_the_same_search(monkeypatch, epsilon, rho, limit, c
         (0.1, 1.0000925, 10**4, 50_000),  # about 10^5 intervals, none takes anything
     ],
 )
-def test_batched_search_matches_the_element_scan(epsilon, rho, limit, cap):
-    got = _search(epsilon, rho, limit, max_set_size=cap)
+def test_batched_search_matches_the_element_scan(monkeypatch, epsilon, rho, limit, cap):
+    monkeypatch.setattr(twosets, "MAX_SET_SIZE", cap)
+    got = _search(epsilon, rho, limit)
     # the same lists, couplings equal as floats (not approximately), the same message
     assert got == two_sets_scan_oracle(epsilon, rho, limit, cap)
 
 
 def test_short_search_builds_only_the_first_table(monkeypatch):
     limits = _recording_table(monkeypatch)
+    monkeypatch.setattr(twosets, "MAX_SET_SIZE", 300)
     with pytest.raises(SearchExhaustedError):
-        construct_pair(0.1, 1.05, 10**7, max_set_size=300)
+        construct_pair(0.1, 1.05, 10**7)
     assert limits == [2**20]
 
 
@@ -334,11 +338,6 @@ def _trial_division_message(b1, b2):
 
 
 def test_prime_set_pair_validation_from_the_sieve(tmp_path, monkeypatch):
-    def no_oracle(n):
-        raise AssertionError("validation fell back to trial division")
-
-    assert "omega_oracle" not in vars(twosets)
-    monkeypatch.setattr(sieve, "omega_oracle", no_oracle)
     monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
     big_prime, big_almost = _first_in_segment_two(1), _first_in_segment_two(2)
     assert rho_index(big_prime, 1.05) == rho_index(big_almost, 1.05)
@@ -364,9 +363,10 @@ def test_prime_set_pair_validation_from_the_sieve(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []  # the segment cache is not used
 
 
-def test_search_carries_its_couplings():
+def test_search_carries_its_couplings(monkeypatch):
+    monkeypatch.setattr(twosets, "MAX_SET_SIZE", 300)
     with pytest.raises(SearchExhaustedError) as exc_info:
-        construct_pair(0.1, 1.05, 10**5, max_set_size=300)
+        construct_pair(0.1, 1.05, 10**5)
     exc = exc_info.value
     pair = exc.best_pair
     assert len(pair.b1) == 300
@@ -397,9 +397,6 @@ def test_construct_pair_invariants_hold():
     except SearchExhaustedError as exc:
         pair = exc.best_pair
     assert pair is not None
-    from omegalab.sieve import omega_oracle
-    from omegalab.twosets import _interval_counts
-
     assert all(omega_oracle(p) == 1 for p in pair.b1)
     assert all(omega_oracle(m) == 2 for m in pair.b2)
     assert len(pair.b1) == len(pair.b2)

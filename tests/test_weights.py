@@ -39,6 +39,10 @@ def test_window_validation():
         GaussianWindowSpec(loglogn=4.0, C=-1.0)
     with pytest.raises(InvalidRangeError):
         window_for(10)
+    with pytest.raises(WindowRangeError, match="holds no integer k"):
+        GaussianWindowSpec(loglogn=1.5, C=0.01)  # [ceil(1.488), floor(1.512)] = [2, 1]
+    with pytest.raises(WindowRangeError, match="holds no integer k"):
+        window_for(10**8, C=0.01)  # log log 1e8 = 2.913: [3, 2]
 
 
 @pytest.mark.parametrize("loglogn, C", [(math.nan, 3.0), (math.inf, 3.0), (4.0, math.nan),
@@ -57,25 +61,24 @@ def test_window_size_limits():
 
 
 def test_weight_vector_lookup():
-    wv = WeightVector(k_lo=2, k_hi=4, weights=np.array([0.1, 0.2, 0.3]), kind="exact")
+    wv = WeightVector(k_lo=2, k_hi=4, weights=np.array([0.1, 0.2, 0.3]))
     assert wv.weight(3) == pytest.approx(0.2)
     assert wv.weight(1) == 0.0
     assert wv.weight(5) == 0.0
     assert wv.total() == pytest.approx(0.6)
     with pytest.raises(WindowRangeError):
-        WeightVector(k_lo=2, k_hi=1, weights=np.array([]), kind="exact")
+        WeightVector(k_lo=2, k_hi=1, weights=np.array([]))
 
 
 def test_exact_weights_sum_to_one(profile_1e4):
     wv = exact_weights(profile_1e4)
     assert wv.total() == pytest.approx(1.0, abs=1e-15)
-    assert wv.kind == "exact"
 
 
 def test_erdos_weights_recurrence_identity():
     N = 10**8
     window = window_for(N)
-    wv = erdos_weights(N, window)
+    wv = erdos_weights(window)
     L = math.log(math.log(N))
     for k in range(wv.k_lo, wv.k_hi):
         assert wv.weight(k + 1) == pytest.approx(wv.weight(k) * L / k, rel=1e-12)
@@ -84,16 +87,19 @@ def test_erdos_weights_recurrence_identity():
 def test_erdos_weights_closed_form_anchor():
     N = 10**8
     window = window_for(N)
-    wv = erdos_weights(N, window)
+    wv = erdos_weights(window)
     L = math.log(math.log(N))
     for k in range(max(1, window.k_lo), window.k_hi + 1):
         closed = L ** (k - 1) / math.factorial(k - 1) / math.log(N)
         assert wv.weight(k) == pytest.approx(closed, rel=1e-10)
 
 
-def test_erdos_weights_rejects_mismatched_window():
-    with pytest.raises(WindowRangeError):
-        erdos_weights(10**8, GaussianWindowSpec(loglogn=5.0))
+@pytest.mark.parametrize("loglogn", [1.0001, 1.5, 2.5, 4.0, 1e6])
+def test_erdos_weights_start_at_k_1_and_follow_the_window(loglogn):
+    window = GaussianWindowSpec(loglogn=loglogn, C=3.0)
+    wv = erdos_weights(window)
+    assert (wv.k_lo, wv.k_hi) == (max(1, window.k_lo), window.k_hi)
+    assert np.all(np.isfinite(wv.weights)) and np.all(wv.weights > 0)
 
 
 def test_gaussian_weights_formula():
