@@ -19,12 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dynamics import ObservableOrbit, exponential_orbit, residue_indicator_orbit
-from .errors import (
-    DegenerateGridError,
-    InvalidPError,
-    InvalidRangeError,
-    require_finite,
-)
+from .errors import InvalidRangeError, require_finite
 from .sieve import OmegaProfile, omega_profiles
 
 
@@ -172,7 +167,7 @@ def grid_cells(points: Sequence[float]) -> list[tuple[float, float]]:
     """Consecutive cells (A, B) of a grid; the cells partition its span."""
     pts = sorted(points)
     if len(pts) < 2:
-        raise DegenerateGridError("grid needs at least two points")
+        raise InvalidRangeError("grid needs at least two points")
     return [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
 
 
@@ -235,9 +230,9 @@ def shifted_omega_average(
 def log_trick_discrepancy(a: Callable[[int], complex], N: int, p: int) -> float:
     """|E^log_{[N/p]} a(Omega) - E^log_{[N]} a(Omega)| for a bounded function a of k."""
     if p < 2:
-        raise InvalidPError("p must be >= 2")
+        raise InvalidRangeError("p must be >= 2")
     if N < p:
-        raise InvalidPError("need N >= p")
+        raise InvalidRangeError("need N >= p")
     head, full = (
         _scheme_average(prof, _values(a, prof.k_max), AverageScheme.LOGARITHMIC)
         for prof in omega_profiles([N // p, N])
@@ -251,8 +246,8 @@ def log_trick_bound(M: float, N: int, p: int) -> float:
     A_N is read from the profiles, the same sums log_trick_discrepancy divides by.
     """
     if p < 2:
-        raise InvalidPError("p must be >= 2")
+        raise InvalidRangeError("p must be >= 2")
     if N < p:
-        raise InvalidPError("need N >= p")
+        raise InvalidRangeError("need N >= p")
     head, full = (prof.harmonic_sum() for prof in omega_profiles([N // p, N]))
     return 2.0 * M * (1.0 - head / full)

@@ -18,12 +18,7 @@ import numpy as np
 
 from .averages import average_along_omega
 from .dynamics import SymbolicOrbit
-from .errors import (
-    BlockOverflowError,
-    InvalidIntervalError,
-    InvalidRangeError,
-    RangeTooLargeError,
-)
+from .errors import InvalidRangeError, RangeTooLargeError
 from .sieve import OmegaProfile
 from .weights import GaussianWindowSpec, extrapolated_average
 
@@ -42,9 +37,9 @@ class BlockSequence:
         prev_hi = None
         for lo, hi in self.blocks:
             if hi < lo:
-                raise InvalidIntervalError(f"block [{lo}, {hi}] is empty")
+                raise InvalidRangeError(f"block [{lo}, {hi}] is empty")
             if prev_hi is not None and lo <= prev_hi:
-                raise InvalidIntervalError("blocks must be disjoint and sorted")
+                raise InvalidRangeError("blocks must be disjoint and sorted")
             prev_hi = hi
 
     @cached_property
@@ -85,7 +80,7 @@ def merge_intervals(intervals) -> tuple:
     merged = []
     for lo, hi in sorted(intervals):
         if hi < lo:
-            raise InvalidIntervalError(f"block [{lo}, {hi}] is empty")
+            raise InvalidRangeError(f"block [{lo}, {hi}] is empty")
         if merged and lo <= merged[-1][1] + 1:
             merged[-1][1] = max(merged[-1][1], hi)
         else:
@@ -98,7 +93,7 @@ def erdos_blocks(k_max: int) -> BlockSequence:
     if k_max < 1:
         raise InvalidRangeError("k_max must be >= 1")
     if k_max > _MAX_BLOCK_K:  # before 3^k_max is computed
-        raise BlockOverflowError(f"3^{k_max} exceeds the supported integer range")
+        raise InvalidRangeError(f"3^{k_max} exceeds the supported integer range")
     intervals = [(3**k - 2**k, 3**k + 2**k) for k in range(1, k_max + 1)]
     return BlockSequence(merge_intervals(intervals))
 
@@ -142,9 +137,9 @@ def loglog_interval_count(N: int, lo: float, hi: float) -> int:
     if N > _FAR:
         raise RangeTooLargeError(f"N = {N} is over the cap of {_FAR}")
     if math.isnan(lo) or math.isnan(hi):
-        raise InvalidIntervalError(f"interval [{lo}, {hi}] has a NaN bound")
+        raise InvalidRangeError(f"interval [{lo}, {hi}] has a NaN bound")
     if lo >= hi:
-        raise InvalidIntervalError("need lo < hi")
+        raise InvalidRangeError("need lo < hi")
     n_min = max(3, _first_n_crossing(lo, strict=False))
     n_max = min(N, _first_n_crossing(hi, strict=True) - 1)
     return max(0, n_max - n_min + 1)

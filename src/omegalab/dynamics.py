@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import InvalidResidueError, UnknownSystemError, require_finite
+from .errors import InvalidRangeError, require_finite
 
 
 class ObservableOrbit:
@@ -34,9 +34,9 @@ class FiniteRotation(ObservableOrbit):
 
     def __post_init__(self):
         if self.m < 1 or not 0 <= self.start < self.m:
-            raise InvalidResidueError(f"bad rotation (m={self.m}, start={self.start})")
+            raise InvalidRangeError(f"bad rotation (m={self.m}, start={self.start})")
         if len(self.g_values) != self.m:
-            raise InvalidResidueError("g_values length must equal m")
+            raise InvalidRangeError("g_values length must equal m")
 
     @property
     def space_mean(self) -> complex:
@@ -117,7 +117,7 @@ class ResidueIndicator(ObservableOrbit):
 
     def __post_init__(self):
         if self.m < 1 or not 0 <= self.r < self.m:
-            raise InvalidResidueError(f"residue {self.r} mod {self.m} is invalid")
+            raise InvalidRangeError(f"residue {self.r} mod {self.m} is invalid")
 
     @property
     def space_mean(self) -> float:
@@ -141,7 +141,7 @@ def parse_system(spec: str) -> ObservableOrbit:
 
     Supported: ``liouville``, ``rot:m=3,r=1``, ``exp:beta=0.5``,
     ``circle:alpha=0.618`` (observable e^{2 pi i x}, space mean 0).
-    A missing or non-numeric argument raises UnknownSystemError.
+    A missing or non-numeric argument raises InvalidRangeError.
     """
     name, _, args = spec.partition(":")
     kv = dict(part.partition("=")[::2] for part in args.split(",") if part)
@@ -150,7 +150,7 @@ def parse_system(spec: str) -> ObservableOrbit:
         try:
             return kind(kv[key])
         except (KeyError, ValueError):
-            raise UnknownSystemError(f"system spec {spec!r} needs a numeric {key}") from None
+            raise InvalidRangeError(f"system spec {spec!r} needs a numeric {key}") from None
 
     if name == "liouville":
         return rotation_two_points_liouville()
@@ -165,4 +165,4 @@ def parse_system(spec: str) -> ObservableOrbit:
             g=lambda x: cmath.exp(2j * math.pi * x),
             space_mean=0.0,
         )
-    raise UnknownSystemError(f"unknown system spec: {spec!r}")
+    raise InvalidRangeError(f"unknown system spec: {spec!r}")

@@ -1,61 +1,33 @@
-"""Exception taxonomy shared by all modules."""
+"""The four exception classes; the class an error is raised with is its CLI exit code.
+
+- OmegalabError: the base class, exit 2.  Raised directly where the input
+  is fine but a file cannot be written: --out, or the profile cache.
+- InvalidRangeError: bad input of any kind (a range, spec, block, window,
+  set or parameter), exit 2.
+- RangeTooLargeError: a resource limit (range, span count, window size,
+  search cap), exit 3.
+- SearchExhaustedError: construct_pair's search hit its limit, exit 3.
+
+cli.main catches RangeTooLargeError for exit 3, then OmegalabError for exit
+2, and prints the message as one stderr line.
+"""
 
 import math
 
 
 class OmegalabError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors: exit 2."""
 
 
 class InvalidRangeError(OmegalabError, ValueError):
-    """lo >= hi, lo < 1, or otherwise malformed range."""
+    """Bad input: a malformed range, spec, block, window or parameter."""
 
 
 class RangeTooLargeError(OmegalabError):
-    """Requested range exceeds the configured global limit."""
+    """A request over one of the configured resource limits: exit 3."""
 
 
-class CacheWriteError(OmegalabError):
-    """The profile cache (OMEGALAB_CACHE) could not be created or written."""
-
-
-class OutputWriteError(OmegalabError):
-    """The --out file could not be written."""
-
-
-class InvalidResidueError(OmegalabError, ValueError):
-    """Residue r outside [0, m) or m < 1."""
-
-
-class EmptySetError(OmegalabError, ValueError):
-    """An averaging set B was empty."""
-
-
-class DegenerateGridError(OmegalabError, ValueError):
-    """A grid specification with fewer than two points."""
-
-
-class WindowRangeError(OmegalabError, ValueError):
-    """A Gaussian k-window inconsistent with its parameters."""
-
-
-class InvalidPError(OmegalabError, ValueError):
-    """p < 2 or N < p in the log-trick."""
-
-
-class InvalidIntervalError(OmegalabError, ValueError):
-    """Interval with lo >= hi."""
-
-
-class BlockOverflowError(OmegalabError, OverflowError):
-    """Block construction would exceed the integer range."""
-
-
-class UnknownSystemError(OmegalabError, ValueError):
-    """A system spec string naming no supported dynamical system."""
-
-
-class SearchExhaustedError(OmegalabError):
+class SearchExhaustedError(RangeTooLargeError):
     """construct_pair hit its search limit before reaching the coupling target.
 
     Carries the best pair found so far and its achieved couplings so callers

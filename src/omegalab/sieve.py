@@ -19,12 +19,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import kernels
-from .errors import (
-    CacheWriteError,
-    InvalidRangeError,
-    RangeTooLargeError,
-    require_finite,
-)
+from .errors import InvalidRangeError, OmegalabError, RangeTooLargeError, require_finite
 
 # Omega(n) <= log2(n) < 64 for every feasible n, so one byte per integer.
 MAX_OMEGA = 64
@@ -169,7 +164,7 @@ def _cache_write(lo: int, hi: int, record: np.ndarray) -> None:
 
     Readers, and other processes writing the same span, see either no
     file or a whole one.  A cache directory that cannot be created or
-    written raises CacheWriteError.
+    written raises OmegalabError.
     """
     directory = _cache_dir()
     if directory is None:
@@ -186,7 +181,7 @@ def _cache_write(lo: int, hi: int, record: np.ndarray) -> None:
                 os.unlink(tmp)
             raise
     except OSError as exc:
-        raise CacheWriteError(f"cannot write the profile cache {directory}: {exc}") from None
+        raise OmegalabError(f"cannot write the profile cache {directory}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

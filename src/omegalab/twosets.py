@@ -15,12 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .averages import AverageScheme, RealTestFunction, _dot, _ek_weights, _values
-from .errors import (
-    EmptySetError,
-    InvalidRangeError,
-    RangeTooLargeError,
-    SearchExhaustedError,
-)
+from .errors import InvalidRangeError, RangeTooLargeError, SearchExhaustedError
 from .sieve import OmegaProfile, _check_limit, base_primes, segment_spans, sieve_segment
 
 MAX_SET_SIZE = 50_000  # caps |B1| = |B2|, and so the search's time and output
@@ -43,7 +38,7 @@ class PrimeSetPair:
 
     def __post_init__(self):
         if not self.b1 or not self.b2:
-            raise EmptySetError("pair sets must be non-empty")
+            raise InvalidRangeError("pair sets must be non-empty")
         if not 0 < self.epsilon < 1:
             raise InvalidRangeError("epsilon must lie in (0, 1)")
         if not 1 < self.rho <= 1 + self.epsilon:
@@ -159,7 +154,7 @@ class _BatchCoupling:
 
     def value(self) -> float:
         if self.harmonic == 0.0:
-            raise EmptySetError("coupling of an empty set")
+            raise InvalidRangeError("coupling of an empty set")
         return (self.prime_part + self.self_part) / (self.harmonic * self.harmonic)
 
 
@@ -288,7 +283,7 @@ def tk_discrepancy(B, N: int, scheme: AverageScheme = AverageScheme.CESARO) -> f
     """
     elems = sorted(set(B))
     if not elems:
-        raise EmptySetError("tk_discrepancy of an empty set")
+        raise InvalidRangeError("tk_discrepancy of an empty set")
     if N < 1:
         raise InvalidRangeError("N must be >= 1")
     if N > MAX_TK_N:  # before the arrays of N + 1 entries

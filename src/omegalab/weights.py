@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .averages import _dot
-from .errors import InvalidRangeError, RangeTooLargeError, WindowRangeError, require_finite
+from .errors import InvalidRangeError, RangeTooLargeError, require_finite
 from .sieve import OmegaProfile
 
 MAX_WINDOW_POINTS = 10**7  # k values in one Gaussian window
@@ -30,9 +30,9 @@ class WeightVector:
 
     def __post_init__(self):
         if self.k_hi < self.k_lo:
-            raise WindowRangeError("empty weight window")
+            raise InvalidRangeError("empty weight window")
         if len(self.weights) != self.k_hi - self.k_lo + 1:
-            raise WindowRangeError("weights length does not match window")
+            raise InvalidRangeError("weights length does not match window")
 
     def weight(self, k: int) -> float:
         if not self.k_lo <= k <= self.k_hi:
@@ -57,9 +57,9 @@ class GaussianWindowSpec:
     def __post_init__(self):
         require_finite(loglogn=self.loglogn, C=self.C)
         if self.loglogn <= 1.0:
-            raise WindowRangeError("log log N must exceed 1")
+            raise InvalidRangeError("log log N must exceed 1")
         if self.C <= 0:
-            raise WindowRangeError("window half-width C must be positive")
+            raise InvalidRangeError("window half-width C must be positive")
         half_width = self.C * math.sqrt(self.loglogn)
         if 2 * half_width >= MAX_WINDOW_POINTS or self.loglogn + half_width >= MAX_WINDOW_K:
             raise RangeTooLargeError(
@@ -67,7 +67,7 @@ class GaussianWindowSpec:
                 f"{MAX_WINDOW_POINTS} points or k = {MAX_WINDOW_K}"
             )
         if self.k_hi < self.k_lo:
-            raise WindowRangeError(
+            raise InvalidRangeError(
                 f"the window of C = {self.C} at log log N = {self.loglogn} holds no integer k"
             )
 

@@ -7,7 +7,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from omegalab.averages import RealTestFunction
-from omegalab.errors import EmptySetError, InvalidRangeError
+from omegalab.errors import InvalidRangeError
 from omegalab.sieve import base_primes, segment_spans, sieve_segment
 from omegalab.twosets import _almost_primes_2_harmonic, rho_index
 from omegalab.weights import GaussianWindowSpec, gaussian_weights
@@ -313,7 +313,7 @@ def coupling(B) -> float:
     """Double log average of phi over B x B by the direct O(|B|^2) sum."""
     elems = sorted(set(B))
     if not elems:
-        raise EmptySetError("coupling of an empty set")
+        raise InvalidRangeError("coupling of an empty set")
     harmonic = math.fsum(1.0 / m for m in elems)
     terms = []
     for i, m in enumerate(elems):
@@ -336,7 +336,7 @@ def coupling_grouped(B) -> float:
     """
     elems = sorted(set(B))
     if not elems:
-        raise EmptySetError("coupling of an empty set")
+        raise InvalidRangeError("coupling of an empty set")
     harmonic = math.fsum(1.0 / m for m in elems)
     spf = _smallest_prime_factors(elems[-1])
     mass_by_divisor: dict[int, list[float]] = {}
@@ -407,7 +407,7 @@ class IncrementalCoupling:
 
     def value(self) -> float:
         if self.harmonic == 0.0:
-            raise EmptySetError("coupling of an empty set")
+            raise InvalidRangeError("coupling of an empty set")
         return (self.prime_part + self.self_part) / (self.harmonic * self.harmonic)
 
 

@@ -1,6 +1,7 @@
 """The library's settable surface: no parameter that only tests set or that the code derives."""
 
 import ast
+import builtins
 import dataclasses
 import inspect
 from pathlib import Path
@@ -47,3 +48,26 @@ def test_only_segment_spans_takes_a_segment_length():
                 if names & {"segment_length", "max_set_size"}:
                     takers.append(f"{path.stem}.{node.name}")
     assert takers == ["sieve.segment_spans"]
+
+
+def test_errors_has_four_classes_and_every_raise_names_one():
+    """The class an error is raised with is its exit code, so there are only four."""
+    package = Path(omegalab.__file__).parent
+    tree = ast.parse((package / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert classes == {
+        "OmegalabError", "InvalidRangeError", "RangeTooLargeError", "SearchExhaustedError",
+    }
+    strays = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "errors":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Raise) and node.exc is not None:  # not a bare re-raise
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                names = [exc.id if isinstance(exc, ast.Name) else exc.attr]
+            else:
+                continue
+            strays += [f"{path.stem}: {name}" for name in names
+                       if name not in classes | {"require_finite"} and not hasattr(builtins, name)]
+    assert strays == []

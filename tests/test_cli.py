@@ -44,7 +44,7 @@ def parse_csv(text):
 
 
 def test_sieve_csv(capsys):
-    code, out = run(capsys, "sieve", "--lo", "1", "--hi", "11", "--quiet")
+    code, out = run(capsys, "sieve", "--lo", "1", "--hi", "11")
     assert code == EXIT_OK
     header, rows = parse_csv(out)
     assert header == ["n", "omega", "liouville"]
@@ -147,7 +147,6 @@ def test_extrapolate_with_blocks_file(capsys, tmp_path):
         "27",
         "--blocks",
         str(blocks),
-        "--quiet",
     )
     assert code == EXIT_OK
     header, rows = parse_csv(out)
@@ -165,7 +164,6 @@ def test_twosets_exhausted_is_resource_error(capsys):
         "0.05",
         "--rho",
         "1.05",
-        "--quiet",
     )
     assert code == EXIT_RESOURCE
 
@@ -181,7 +179,6 @@ def test_twosets_allow_partial(capsys):
         "--rho",
         "1.05",
         "--allow-partial",
-        "--quiet",
     )
     assert code == EXIT_OK
     payload = json.loads(out)
@@ -215,7 +212,7 @@ def test_twosets_partial_couplings_are_the_carried_ones(capsys):
     }
     code, out = run(
         capsys, "twosets", "--limit", "10000", "--epsilon", "0.1", "--rho", "1.05",
-        "--allow-partial", "--quiet",
+        "--allow-partial",
     )
     assert code == EXIT_OK
     payload = json.loads(out)
@@ -289,7 +286,7 @@ def test_bad_blocks_file_is_usage_error(capsys, tmp_path, argv, content):
     blocks = tmp_path / "blocks.json"
     if content is not None:  # None: the file does not exist
         blocks.write_text(content)
-    code = main([*argv, "--blocks", str(blocks), "--quiet"])
+    code = main([*argv, "--blocks", str(blocks)])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert captured.out == ""
@@ -303,7 +300,7 @@ def test_bad_blocks_file_is_usage_error(capsys, tmp_path, argv, content):
 def test_inverted_block_pair_is_usage_error(capsys, tmp_path, argv, content):
     blocks = tmp_path / "blocks.json"
     blocks.write_text(content)
-    code = main([*argv, "--blocks", str(blocks), "--quiet"])
+    code = main([*argv, "--blocks", str(blocks)])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert captured.out == ""
@@ -318,6 +315,24 @@ def test_sieve_range_over_one_segment_is_resource_error(capsys, monkeypatch):
         assert code == EXIT_RESOURCE
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
+
+
+def test_sieve_one_row_over_the_cap_is_resource_error(capsys, monkeypatch):
+    monkeypatch.setattr(sieve, "liouville", lambda c: pytest.fail("a row was built"))
+    hi = 1 + cli.MAX_SIEVE_ROWS + 1
+    code = main(["sieve", "--lo", "1", "--hi", str(hi)])
+    captured = capsys.readouterr()
+    assert code == EXIT_RESOURCE
+    assert captured.out == ""
+    assert captured.err == (
+        f"omegalab: [1, {hi}) has {hi - 1} rows, over the cap of {cli.MAX_SIEVE_ROWS}\n"
+    )
+
+
+def test_sieve_at_the_row_cap_emits_every_row(capsys):
+    code, out = run(capsys, "sieve", "--lo", "1", "--hi", str(1 + cli.MAX_SIEVE_ROWS))
+    assert code == EXIT_OK
+    assert len(out.splitlines()) == 1 + cli.MAX_SIEVE_ROWS
 
 
 def test_counterexample_window_too_large_exits_before_any_work(capsys):
@@ -408,7 +423,12 @@ def test_limit_is_checked_before_spans_are_built(capsys, monkeypatch):
     "argv",
     [["logpnt", "--limit", "100"],
      ["weights", "--limit", "100", "--compare"],
-     ["pik", "--limit", "100", "--segment-length", "1000"]],
+     ["pik", "--limit", "100", "--segment-length", "1000"],
+     # --quiet only where a sieve pass prints progress, --precision only for float tables.
+     ["sieve", "--lo", "1", "--hi", "5", "--quiet"],
+     ["sieve", "--lo", "1", "--hi", "5", "--precision", "3"],
+     ["extrapolate", "--loglogn", "27", "--blocks", "blocks.json", "--quiet"],
+     ["twosets", "--limit", "1000", "--epsilon", "0.05", "--rho", "1.05", "--quiet"]],
 )
 def test_removed_subcommand_and_option_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
@@ -419,7 +439,7 @@ def test_removed_subcommand_and_option_are_usage_errors(argv):
 def test_out_file(capsys, tmp_path):
     out_path = tmp_path / "table.csv"
     code, out = run(
-        capsys, "sieve", "--lo", "1", "--hi", "5", "--out", str(out_path), "--quiet"
+        capsys, "sieve", "--lo", "1", "--hi", "5", "--out", str(out_path)
     )
     assert code == EXIT_OK
     assert out == ""
@@ -449,7 +469,7 @@ def test_unwritable_out_fails_before_the_handler(capsys, tmp_path, monkeypatch, 
         denied = {str(out) if target == "a read-only file" else str(tmp_path)}
         access = cli.os.access
         monkeypatch.setattr(cli.os, "access", lambda p, mode: str(p) not in denied and access(p, mode))
-    code = main(["sieve", "--lo", "1", "--hi", "5", "--out", str(out), "--quiet"])
+    code = main(["sieve", "--lo", "1", "--hi", "5", "--out", str(out)])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert captured.out == ""
@@ -504,6 +524,34 @@ def test_bad_range_or_empty_window_fails_before_sieving(capsys, monkeypatch, arg
     assert captured.err == f"omegalab: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["correlate", "--limit", "100", "--system", "bogus"], "unknown system spec: 'bogus'"),
+    (["correlate", "--limit", "100", "--system", "rot:m=3,r=5"], "residue 5 mod 3 is invalid"),
+    (["erdos-kac", "--limit", "1000", "--grid", "0:0:1"], "grid needs at least two points"),
+    (["extrapolate", "--loglogn", "1", "--blocks", "{blocks}"], "log log N must exceed 1"),
+    (["extrapolate", "--loglogn", "27", "--blocks", "{inverted}"], "block [5, 3] is empty"),
+    (["counterexample", "--blocks", "{inverted}"], "block [5, 3] is empty"),
+    (["counterexample", "--kmax", "40"], "3^40 exceeds the supported integer range"),
+    (["weights", "--limit", "1000", "--C", "0.01"],
+     "the window of C = 0.01 at log log N = 1.9326447339160655 holds no integer k"),
+    (["pik", "--limit", "100", "--out", "{tmp}"], "--out {tmp}: is a directory"),
+    (["pik", "--limit", "100", "--quiet", "--workers", "2"],  # OMEGALAB_CACHE is a file
+     "cannot write the profile cache {cache}: [Errno 17] File exists: '{cache}'"),
+])
+def test_usage_errors_keep_their_exact_message(capsys, tmp_path, monkeypatch, argv, message):
+    paths = {"tmp": tmp_path, "blocks": tmp_path / "blocks.json",
+             "inverted": tmp_path / "inverted.json", "cache": tmp_path / "cache"}
+    paths["blocks"].write_text("[[1, 13], [19, 35]]")
+    paths["inverted"].write_text("[[5,3]]")
+    paths["cache"].write_bytes(b"")
+    monkeypatch.setenv("OMEGALAB_CACHE", str(paths["cache"]))  # only pik reaches the store
+    code = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == f"omegalab: {message.format(**paths)}\n"
+
+
 @pytest.mark.parametrize("limit", ["2", "1", "-4"])
 @pytest.mark.parametrize("cmd", ["erdos-kac", "correlate", "invariance"])
 def test_ek_limit_below_three_fails_before_sieving(capsys, monkeypatch, cmd, limit):
@@ -533,11 +581,11 @@ def test_limit_below_one_fails_before_the_progress_line(capsys, monkeypatch, arg
 
 @pytest.mark.parametrize(
     "argv",
-    [["pik", "--limit", "100"],
+    [["pik", "--limit", "100", "--quiet"],
      ["twosets", "--limit", "1000", "--epsilon", "0.05", "--rho", "1.05", "--allow-partial"]],
 )
 def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
-    code = main([*argv, "--out", str(tmp_path), "--quiet"])  # a directory, not a file
+    code = main([*argv, "--out", str(tmp_path)])  # a directory, not a file
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert captured.out == ""
@@ -613,15 +661,20 @@ WINDOW_C = st.floats(max_value=100.0) | HUGE
 EPSILON_RHO = st.builds(lambda eps, t: (eps, 1.0 + eps * t), st.floats(1e-3, 0.999),
                         st.floats(1e-12, 1.0)) | st.tuples(
     st.floats() | HUGE, st.floats(0.0, 1e-12).map(lambda d: 1.0 + d) | st.floats() | HUGE)
+# Subcommands that sieve take --quiet, which keeps their progress line off stderr.
 FLOAT_ARGVS = st.one_of(
-    st.builds(lambda n, beta: ["weyl", "--limit", str(n), f"--beta={beta!r}"],
+    st.builds(lambda n, beta: ["weyl", "--quiet", "--limit", str(n), f"--beta={beta!r}"],
               LIMITS, st.floats()),
-    st.builds(lambda cmd, n, lo, hi: [cmd, "--limit", str(n), f"--bump={lo!r},{hi!r}"],
+    st.builds(lambda cmd, n, lo, hi: [cmd, "--quiet", "--limit", str(n),
+                                      f"--bump={lo!r},{hi!r}"],
               st.sampled_from(["correlate", "invariance"]), LIMITS, st.floats() | HUGE,
               st.floats() | HUGE),
-    st.builds(lambda n, c: ["weights", "--limit", str(n), f"--C={c!r}"], LIMITS, WINDOW_C),
-    st.builds(lambda c: ["counterexample", "--mode", "extrapolate", f"--C={c!r}"], WINDOW_C),
-    st.builds(lambda n, a: ["correlate", "--limit", str(n), f"--system=circle:alpha={a!r}"],
+    st.builds(lambda n, c: ["weights", "--quiet", "--limit", str(n), f"--C={c!r}"],
+              LIMITS, WINDOW_C),
+    st.builds(lambda c: ["counterexample", "--quiet", "--mode", "extrapolate", f"--C={c!r}"],
+              WINDOW_C),
+    st.builds(lambda n, a: ["correlate", "--quiet", "--limit", str(n),
+                            f"--system=circle:alpha={a!r}"],
               LIMITS, st.floats() | HUGE),
     st.builds(lambda n, er, partial: ["twosets", "--limit", str(n), f"--epsilon={er[0]!r}",
                                       f"--rho={er[1]!r}", *partial],
@@ -633,7 +686,7 @@ def _exits_cleanly_without_non_finite_rows(argv):
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([*argv, "--quiet"])
+        code = main(argv)
     assert time.perf_counter() - start < 20
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_RESOURCE)
     assert len(err.getvalue().splitlines()) <= 1
@@ -656,7 +709,7 @@ KMAX = st.integers(-5, 18) | st.integers(27, 10**12)
 @settings(max_examples=60, deadline=None)
 @given(KMAX, st.sampled_from(["extrapolate", "sieve"]), st.booleans())
 def test_kmax_exits_cleanly_without_non_finite_rows(kmax, mode, with_blocks):
-    argv = ["counterexample", "--mode", mode, f"--kmax={kmax}"]
+    argv = ["counterexample", "--quiet", "--mode", mode, f"--kmax={kmax}"]
     with tempfile.TemporaryDirectory() as tmp:
         if with_blocks:
             path = os.path.join(tmp, "blocks.json")
@@ -664,6 +717,29 @@ def test_kmax_exits_cleanly_without_non_finite_rows(kmax, mode, with_blocks):
                 json.dump([[1, 10], [50, 80]], fh)
             argv += ["--blocks", path]
         _exits_cleanly_without_non_finite_rows(argv)
+
+
+# --limit of every subcommand that sieves a profile, up to 10^4 or past HARD_LIMIT:
+# a limit at or near HARD_LIMIT itself would sieve for minutes.
+PROFILE_ARGVS = [["pik"], ["pnt", "--stride", "decade"], ["weyl", "--beta", "0.5"],
+                 ["erdos-kac"], ["correlate"], ["weights"], ["invariance"],
+                 ["counterexample", "--mode", "sieve"], ["shifted"]]
+PROFILE_LIMITS = st.integers(-(10**12), 10**4) | st.integers(sieve.HARD_LIMIT + 1, 10**30)
+INTEGER_ARGVS = st.one_of(
+    st.builds(lambda argv, n: [*argv, "--quiet", f"--limit={n}"],
+              st.sampled_from(PROFILE_ARGVS), PROFILE_LIMITS),
+    st.builds(lambda shift: ["shifted", "--quiet", "--limit=100", f"--shift={shift}"],
+              st.integers(-(10**30), 10**30)),
+    st.builds(lambda lo, width: ["sieve", f"--lo={lo}", f"--hi={lo + width}"],
+              st.integers(-(10**12), sieve.HARD_LIMIT + 10),
+              st.integers(-10, 2 * cli.MAX_SIEVE_ROWS)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(INTEGER_ARGVS)
+def test_integer_options_exit_cleanly_without_non_finite_rows(argv):
+    _exits_cleanly_without_non_finite_rows(argv)
 
 
 # Block bounds anywhere in +-2^70, or near the windows probed below (k 0 to 65).
@@ -689,7 +765,7 @@ def test_blocks_files_exit_cleanly_with_oracle_values(content, subcommand):
             json.dump(content, fh)
         start = time.perf_counter()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([*argv, "--blocks", path, "--json", "--quiet"])
+            code = main([*argv, "--blocks", path, "--json"])
         assert time.perf_counter() - start < 20
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_RESOURCE)
     assert len(err.getvalue().splitlines()) <= 1
@@ -728,19 +804,19 @@ def test_every_declared_option_is_read(capsys, tmp_path):
     blocks.write_text(json.dumps([[1, 13], [19, 35]]))
     runs = {
         "sieve": [["--lo", "1", "--hi", "11"]],
-        "pik": [["--limit", "1000"]],
-        "pnt": [["--limit", "1000", "--stride", "decade"]],
-        "weyl": [["--limit", "1000", "--beta", "0.5"]],
-        "erdos-kac": [["--limit", "1000"]],
-        "correlate": [["--limit", "1000"]],
-        "weights": [["--limit", "1000"]],
+        "pik": [["--limit", "1000", "--quiet"]],
+        "pnt": [["--limit", "1000", "--stride", "decade", "--quiet"]],
+        "weyl": [["--limit", "1000", "--beta", "0.5", "--quiet"]],
+        "erdos-kac": [["--limit", "1000", "--quiet"]],
+        "correlate": [["--limit", "1000", "--quiet"]],
+        "weights": [["--limit", "1000", "--quiet"]],
         "extrapolate": [["--loglogn", "27", "--blocks", str(blocks)]],
         "twosets": [["--limit", "1000", "--epsilon", "0.05", "--rho", "1.05",
                      "--allow-partial"]],
-        "invariance": [["--limit", "1000"]],
-        # --C is read only in extrapolate mode, --limit only in sieve mode.
-        "counterexample": [["--mode", "sieve", "--limit", "1000"], ["--kmax", "3"]],
-        "shifted": [["--limit", "1000"]],
+        "invariance": [["--limit", "1000", "--quiet"]],
+        # --C is read only in extrapolate mode; --limit and --quiet only in sieve mode.
+        "counterexample": [["--mode", "sieve", "--limit", "1000", "--quiet"], ["--kmax", "3"]],
+        "shifted": [["--limit", "1000", "--quiet"]],
     }
     parser = cli._build_parser()
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -750,11 +826,11 @@ def test_every_declared_option_is_read(capsys, tmp_path):
         declared = {
             action.dest
             for action in subparsers.choices[name]._actions
-            if action.option_strings and action.dest not in ("help", "quiet")
+            if action.option_strings and action.dest != "help"
         }
         read = set()
         for argv in argvs:
-            args = parser.parse_args([name, *argv, "--quiet"], namespace=RecordingNamespace())
+            args = parser.parse_args([name, *argv], namespace=RecordingNamespace())
             args._reads.clear()
             table = args.handler(args)
             if table is not None:

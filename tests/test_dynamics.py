@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import pytest
 
@@ -13,7 +14,7 @@ from omegalab.dynamics import (
     residue_indicator_orbit,
     rotation_two_points_liouville,
 )
-from omegalab.errors import InvalidRangeError, InvalidResidueError, UnknownSystemError
+from omegalab.errors import InvalidRangeError
 
 
 def test_two_point_rotation_is_parity():
@@ -32,9 +33,9 @@ def test_residue_indicator_orbit():
 
 
 def test_finite_rotation_validation():
-    with pytest.raises(InvalidResidueError):
+    with pytest.raises(InvalidRangeError, match=r"^bad rotation \(m=3, start=3\)$"):
         FiniteRotation(m=3, start=3, g_values=(1, 2, 3))
-    with pytest.raises(InvalidResidueError):
+    with pytest.raises(InvalidRangeError, match="^g_values length must equal m$"):
         FiniteRotation(m=2, start=0, g_values=(1,))
 
 
@@ -83,7 +84,7 @@ def test_parse_system_variants():
 
 
 def test_parse_system_unknown():
-    with pytest.raises(UnknownSystemError):
+    with pytest.raises(InvalidRangeError, match="^unknown system spec: 'torus:dim=2'$"):
         parse_system("torus:dim=2")
 
 
@@ -91,7 +92,8 @@ def test_parse_system_unknown():
     "spec", ["rot:m=3", "rot:m=x,r=1", "rot:m", "exp:", "exp:beta=", "circle:alpha=0.1,start=y"]
 )
 def test_parse_system_bad_arguments(spec):
-    with pytest.raises(UnknownSystemError):
+    message = f"^system spec {re.escape(repr(spec))} needs a numeric "
+    with pytest.raises(InvalidRangeError, match=message):
         parse_system(spec)
 
 

@@ -10,12 +10,7 @@ from hypothesis import strategies as st
 
 from omegalab.averages import AverageScheme, RealTestFunction, smoothed_indicator
 from omegalab import twosets
-from omegalab.errors import (
-    EmptySetError,
-    InvalidRangeError,
-    RangeTooLargeError,
-    SearchExhaustedError,
-)
+from omegalab.errors import InvalidRangeError, RangeTooLargeError, SearchExhaustedError
 from omegalab.sieve import DEFAULT_SEGMENT_LENGTH, base_primes
 from omegalab.twosets import (
     MAX_RHO_INTERVALS,
@@ -62,7 +57,7 @@ def test_coupling_hand_values():
     assert coupling({2, 3}) == pytest.approx(17 / 25, abs=1e-14)
     for p in (2, 3, 5, 11):
         assert coupling({p}) == pytest.approx(p - 1, abs=1e-12)
-    with pytest.raises(EmptySetError):
+    with pytest.raises(InvalidRangeError, match="^coupling of an empty set$"):
         coupling(set())
 
 
@@ -318,7 +313,7 @@ def test_prime_set_pair_validation():
         PrimeSetPair(b1=(4,), b2=(6,), rho=1.05, epsilon=0.1)  # 4 not prime
     with pytest.raises(InvalidRangeError):
         PrimeSetPair(b1=(2,), b2=(5,), rho=1.05, epsilon=0.1)  # 5 not 2-almost
-    with pytest.raises(EmptySetError):
+    with pytest.raises(InvalidRangeError, match="^pair sets must be non-empty$"):
         PrimeSetPair(b1=(), b2=(4,), rho=1.05, epsilon=0.1)
 
 
@@ -423,7 +418,7 @@ def test_tk_discrepancy_hand_values():
     assert tk_discrepancy({1}, 100) == 0.0
     # B = {2}, N = 4: (|1-0| + |1-2| + |1-0| + |1-2|) / 4 = 1
     assert tk_discrepancy({2}, 4) == pytest.approx(1.0, abs=1e-14)
-    with pytest.raises(EmptySetError):
+    with pytest.raises(InvalidRangeError, match="^tk_discrepancy of an empty set$"):
         tk_discrepancy(set(), 10)
 
 

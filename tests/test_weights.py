@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from oracles import extrapolated_average_oracle, tn_operator_oracle
 
-from omegalab.errors import InvalidRangeError, RangeTooLargeError, WindowRangeError
+from omegalab.errors import InvalidRangeError, RangeTooLargeError
 from omegalab.weights import (
     MAX_WINDOW_POINTS,
     GaussianWindowSpec,
@@ -33,15 +33,15 @@ def test_window_clamps_at_zero():
 
 
 def test_window_validation():
-    with pytest.raises(WindowRangeError):
+    with pytest.raises(InvalidRangeError, match="^log log N must exceed 1$"):
         GaussianWindowSpec(loglogn=0.5)
-    with pytest.raises(WindowRangeError):
+    with pytest.raises(InvalidRangeError, match="^window half-width C must be positive$"):
         GaussianWindowSpec(loglogn=4.0, C=-1.0)
     with pytest.raises(InvalidRangeError):
         window_for(10)
-    with pytest.raises(WindowRangeError, match="holds no integer k"):
+    with pytest.raises(InvalidRangeError, match="holds no integer k"):
         GaussianWindowSpec(loglogn=1.5, C=0.01)  # [ceil(1.488), floor(1.512)] = [2, 1]
-    with pytest.raises(WindowRangeError, match="holds no integer k"):
+    with pytest.raises(InvalidRangeError, match="holds no integer k"):
         window_for(10**8, C=0.01)  # log log 1e8 = 2.913: [3, 2]
 
 
@@ -66,7 +66,7 @@ def test_weight_vector_lookup():
     assert wv.weight(1) == 0.0
     assert wv.weight(5) == 0.0
     assert wv.total() == pytest.approx(0.6)
-    with pytest.raises(WindowRangeError):
+    with pytest.raises(InvalidRangeError, match="^empty weight window$"):
         WeightVector(k_lo=2, k_hi=1, weights=np.array([]))
 
 
