@@ -193,14 +193,14 @@ def _parse_grid(spec: str):
         raise InvalidRangeError(f"grid {spec!r} is not lo:hi:step") from None
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0:
         raise InvalidRangeError(f"grid {spec!r} needs finite bounds and step > 0")
-    if (hi - lo) / step >= MAX_GRID_POINTS:
+    # The point count comes from one division, never from stepping x, which
+    # stalls where x + step == x.  The last point may pass hi by 1e-12.
+    steps = (hi - lo + 1e-12) / step
+    if steps < 0:
+        return []
+    if not steps < MAX_GRID_POINTS:  # also an inf quotient
         raise InvalidRangeError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
-    points = []
-    x = lo
-    while x <= hi + 1e-12:
-        points.append(round(x, 12))
-        x += step
-    return points
+    return [round(lo + i * step, 12) for i in range(math.floor(steps) + 1)]
 
 
 def _cmd_erdos_kac(args):

@@ -2,7 +2,9 @@
 
 Segments are independent units of work; every reduction merges per-segment
 partial results in ascending segment order, so output is bit-identical for
-any worker count.
+any worker count.  A pass sieves and reduces the odd n only; Omega is
+completely additive, so Omega(2**a m) = a + Omega(m) folds the even n back
+in (sieve_segment, _profile_at).
 """
 
 from __future__ import annotations
@@ -24,14 +26,14 @@ from .errors import InvalidRangeError, OmegalabError, RangeTooLargeError, requir
 # Omega(n) <= log2(n) < 64 for every feasible n, so one byte per integer.
 MAX_OMEGA = 64
 DEFAULT_SEGMENT_LENGTH = 1 << 22
-# segment_spans' longest segment: the kernel peaks at 3.03 B per integer,
-# 48.5 MB at this length (tracemalloc).  sieve_segment takes one default segment.
+# segment_spans' longest segment: the kernel peaks at 1.53 B per integer,
+# 25.7 MB at this length (tracemalloc).  sieve_segment takes one default segment.
 MAX_SEGMENT_LENGTH = 1 << 24
-REDUCE_BLOCK = 1 << 16  # integers per pi_k/harmonic reduction step
+REDUCE_BLOCK = 1 << 16  # odd integers per pi_k/harmonic reduction step
 HARD_LIMIT = 10**10
 MAX_SEGMENTS = 10**5  # spans of one pass; the default length needs 2385 at HARD_LIMIT
 
-CACHE_MAGIC = b"OMP1"
+CACHE_MAGIC = b"OMP2"
 CACHE_ENV_VAR = "OMEGALAB_CACHE"
 
 
@@ -89,7 +91,24 @@ def sieve_segment(lo: int, hi: int) -> np.ndarray:
         raise RangeTooLargeError(
             f"[{lo}, {hi}) has more than {DEFAULT_SEGMENT_LENGTH} integers in one range"
         )
-    return kernels.omega_segment(lo, hi, sieving_primes(hi))
+    return _omega_range(lo, hi)
+
+
+def _omega_range(lo: int, hi: int) -> np.ndarray:
+    """Omega(n) for lo <= n < hi: the odd n from the kernel, each even n = 2 m
+    as 1 + Omega(m) for m in [ceil(lo / 2), ceil(hi / 2)).
+
+    Each level halves the range, so the kernel covers about hi - lo
+    integers in all.
+    """
+    counts = np.empty(hi - lo, dtype=np.uint8)
+    if hi // 2 > lo // 2:  # an odd n
+        counts[(lo | 1) - lo :: 2] = kernels.omega_segment(lo, hi, sieving_primes(hi))
+    if (hi + 1) // 2 > (lo + 1) // 2:  # an even n
+        halves = _omega_range((lo + 1) // 2, (hi + 1) // 2)
+        halves += 1
+        counts[lo & 1 :: 2] = halves
+    return counts
 
 
 def liouville(omega_value: int) -> int:
@@ -100,10 +119,13 @@ def liouville(omega_value: int) -> int:
 # ---------------------------------------------------------------------------
 # Profile store (optional, via OMEGALAB_CACHE)
 # ---------------------------------------------------------------------------
-# One file per span [lo, hi): magic "OMP1" (the format version is its last
+# One file per range [lo, hi): magic "OMP2" (the format version is its last
 # byte), lo and hi as little-endian 8-byte unsigned, one RECORD_DTYPE record
-# (the span's pi_k counts and harmonic masses by k), then the CRC32 of
-# everything before it as a little-endian 4-byte unsigned.
+# (the pi_k counts and harmonic masses by k of the odd n in the range), then
+# the CRC32 of everything before it as a little-endian 4-byte unsigned.
+# A pass stores the record of each span [lo, hi) and of each prefix
+# [lo, N + 1) it reduced for a cut N inside a span.  "OMP1" files held the
+# sums over every n; they read as misses and are rewritten.
 
 RECORD_DTYPE = np.dtype([("pik", "<i8", MAX_OMEGA + 1), ("inv", "<f8", MAX_OMEGA + 1)])
 _RANGE = struct.Struct("<QQ")
@@ -234,69 +256,69 @@ def map_segments(spans, chunk_fn, workers=1):
 
 
 _BINS = MAX_OMEGA + 1
-_BLOCK_OFFSETS = np.arange(REDUCE_BLOCK, dtype=np.float64)
+_BLOCK_OFFSETS = np.arange(0, 2 * REDUCE_BLOCK, 2, dtype=np.float64)
 
 
 def _reduce(counts: np.ndarray, lo: int, ends) -> list:
-    """(pik, inv) of [lo, end) for each end in ends, from one pass.
+    """(pik, inv) of the odd n in [lo, end) for each end in ends, from one pass.
 
-    counts[i] = Omega(lo + i), and ends ascend with lo < end <=
-    lo + len(counts).  The pass runs in blocks of at most REDUCE_BLOCK
-    integers through two preallocated buffers, so no segment-sized
-    temporary is built.  The intp buffer holds the labels 0..MAX_OMEGA,
-    then the block's counts; the float64 buffer holds the running inv,
-    then 1/n for the block.  pik adds the block's bincount, and inv is
-    the weighted bincount of both buffers.
+    counts[i] = Omega((lo | 1) + 2 i), and ends ascend with lo < end <=
+    hi, where counts holds the hi // 2 - lo // 2 odd n of [lo, hi).  The
+    pass runs over fixed blocks of REDUCE_BLOCK odd n from lo through two
+    preallocated buffers (the block's labels and its 1/n), so no
+    segment-sized temporary is built.  Each block's weighted bincount sums
+    its 1/n in index order from 0.0, and the block sums are added in
+    block order: no 1/n is added to a running total of the whole span,
+    which keeps the rounding error of inv far below that of one
+    sequential sum.
 
-    A weighted bincount adds each bin's weights in index order, starting
-    from 0.0.  Its first addend for bin k is inv[k], and 0.0 + inv[k] is
-    exact, so each block carries on the same sequential sum: inv at every
-    end is bit-identical to one weighted bincount over [lo, end), however
-    the blocks fall.
+    An end inside a block adds the part of that block below it to the
+    totals before the block, and the block sequence carries on unchanged.
+    So the (pik, inv) at an end depend only on lo and the end: a span
+    [lo, end) reduced on its own gives the same bits.
     """
-    labels = np.empty(_BINS + REDUCE_BLOCK, dtype=np.intp)
-    labels[:_BINS] = np.arange(_BINS)
-    weights = np.empty(_BINS + REDUCE_BLOCK, dtype=np.float64)
+    labels = np.empty(REDUCE_BLOCK, dtype=np.intp)
+    weights = np.empty(REDUCE_BLOCK, dtype=np.float64)
     pik = np.zeros(_BINS, dtype=np.int64)
     inv = np.zeros(_BINS, dtype=np.float64)
+    stops = [end // 2 - lo // 2 for end in ends]  # odd n in [lo, end)
     parts = []
-    b = lo
-    for end in ends:
-        while b < end:
-            e = min(b + REDUCE_BLOCK, end)
-            used = _BINS + e - b
-            block = labels[_BINS:used]
-            block[:] = counts[b - lo : e - lo]
-            pik += np.bincount(block, minlength=_BINS)
-            ns = weights[_BINS:used]
-            np.add(_BLOCK_OFFSETS[: e - b], b, out=ns)
-            np.divide(1.0, ns, out=ns)
-            weights[:_BINS] = inv
-            inv = np.bincount(labels[:used], weights=weights[:used])
-            b = e
-        parts.append((pik.copy(), inv))
-    return parts
+    for b in range(0, stops[-1], REDUCE_BLOCK):
+        e = min(b + REDUCE_BLOCK, stops[-1])
+        block, w = labels[: e - b], weights[: e - b]
+        block[:] = counts[b:e]
+        np.add(_BLOCK_OFFSETS[: e - b], (lo | 1) + 2 * b, out=w)
+        np.divide(1.0, w, out=w)
+        while len(parts) < len(stops) and stops[len(parts)] < e:
+            k = stops[len(parts)] - b
+            parts.append((pik + np.bincount(block[:k], minlength=_BINS),
+                          inv + np.bincount(block[:k], weights=w[:k], minlength=_BINS)))
+        pik += np.bincount(block, minlength=_BINS)
+        inv += np.bincount(block, weights=w, minlength=_BINS)
+    return parts + [(pik.copy(), inv.copy()) for _ in stops[len(parts):]]
 
 
 def _profile_chunk(span, cuts=()):
-    """(pik, inv) of one span: counts and sums of 1/n by Omega(n).
+    """(pik, inv) of the odd n in one span: counts and sums of 1/n by Omega(n).
 
     Then, for each cut N inside the span (lo <= N < hi - 1), in ascending
-    order, the (pik, inv) of [lo, N], from the same pass as the span's
-    own.  A span with a stored record and no cut is not sieved; a span
-    with a cut is sieved again and reduced up to its last cut.
+    order, the (pik, inv) of the odd n in [lo, N], from the same pass as
+    the span's own.  Each comes from its stored record, of [lo, hi) or
+    [lo, N + 1); the span is sieved only if one of them is missing, and
+    then every missing one is written.
     """
     lo, hi = span
-    inside = sorted(n for n in cuts if lo <= n < hi - 1)
-    record = _cache_read(lo, hi)
-    parts = []
-    if record is None or inside:
-        counts = sieve_segment(lo, hi)
-        parts = _reduce(counts, lo, [n + 1 for n in inside] + ([hi] if record is None else []))
-        if record is None:
-            record = np.array([parts.pop()], dtype=RECORD_DTYPE)
-            _cache_write(lo, hi, record)
-    return (record["pik"][0], record["inv"][0], *parts)
+    ends = [n + 1 for n in sorted(cuts) if lo <= n < hi - 1] + [hi]
+    records = [_cache_read(lo, end) for end in ends]
+    if any(record is None for record in records):
+        counts = kernels.omega_segment(lo, hi, sieving_primes(hi))
+        for i, part in enumerate(_reduce(counts, lo, ends)):
+            if records[i] is None:
+                records[i] = np.array([part], dtype=RECORD_DTYPE)
+                _cache_write(lo, ends[i], records[i])
+    span_record = records.pop()
+    return (span_record["pik"][0], span_record["inv"][0],
+            *((record["pik"][0], record["inv"][0]) for record in records))
 
 
 @dataclass(frozen=True)
@@ -322,10 +344,12 @@ class OmegaProfile:
 def omega_profiles(checkpoints, workers: int = 1) -> list[OmegaProfile]:
     """The profile at every N in checkpoints, from one pass over [1, max N].
 
-    Each result is bit-identical to a pass that ends at its N: whole spans
-    are added in segment order, then the part of the span that holds N,
-    whose sums _reduce carries on in index order as a span ending at N
-    does.  Results follow the order of checkpoints.
+    The pass gives the odd prefix, the (pik, inv) of the odd n <= M, at
+    every M = N >> a that a checkpoint's fold needs (_profile_at).  Each
+    prefix is bit-identical to a pass that ends at its M: whole spans are
+    added in segment order, then the part of the span that holds M, which
+    _reduce gives as it gives a span ending at M.  Results follow the order
+    of checkpoints.
     """
     checkpoints = list(checkpoints)
     if not checkpoints or min(checkpoints) < 1:
@@ -333,25 +357,41 @@ def omega_profiles(checkpoints, workers: int = 1) -> list[OmegaProfile]:
     n_max = max(checkpoints)
     _check_limit(n_max + 1)  # before the span list is built
     spans = segment_spans(n_max)
-    wanted = set(checkpoints)
+    wanted = {n >> a for n in set(checkpoints) for a in range(n.bit_length())}
     cuts = sorted(wanted - {hi - 1 for _, hi in spans})
     chunk_fn = partial(_profile_chunk, cuts=tuple(cuts)) if cuts else _profile_chunk
     chunks = map_segments(spans, chunk_fn, workers)
-    pik = np.zeros(MAX_OMEGA + 1, dtype=np.int64)
-    inv = np.zeros(MAX_OMEGA + 1, dtype=np.float64)
-    totals = {}
+    pik = np.zeros(_BINS, dtype=np.int64)
+    inv = np.zeros(_BINS, dtype=np.float64)
+    odd = {}
     for (lo, hi), (chunk_pik, chunk_inv, *parts) in zip(spans, chunks):  # segment order
         inside = [n for n in cuts if lo <= n < hi - 1]
         for n, (part_pik, part_inv) in zip(inside, parts):
-            totals[n] = pik + part_pik, inv + part_inv
+            odd[n] = pik + part_pik, inv + part_inv
         pik += chunk_pik
         inv += chunk_inv
         if hi - 1 in wanted:
-            totals[hi - 1] = pik.copy(), inv.copy()
-    return [_profile_at(n, *totals[n]) for n in checkpoints]
+            odd[hi - 1] = pik.copy(), inv.copy()
+    return [_profile_at(n, odd) for n in checkpoints]
 
 
-def _profile_at(N: int, pik: np.ndarray, inv: np.ndarray) -> OmegaProfile:
+def _profile_at(N: int, odd: dict) -> OmegaProfile:
+    """The profile at N, folded from the odd prefixes odd[N >> a].
+
+    Every n <= N is 2**a m with m odd and m <= N >> a, and
+    Omega(n) = a + Omega(m), so pi_k(N) = sum_a pi_{k-a}^odd(N >> a) and
+    inv_k(N) = sum_a 2**-a inv_{k-a}^odd(N >> a).  The terms are added in
+    ascending a; scaling by 2**-a is exact.
+    """
+    pik = np.zeros(_BINS, dtype=np.int64)
+    inv = np.zeros(_BINS, dtype=np.float64)
+    for a in range(N.bit_length()):
+        m = N >> a
+        odd_pik, odd_inv = odd[m]
+        if int(odd_pik.sum()) != (m + 1) // 2:
+            raise InvalidRangeError(f"pi_k counts do not partition the odd n <= {m}")
+        pik[a:] += odd_pik[: _BINS - a]
+        inv[a:] += np.ldexp(odd_inv[: _BINS - a], -a)
     k_max = max(int(math.log2(N)), 0)
     if int(pik[: k_max + 1].sum()) != N:
         raise InvalidRangeError(f"pi_k counts do not partition [1, {N}]")

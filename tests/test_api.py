@@ -3,11 +3,14 @@
 import ast
 import builtins
 import dataclasses
+import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import omegalab
-from omegalab import sieve, twosets, weights
+from omegalab import kernels, sieve, twosets, weights
 
 
 def test_public_signatures():
@@ -71,3 +74,25 @@ def test_errors_has_four_classes_and_every_raise_names_one():
             strays += [f"{path.stem}: {name}" for name in names
                        if name not in classes | {"require_finite"} and not hasattr(builtins, name)]
     assert strays == []
+
+
+def test_names_the_benchmark_reads(tmp_path, monkeypatch):
+    """perfbench/traced.py reads these names: `env` on every benchmark run,
+    `cli`, `sweep` and the span attributes in traced runs."""
+    assert omegalab.active_backend() == "numpy"
+    for layer in ("sieve", "kernels", "averages", "weights", "counterexample", "twosets", "cli"):
+        importlib.import_module(f"omegalab.{layer}")
+    assert callable(twosets.PrimeSetPair.__post_init__)
+    spans = sieve.segment_spans(10**4, 1000)
+    assert len(spans) == 10
+    lo, hi = spans[3]
+    counts = kernels.omega_segment(lo, hi, sieve.base_primes(100))
+    assert counts.dtype == np.uint8 and len(counts) == (hi - lo) // 2
+    monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
+    assert sieve._cache_dir() == str(tmp_path)
+    pik, inv = sieve._profile_chunk((lo, hi))
+    record = sieve._cache_read(lo, hi)
+    assert record.nbytes + len(sieve.CACHE_MAGIC) + 16 + 4 == sieve.PROFILE_FILE_SIZE
+    assert record["pik"][0].tobytes() == pik.tobytes()
+    sieve._cache_write(lo, hi, record)
+    assert sieve.map_segments([(lo, hi)], sieve._profile_chunk, 1)[0][0].tobytes() == pik.tobytes()

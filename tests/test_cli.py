@@ -609,6 +609,21 @@ def test_bad_grid_is_usage_error(capsys, grid):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "grid", ["1e16:1e16:1", "-1e17:-1e17:1", "0:1e-300:1e-301", "5e-324:1e-323:5e-324"]
+)
+def test_grid_where_stepping_stalls_ends_cleanly(grid):
+    """x + step == x, or a step far below the 1e-12 slack: each ends within a
+    bound kept from outside the process, so a hang fails instead of hanging."""
+    src = os.path.dirname(os.path.dirname(omegalab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["erdos-kac", "--limit", "100", f"--grid={grid}", "--quiet"]
+    result = subprocess.run([sys.executable, "-m", "omegalab.cli", *argv], env=env,
+                            capture_output=True, text=True, timeout=30)
+    assert result.returncode in (EXIT_OK, EXIT_USAGE)
+    assert len(result.stderr.splitlines()) <= 1
+
+
 def test_truncated_cache_file_is_resieved(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LENGTH", 2048)
     _, fresh = run(capsys, "pik", "--limit", "5000", "--quiet")

@@ -53,6 +53,7 @@ from omegalab.sieve import (
     _cache_read,
     _cache_write,
     _profile_chunk,
+    _reduce,
     base_primes,
     map_segments,
     read_profile_file,
@@ -116,12 +117,14 @@ def test_a_pass_sieves_its_base_primes_once_per_power_of_two(profile_1e8):
 
 
 def assert_kernel_matches_oracle(lo, hi, expected=None):
-    """The kernel on [lo, hi) against expected, by default bulk_omega_oracle(lo, hi)."""
+    """The kernel on the odd n of [lo, hi), and sieve_segment on every n, against
+    expected, by default bulk_omega_oracle(lo, hi)."""
     counts = omega_segment(lo, hi, base_primes(math.isqrt(hi - 1)))
     assert counts.dtype == np.uint8
     if expected is None:
         expected = bulk_omega_oracle(lo, hi)
-    assert np.array_equal(counts.astype(np.int64), expected)
+    assert np.array_equal(counts.astype(np.int64), expected[(lo | 1) - lo :: 2])
+    assert np.array_equal(sieve_segment(lo, hi).astype(np.int64), expected)
 
 
 @pytest.mark.parametrize(
@@ -154,9 +157,10 @@ def test_kernel_random_spans_match_oracle(lo, length):
 
 
 def plain_accumulate(lo: int, hi: int, primes: np.ndarray, dtype) -> np.ndarray:
-    """The kernel's words, summed in dtype, by one strided pass per prime
-    power over the whole span, from zeros: the loop without pre-sieving or
-    blocking."""
+    """Words of every n in [lo, hi), summed in dtype, by one strided pass per
+    prime power over the whole span, from zeros: the loop without the odd
+    index space, pre-sieving or blocking.  Its odd entries are the kernel's
+    words."""
     acc = np.zeros(hi - lo, dtype=dtype)
     for p in primes:
         p = int(p)
@@ -176,33 +180,35 @@ def assert_words_match_plain_loop(lo, hi):
     primes = base_primes(math.isqrt(hi - 1))
     acc = _accumulate(lo, hi, primes)
     assert acc.dtype == WORD
-    assert np.array_equal(acc, plain_accumulate(lo, hi, primes, WORD))
+    assert np.array_equal(acc, plain_accumulate(lo, hi, primes, WORD)[(lo | 1) - lo :: 2])
 
 
 @pytest.mark.parametrize(
     "lo, hi",
     [
-        (2**33, 2**33 + 1),  # Omega = 33, the most below HARD_LIMIT
-        (3**20, 3**20 + 1),  # 20 steps of 3, each rounded up by 0.45 unit
+        (2**33, 2**33 + 1),  # Omega = 33, the most below HARD_LIMIT: even, no word
+        (3**20, 3**20 + 1),  # Omega = 20, the most of an odd n: 20 steps of 3,
+        # each rounded up by 0.45 unit
         (2 * 3**20, 2 * 3**20 + 1),
         (HARD_LIMIT - 2**12, HARD_LIMIT + 1),
     ],
 )
 def test_uint16_words_hold_the_extreme_n(lo, hi):
-    # the count field holds Omega(n) <= log2(HARD_LIMIT), and the log field
-    # its bound from the constants: 33 halves of rounding round up to 17
-    assert math.floor(math.log2(HARD_LIMIT)) < 2**COUNT_BITS
-    assert round(LOG_SCALE * math.log2(HARD_LIMIT)) + 17 < 2 ** (16 - COUNT_BITS)
+    # the count field holds Omega(n) <= log3(HARD_LIMIT) of an odd n, and the
+    # log field its bound from the constants: 20 halves of rounding
+    assert 3**21 > HARD_LIMIT and 20 < 2**COUNT_BITS
+    assert round(LOG_SCALE * math.log2(HARD_LIMIT)) + 10 < 2 ** (16 - COUNT_BITS)
     primes = base_primes(math.isqrt(hi - 1))
     acc = _accumulate(lo, hi, primes)
     assert acc.dtype == np.uint16
-    wide = plain_accumulate(lo, hi, primes, np.int64)  # no word can wrap
-    assert wide.max() < 2**16
+    wide = plain_accumulate(lo, hi, primes, np.int64)[(lo | 1) - lo :: 2]  # no word can wrap
+    assert wide.max(initial=0) < 2**16
     assert np.array_equal(acc.astype(np.int64), wide)
     assert_kernel_matches_oracle(lo, hi)
 
 
-K_BIG = 10**8 // PATTERN_PERIOD  # a period start just below 10^8
+PERIOD_IN_N = 2 * PATTERN_PERIOD  # the pattern repeats every 6930 integers
+K_BIG = 14428  # a period start 14428 * 6930 = 99 986 040 just below 10^8
 
 
 @pytest.mark.parametrize(
@@ -214,10 +220,10 @@ K_BIG = 10**8 // PATTERN_PERIOD  # a period start just below 10^8
         (100, PATTERN_MIN_HI - 1),
         (100, PATTERN_MIN_HI),
         (PATTERN_MIN_HI - 2, PATTERN_MIN_HI + 1),
-        # lo one before, at and one after a period start
-        *((k * PATTERN_PERIOD + d, k * PATTERN_PERIOD + d + 3000)
-          for k in (1, K_BIG) for d in (-1, 0, 1)),
-        (K_BIG * PATTERN_PERIOD - 1, (K_BIG + 2) * PATTERN_PERIOD + 2),
+        # lo one before, at and one after a period start: odd, even, odd
+        *((k * PERIOD_IN_N + d, k * PERIOD_IN_N + d + 3000)
+          for k in (4, K_BIG) for d in (-1, 0, 1)),
+        (K_BIG * PERIOD_IN_N - 1, (K_BIG + 8) * PERIOD_IN_N + 2),
     ],
 )
 def test_presieved_kernel_matches_plain_loop_and_oracle(lo, hi):
@@ -228,56 +234,106 @@ def test_presieved_kernel_matches_plain_loop_and_oracle(lo, hi):
 @pytest.mark.parametrize(
     "lo, hi",
     [
-        # several sub-blocks and periods
+        # several periods and a sub-block seam (a sub-block holds 2 * SUB_BLOCK integers)
         (10**8 - 3 * SUB_BLOCK - 5, 10**8 + 1),
-        # more than one sub-block just below HARD_LIMIT + 1
+        # just below HARD_LIMIT + 1: within one sub-block, then across two seams
         (HARD_LIMIT + 1 - SUB_BLOCK - 1000, HARD_LIMIT + 1),
+        (HARD_LIMIT + 1 - 5 * SUB_BLOCK - 1000, HARD_LIMIT + 1),
     ],
 )
 def test_blocked_kernel_matches_plain_loop_across_sub_blocks(lo, hi):
     assert_words_match_plain_loop(lo, hi)
-    # counts against trial division around both ends and each sub-block seam
+    # odd counts against trial division around both ends and each sub-block seam
     counts = omega_segment(lo, hi, base_primes(math.isqrt(hi - 1)))
-    for seam in (lo, *range(lo + SUB_BLOCK, hi, SUB_BLOCK), hi):
-        a, b = max(lo, seam - 64), min(hi, seam + 64)
-        assert np.array_equal(counts[a - lo : b - lo].astype(np.int64), bulk_omega_oracle(a, b))
-
-
-@settings(max_examples=6, deadline=None)
-@given(st.integers(1, HARD_LIMIT), st.integers(SUB_BLOCK // 2, 1 << 20))
-def test_kernel_words_match_plain_loop_on_random_long_spans(lo, length):
-    assert_words_match_plain_loop(lo, min(lo + length, HARD_LIMIT + 1))
-
-
-def assert_chunk_matches_bincount(lo, hi, cuts):
-    """_profile_chunk at the span end and at every cut equals one bincount from lo."""
-    counts = sieve_segment(lo, hi)
-    weights = 1.0 / np.arange(lo, hi, dtype=np.float64)
-    pik, inv, *parts = _profile_chunk((lo, hi), tuple(cuts))
-    ends = [n + 1 for n in sorted(cuts)] + [hi]
-    assert len(parts) == len(cuts)
-    for end, (got_pik, got_inv) in zip(ends, [*parts, (pik, inv)]):
-        ref_pik = np.bincount(counts[: end - lo], minlength=MAX_OMEGA + 1)
-        ref_inv = np.bincount(
-            counts[: end - lo], weights=weights[: end - lo], minlength=MAX_OMEGA + 1
-        )
-        assert np.array_equal(got_pik, ref_pik)
-        assert got_inv.tobytes() == ref_inv.tobytes()
+    first = lo | 1
+    for seam in (0, *range(SUB_BLOCK, len(counts), SUB_BLOCK), len(counts)):
+        a, b = max(0, seam - 64), min(len(counts), seam + 64)
+        expected = bulk_omega_oracle(first + 2 * a, first + 2 * b)[::2]
+        assert np.array_equal(counts[a:b].astype(np.int64), expected)
 
 
 @pytest.mark.parametrize(
     "lo, hi",
-    [(1, 3 * REDUCE_BLOCK // 2), (10**7 + 3, 10**7 + 3 + 2 * REDUCE_BLOCK + 777)],
+    [
+        # the HARD_LIMIT edge, from an even and from an odd lo
+        (HARD_LIMIT - 2**12, HARD_LIMIT + 1),
+        (HARD_LIMIT - 2**12 + 1, HARD_LIMIT + 1),
+        (HARD_LIMIT - 1, HARD_LIMIT + 1),
+        # across PATTERN_MIN_HI, from an odd and from an even lo
+        (PATTERN_MIN_HI - 3, PATTERN_MIN_HI + 1),
+        (PATTERN_MIN_HI - 4, PATTERN_MIN_HI + 2),
+        (1, PATTERN_MIN_HI + 1),
+        # one integer, even: the kernel has no odd n, sieve_segment one even n
+        (2, 3),
+        (PATTERN_MIN_HI - 1, PATTERN_MIN_HI),
+        (2**20, 2**20 + 1),
+        (HARD_LIMIT, HARD_LIMIT + 1),
+    ],
+)
+def test_odd_words_match_plain_loop_on_every_odd_n(lo, hi):
+    assert_words_match_plain_loop(lo, hi)
+    assert_kernel_matches_oracle(lo, hi)
+    assert len(omega_segment(lo, hi, base_primes(math.isqrt(hi - 1)))) == hi // 2 - lo // 2
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(1, HARD_LIMIT), st.integers(SUB_BLOCK, 1 << 21))
+def test_kernel_words_match_plain_loop_on_random_long_spans(lo, length):
+    assert_words_match_plain_loop(lo, min(lo + length, HARD_LIMIT + 1))
+
+
+def per_k_fsum(counts, recips, bins):
+    """[math.fsum of the recips whose count is k, for k < bins]: correctly rounded."""
+    order = np.argsort(counts, kind="stable")
+    edges = np.searchsorted(counts[order], np.arange(bins + 1))
+    return [math.fsum(recips[order[edges[k] : edges[k + 1]]]) for k in range(bins)]
+
+
+# A block sums at most REDUCE_BLOCK positive 1/n in order, within
+# (REDUCE_BLOCK - 1) * 2**-53 relative of its exact sum, and a record adds
+# at most MAX_SEGMENT_LENGTH / (2 * REDUCE_BLOCK) = 128 positive block sums
+# in order.  2 * REDUCE_BLOCK * 2**-53 bounds both together.
+RECORD_INV_BOUND = 2 * REDUCE_BLOCK * 2.0**-53
+
+
+def assert_chunk_matches_bincount(lo, hi, cuts):
+    """_profile_chunk at the span end and at every cut, over the odd n from lo:
+    pik equals one bincount; inv equals the reduction of a span that ends
+    there, bit for bit, and the per-k fsum of 1/n within RECORD_INV_BOUND."""
+    counts = omega_segment(lo, hi, base_primes(math.isqrt(hi - 1)))
+    pik, inv, *parts = _profile_chunk((lo, hi), tuple(cuts))
+    ends = [n + 1 for n in sorted(cuts)] + [hi]
+    assert len(parts) == len(cuts)
+    for end, (got_pik, got_inv) in zip(ends, [*parts, (pik, inv)]):
+        odd = end // 2 - lo // 2  # the odd n in [lo, end)
+        assert np.array_equal(got_pik, np.bincount(counts[:odd], minlength=MAX_OMEGA + 1))
+        ((_, alone_inv),) = _reduce(counts[:odd], lo, [end])
+        assert got_inv.tobytes() == alone_inv.tobytes()
+    recips = 1.0 / np.arange(lo | 1, hi, 2, dtype=np.float64)
+    for got, ref in zip(inv, per_k_fsum(counts, recips, MAX_OMEGA + 1)):
+        assert abs(got - ref) <= RECORD_INV_BOUND * ref
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (1, 3 * REDUCE_BLOCK // 2),
+        (1, 3 * REDUCE_BLOCK),
+        (10**7 + 3, 10**7 + 3 + 2 * REDUCE_BLOCK + 777),
+        (10**7 + 4, 10**7 + 4 + 2 * REDUCE_BLOCK + 777),
+    ],
 )
 def test_profile_chunk_matches_whole_segment_bincount(lo, hi):
     assert_chunk_matches_bincount(lo, hi, ())
-    # Cuts on both sides of a block edge and at the last cut a span allows.
-    edge = lo + REDUCE_BLOCK
-    assert_chunk_matches_bincount(lo, hi, (hi - 2, edge - 1, lo, edge, edge - 2))
+    # Cuts on both sides of a block edge, whose first odd n is edge, and at
+    # the last cut a span allows.
+    edge = (lo | 1) + 2 * REDUCE_BLOCK
+    cuts = [n for n in (hi - 2, edge - 1, lo, edge, edge - 2) if n < hi - 1]
+    assert_chunk_matches_bincount(lo, hi, cuts)
 
 
 @settings(deadline=None)
-@given(st.integers(1, HARD_LIMIT), st.integers(1, 3 * REDUCE_BLOCK + 777), st.data())
+@given(st.integers(1, HARD_LIMIT), st.integers(1, 5 * REDUCE_BLOCK + 777), st.data())
 def test_profile_chunk_matches_bincount_on_random_spans(lo, length, data):
     hi = min(lo + length, HARD_LIMIT + 1)
     cuts = data.draw(st.sets(st.integers(lo, hi - 2), max_size=6)) if hi - 2 >= lo else set()
@@ -288,13 +344,32 @@ def test_pi_k_by_counting_matches_profiles(profile_1e6):
     """Every pi_k against Lucy_Hedgehog's count, which shares nothing with the sieve."""
     checkpoints = [
         1, 2, 3, 4, 16, 17,
-        2**22, 2**22 + 1,  # the end of the first default span, and one past it
+        *(2**j + d for j in (3, 5, 10, 16, 21, 23) for d in (-1, 0, 1)),
+        # span ends of the default length and one past them; for a >= 1,
+        # (3 * 2**22) >> a lies inside a span
+        2**22, 2**22 + 1, 3 * 2**22, 3 * 2**22 + 1,
         9, 1009**2, 2039**2,  # squares of primes
         6, 1009 * 1013, 2003 * 2011,  # products p * q
         10**6 + 3,
     ]
     for prof in [*omega_profiles(checkpoints), profile_1e6]:
         assert prof.pik.tolist() == pi_k_by_counting(prof.N), prof.N
+
+
+@pytest.mark.parametrize("N", [10**6, 10**7])
+def test_inv_within_a_measured_bound_of_per_k_fsum(N):
+    """Each inv_k against math.fsum of its 1/n, which is correctly rounded.
+
+    The fold adds 2**-a inv_{k-a}^odd(N >> a) in ascending a, each a sum
+    of block sums.  Measured worst relative gap over k: 3.1e-15 at 10^6
+    and 3.2e-15 at 10^7, against 3.2e-14 and 8.2e-14 for one sequential
+    sum over every n in index order.
+    """
+    prof = omega_profile(N)
+    omega = np.concatenate([sieve_segment(lo, hi) for lo, hi in segment_spans(N)])
+    recips = 1.0 / np.arange(1, N + 1, dtype=np.float64)
+    for k, (got, ref) in enumerate(zip(prof.inv_weights, per_k_fsum(omega, recips, prof.k_max + 1))):
+        assert abs(got - ref) <= 1e-14 * ref, k
 
 
 def test_pool_starts_at_most_one_process_per_cpu_and_span(serial_pool, monkeypatch):
@@ -389,7 +464,12 @@ def test_warm_tail_sieves_only_the_spans_that_hold_a_cut(tmp_path, monkeypatch):
         cuts.add(int(above.max()) if len(above) else 2)
         cuts.add(int(below.min()) - 1 if len(below) else N)
     spans = segment_spans(N, length)
-    holding = [(lo, hi) for lo, hi in spans if any(lo <= n < hi - 1 for n in cuts)]
+
+    # The store then holds every span, and the odd prefixes at N >> a; the
+    # tail's fold needs the odd prefixes at c >> a for every cut c.
+    stored = {hi - 1 for _, hi in spans} | {N >> a for a in range(N.bit_length())}
+    needed = {c >> a for c in cuts for a in range(c.bit_length())} - stored
+    holding = [(lo, hi) for lo, hi in spans if any(lo <= n < hi - 1 for n in needed)]
     assert 0 < len(holding) < len(spans)
 
     monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
@@ -408,9 +488,9 @@ def test_warm_tail_sieves_only_the_spans_that_hold_a_cut(tmp_path, monkeypatch):
 
 
 def test_only_the_profile_path_sieves():
-    """sieve_segment and map_segments are named only where the profile path, the
-    sieve table and the two-sets Omega lookup need them."""
-    names = {"sieve_segment", "map_segments"}
+    """omega_segment, sieve_segment and map_segments are named only where the
+    profile path, the sieve table and the two-sets Omega lookup need them."""
+    names = {"omega_segment", "sieve_segment", "map_segments"}
     found = set()
     for path in sorted(Path(omegalab.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -425,7 +505,8 @@ def test_only_the_profile_path_sieves():
                 if name in names:
                     found.add((owner, name))
     assert found == {
-        ("sieve._profile_chunk", "sieve_segment"),
+        ("sieve._profile_chunk", "omega_segment"),
+        ("sieve._omega_range", "omega_segment"),
         ("cli._cmd_sieve", "sieve_segment"),
         ("twosets._omega_of", "sieve_segment"),
         ("sieve.omega_profiles", "map_segments"),
@@ -537,6 +618,22 @@ def test_segment_cache_damaged_file_is_a_miss(tmp_path, monkeypatch, damage):
     assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temporary left
 
 
+def test_store_file_of_the_all_n_format_is_a_miss(tmp_path, monkeypatch):
+    """An OMP1 file held the sums over every n of its span: a miss, rewritten."""
+    counts = sieve_segment(5000, 6000)
+    all_n = np.array([(np.bincount(counts, minlength=MAX_OMEGA + 1),
+                       np.bincount(counts, 1.0 / np.arange(5000, 6000), minlength=MAX_OMEGA + 1))],
+                     dtype=RECORD_DTYPE)
+    path = tmp_path / "span_5000_6000.omp"
+    path.write_bytes(with_crc(b"OMP1" + struct.pack("<QQ", 5000, 6000) + all_n.tobytes()))
+    monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
+    assert _cache_read(5000, 6000) is None
+    pik, inv = _profile_chunk((5000, 6000))
+    assert pik.sum() == 500 < all_n["pik"].sum()  # the odd n only
+    assert read_profile_file(str(path))[2].tobytes() == np.array([(pik, inv)], RECORD_DTYPE).tobytes()
+    assert path.read_bytes()[:4] == CACHE_MAGIC == b"OMP2"
+
+
 def test_flipped_bit_in_inv_is_a_miss(tmp_path, monkeypatch):
     monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
     _profile_chunk((5000, 6000))
@@ -550,13 +647,19 @@ def test_flipped_bit_in_inv_is_a_miss(tmp_path, monkeypatch):
     assert path.read_bytes() == whole
 
 
+def odd_cuts(checkpoints, span_length, n_max):
+    """The N >> a of the checkpoints that are not span ends: one store record each."""
+    ends = set(range(span_length, n_max, span_length)) | {n_max}
+    return {n >> a for n in checkpoints for a in range(n.bit_length())} - ends
+
+
 def test_warm_store_profiles_need_no_kernel(tmp_path, monkeypatch):
     checkpoints = [5000, 20000, 60000]  # span ends at segment length 5000
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LENGTH", 5000)
     reference = omega_profiles(checkpoints)
     monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
     omega_profiles(checkpoints)
-    assert len(os.listdir(tmp_path)) == 12
+    assert len(os.listdir(tmp_path)) == 12 + len(odd_cuts(checkpoints, 5000, 60000))
     monkeypatch.setattr(kernels, "omega_segment", no_kernel)  # forked workers inherit it
     for workers in (1, 2):
         warm = omega_profiles(checkpoints, workers)
@@ -571,7 +674,12 @@ def test_checkpoint_inside_a_span_on_a_warm_store(tmp_path, monkeypatch):
     omega_profiles([60000])
     checkpoints = [12345, 7, 60000, 59999]
     warm = omega_profiles(checkpoints)
-    assert len(os.listdir(tmp_path)) == 12
+    assert len(os.listdir(tmp_path)) == 12 + len(odd_cuts(checkpoints, 5000, 60000))
+    with monkeypatch.context() as patch:  # every span and cut record is stored now
+        patch.setattr(kernels, "omega_segment", no_kernel)
+        again = omega_profiles(checkpoints)
+    for prof, ref in zip(again, warm):
+        assert prof.inv_weights.tobytes() == ref.inv_weights.tobytes()
     monkeypatch.delenv("OMEGALAB_CACHE")
     for prof in warm:
         ref = omega_profile(prof.N)
@@ -653,20 +761,39 @@ def test_profile_worker_counts_agree_at_1e6(profile_1e6):
 
 
 def test_profile_checks_partition_identity(monkeypatch):
-    def lossy_chunk(span):
-        pik, inv = _profile_chunk(span)
+    def lossy_chunk(span, cuts=()):
+        pik, inv, *parts = _profile_chunk(span, cuts)
         pik[1] -= 1
-        return pik, inv
+        return pik, inv, *parts
 
     monkeypatch.setattr(sieve, "_profile_chunk", lossy_chunk)
-    with pytest.raises(InvalidRangeError):
+    with pytest.raises(InvalidRangeError, match=r"partition the odd n <= 1000$"):
+        omega_profile(1000)
+
+
+def test_profile_checks_the_fold_covers_one_to_n(monkeypatch):
+    """Odd prefixes that each partition the odd n but put an n above
+    floor(log2 N) fail the partition of [1, N]."""
+    real_chunk = _profile_chunk
+
+    def high_chunk(span, cuts=()):
+        pik, inv, *parts = real_chunk(span, cuts)
+        for counts in [pik] + [part[0] for part in parts]:
+            counts[1] -= 1
+            counts[MAX_OMEGA - 20] += 1
+        return pik, inv, *parts
+
+    monkeypatch.setattr(sieve, "_profile_chunk", high_chunk)
+    with pytest.raises(InvalidRangeError, match=r"partition \[1, 1000\]$"):
         omega_profile(1000)
 
 
 # Span boundaries at the default length: 2**22 ends the first span, and
-# 2**22 + 1 is a partial span of length 1.  65536 = REDUCE_BLOCK.
+# 2**22 + 1 is a partial span of length 1.  The first REDUCE_BLOCK odd n
+# end at 131071.
 PROFILE_CHECKPOINTS = [
     10**6, 2**22 + 1, 1, 65536, 10, 2**22, 65535, 10**5, 2, 3 * 10**6 + 7, 65537, 10**5,
+    131071, 131072, 131073,
 ]
 
 
