@@ -11,10 +11,7 @@ from .averages import (
     correlation_sum,
     ek_report,
     ek_weighted_average,
-    log_trick_bound,
-    log_trick_discrepancy,
     residue_class_density,
-    shifted_omega_average,
     smoothed_indicator,
     weyl_sum,
 )
@@ -30,9 +27,7 @@ from .counterexample import (
 from .dynamics import (
     CircleRotation,
     ExponentialOrbit,
-    FiniteRotation,
     ObservableOrbit,
-    SymbolicOrbit,
     exponential_orbit,
     parse_system,
     residue_indicator_orbit,
@@ -41,7 +36,6 @@ from .dynamics import (
 from .kernels import active_backend
 from .sieve import (
     OmegaProfile,
-    hardy_ramanujan_tail,
     liouville,
     omega_profile,
     omega_profiles,
@@ -62,6 +56,5 @@ from .weights import (
     exact_weights,
     extrapolated_average,
     gaussian_weights,
-    tn_operator,
     window_for,
 )

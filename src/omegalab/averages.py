@@ -20,7 +20,7 @@ import numpy as np
 
 from .dynamics import ObservableOrbit, exponential_orbit, residue_indicator_orbit
 from .errors import InvalidRangeError, require_finite
-from .sieve import OmegaProfile, omega_profiles
+from .sieve import OmegaProfile
 
 
 class AverageScheme(Enum):
@@ -210,44 +210,3 @@ def correlation_sum(
 ) -> complex:
     """(1/N) sum F(phi(n)) g(T^{Omega(n)} x); limit is (Gaussian integral of F) * space mean."""
     return _dot(_ek_weights(F, profile), _values(orbit.value_at, profile.k_max)) / profile.N
-
-
-def shifted_omega_average(
-    a: Callable[[int], complex], profile: OmegaProfile, shift: int = 0
-) -> complex:
-    """Cesaro average of n -> a(Omega(n) + shift) over [1, N]."""
-    if shift < 0:
-        raise InvalidRangeError("shift must be >= 0")
-    values = _values(lambda k: a(k + shift), profile.k_max)
-    return _scheme_average(profile, values, AverageScheme.CESARO)
-
-
-# ---------------------------------------------------------------------------
-# Logarithmic-average trick
-# ---------------------------------------------------------------------------
-
-
-def log_trick_discrepancy(a: Callable[[int], complex], N: int, p: int) -> float:
-    """|E^log_{[N/p]} a(Omega) - E^log_{[N]} a(Omega)| for a bounded function a of k."""
-    if p < 2:
-        raise InvalidRangeError("p must be >= 2")
-    if N < p:
-        raise InvalidRangeError("need N >= p")
-    head, full = (
-        _scheme_average(prof, _values(a, prof.k_max), AverageScheme.LOGARITHMIC)
-        for prof in omega_profiles([N // p, N])
-    )
-    return abs(head - full)
-
-
-def log_trick_bound(M: float, N: int, p: int) -> float:
-    """Closed-form majorant 2M (1 - A_{floor(N/p)} / A_N), A_N = sum_{n<=N} 1/n.
-
-    A_N is read from the profiles, the same sums log_trick_discrepancy divides by.
-    """
-    if p < 2:
-        raise InvalidRangeError("p must be >= 2")
-    if N < p:
-        raise InvalidRangeError("need N >= p")
-    head, full = (prof.harmonic_sum() for prof in omega_profiles([N // p, N]))
-    return 2.0 * M * (1.0 - head / full)

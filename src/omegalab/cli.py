@@ -341,18 +341,6 @@ def _cmd_counterexample(args):
     return ("N", "omega_average", "genericity_defect"), rows, {"kmax": args.kmax}
 
 
-def _cmd_shifted(args):
-    a = _parse_arith(args.a)
-    if args.shift < 0:
-        raise InvalidRangeError("shift must be >= 0")
-    value = averages.shifted_omega_average(a, _profile(args, args.limit), args.shift)
-    return (
-        ("N", "shift", "re", "im"),
-        [(args.limit, args.shift, value.real, value.imag)],
-        {"limit": args.limit},
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="omegalab",
@@ -446,14 +434,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _output_args(sub)
     _sieve_args(sub)
     sub.set_defaults(handler=_cmd_counterexample)
-
-    sub = subs.add_parser("shifted", help="average of a(Omega(n) + shift)")
-    _limit_arg(sub)
-    sub.add_argument("--shift", type=int, default=0)
-    sub.add_argument("--a", default="parity")
-    _output_args(sub)
-    _sieve_args(sub)
-    sub.set_defaults(handler=_cmd_shifted)
 
     return parser
 

@@ -16,8 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .averages import average_along_omega
-from .dynamics import SymbolicOrbit
+from .averages import AverageScheme, _scheme_average, _values
 from .errors import InvalidRangeError, RangeTooLargeError
 from .sieve import OmegaProfile
 from .weights import GaussianWindowSpec, extrapolated_average
@@ -180,7 +179,7 @@ def _first_n_crossing(x: float, strict: bool) -> int:
 
 def average_along_omega_blocks(seq: BlockSequence, profile: OmegaProfile) -> float:
     """Cesaro average of a(Omega(n)) over [1, N], exactly sum_k pi_k(N) a(k) / N."""
-    return average_along_omega(SymbolicOrbit(seq), profile).real
+    return _scheme_average(profile, _values(seq, profile.k_max), AverageScheme.CESARO).real
 
 
 def oscillation_profile(

@@ -25,28 +25,6 @@ class ObservableOrbit:
 
 
 @dataclass(frozen=True)
-class FiniteRotation(ObservableOrbit):
-    """Rotation on m points; value_at is periodic with period m."""
-
-    m: int
-    start: int
-    g_values: tuple
-
-    def __post_init__(self):
-        if self.m < 1 or not 0 <= self.start < self.m:
-            raise InvalidRangeError(f"bad rotation (m={self.m}, start={self.start})")
-        if len(self.g_values) != self.m:
-            raise InvalidRangeError("g_values length must equal m")
-
-    @property
-    def space_mean(self) -> complex:
-        return sum(self.g_values) / self.m
-
-    def value_at(self, k: int) -> complex:
-        return self.g_values[(self.start + k) % self.m]
-
-
-@dataclass(frozen=True)
 class CircleRotation(ObservableOrbit):
     """Rotation of the circle by alpha full turns, observed through g.
 
@@ -85,27 +63,17 @@ class ExponentialOrbit(ObservableOrbit):
         return cmath.exp(2j * math.pi * (self.beta % 1.0) * k)
 
 
-@dataclass(frozen=True)
-class SymbolicOrbit(ObservableOrbit):
-    """Cylinder observable on the one-sided 0/1 shift: value_at(k) = a(k).
+class Parity(ObservableOrbit):
+    """Rotation on two points seen through g = (+1, -1): value_at(k) = (-1)^k."""
 
-    The declared space mean is that of the point mass at the all-zero
-    sequence, i.e. 0.
-    """
+    space_mean = 0.0
 
-    a: Callable[[int], int]
-    space_mean: complex = 0.0
-
-    def value_at(self, k: int) -> complex:
-        v = self.a(k)
-        if v not in (0, 1):
-            raise ValueError(f"symbolic sequence value a({k}) = {v} not in {{0, 1}}")
-        return v
+    def value_at(self, k: int) -> int:
+        return 1 - 2 * (k % 2)
 
 
-def rotation_two_points_liouville() -> FiniteRotation:
-    """Rotation on two points with g = (+1, -1): value_at(k) = (-1)^k."""
-    return FiniteRotation(m=2, start=0, g_values=(1, -1))
+def rotation_two_points_liouville() -> Parity:
+    return Parity()
 
 
 @dataclass(frozen=True)
@@ -136,15 +104,26 @@ def exponential_orbit(beta: float) -> ExponentialOrbit:
     return ExponentialOrbit(beta=beta)
 
 
+# The keys each system spec takes; circle's start is optional.
+SYSTEM_KEYS = {"liouville": (), "rot": ("m", "r"), "exp": ("beta",), "circle": ("alpha", "start")}
+
+
 def parse_system(spec: str) -> ObservableOrbit:
     """Build an orbit from a CLI string spec.
 
     Supported: ``liouville``, ``rot:m=3,r=1``, ``exp:beta=0.5``,
     ``circle:alpha=0.618`` (observable e^{2 pi i x}, space mean 0).
-    A missing or non-numeric argument raises InvalidRangeError.
+    A missing or non-numeric argument, or a key the system does not take
+    or that is given twice, raises InvalidRangeError.
     """
     name, _, args = spec.partition(":")
-    kv = dict(part.partition("=")[::2] for part in args.split(",") if part)
+    if name not in SYSTEM_KEYS:
+        raise InvalidRangeError(f"unknown system spec: {spec!r}")
+    kv = {}
+    for key, value in (part.partition("=")[::2] for part in args.split(",") if part):
+        if key not in SYSTEM_KEYS[name] or key in kv:
+            raise InvalidRangeError(f"system spec {spec!r} has an unknown or repeated key {key!r}")
+        kv[key] = value
 
     def number(key, kind=float):
         try:
@@ -158,11 +137,9 @@ def parse_system(spec: str) -> ObservableOrbit:
         return residue_indicator_orbit(number("m", int), number("r", int))
     if name == "exp":
         return exponential_orbit(number("beta"))
-    if name == "circle":
-        return CircleRotation(
-            alpha=number("alpha"),
-            start=number("start") if "start" in kv else 0.0,
-            g=lambda x: cmath.exp(2j * math.pi * x),
-            space_mean=0.0,
-        )
-    raise InvalidRangeError(f"unknown system spec: {spec!r}")
+    return CircleRotation(
+        alpha=number("alpha"),
+        start=number("start") if "start" in kv else 0.0,
+        g=lambda x: cmath.exp(2j * math.pi * x),
+        space_mean=0.0,
+    )

@@ -14,14 +14,13 @@ import math
 import os
 import struct
 import zlib
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
 
 from . import kernels
-from .errors import InvalidRangeError, OmegalabError, RangeTooLargeError, require_finite
+from .errors import InvalidRangeError, OmegalabError, RangeTooLargeError
 
 # Omega(n) <= log2(n) < 64 for every feasible n, so one byte per integer.
 MAX_OMEGA = 64
@@ -400,38 +399,3 @@ def _profile_at(N: int, odd: dict) -> OmegaProfile:
 
 def omega_profile(N: int, workers: int = 1) -> OmegaProfile:
     return omega_profiles([N], workers)[0]
-
-
-def hardy_ramanujan_tail(N: int, C: float, workers: int = 1) -> float:
-    """Fraction of n <= N with |Omega(n) - log log n| > C * sqrt(log log N).
-
-    n in {1, 2} are excluded (log log n undefined or negative there); their
-    O(1/N) contribution is below every stated tolerance.
-
-    For each k the n in [3, N] that fail are a prefix [3, a_k] (k - log log n
-    above the band) and a suffix [b_k, N] (below it): the computed log log n
-    grows by about 10^4 ulps per step for n <= HARD_LIMIT, so it is strictly
-    increasing.  a_k and b_k are found by bisection on the same float64
-    expression a per-n pass would evaluate, and the counts come from the
-    profiles at 2, a_k, b_k - 1 and N.
-    """
-    require_finite(C=C)
-    if N < 3:
-        raise InvalidRangeError("N must be >= 3")
-    if C <= 0:
-        raise InvalidRangeError("C must be > 0")
-    _check_limit(N + 1)  # before the bisection, which needs len(range(3, N + 1))
-    band = C * math.sqrt(math.log(math.log(N)))
-    k_max = int(math.log2(N))
-    ns = range(3, N + 1)
-
-    def dev(k, n):  # k - log log n, on a float64 array as a per-n pass has it
-        return np.float64(k) - np.log(np.log(np.array([n], dtype=np.float64)))[0]
-
-    ks = range(k_max + 1)
-    a = [2 + bisect_left(ns, True, key=lambda n: not dev(k, n) > band) for k in ks]
-    b = [3 + bisect_left(ns, True, key=lambda n: -dev(k, n) > band) for k in ks]
-    profiles = omega_profiles(sorted({2, N, *a, *(n - 1 for n in b)}), workers)
-    pik = {p.N: np.pad(p.pik, (0, k_max + 1 - len(p.pik))) for p in profiles}
-    tail = sum(int(pik[a[k]][k] - pik[2][k] + pik[N][k] - pik[b[k] - 1][k]) for k in ks)
-    return tail / N

@@ -1,8 +1,8 @@
 """Weighted-sum reformulation of averages along Omega(n).
 
 Exact weights pi_k(N)/N, the factorial product-form estimate, the Gaussian
-window approximation, the windowed Gaussian averaging operator, and
-extrapolation of averages to virtual N far beyond any sievable range.
+window approximation, and extrapolation of averages to virtual N far beyond
+any sievable range.
 """
 
 from __future__ import annotations
@@ -131,16 +131,6 @@ def gaussian_weights(window: GaussianWindowSpec) -> WeightVector:
     z = (window.ks().astype(np.float64) - L) / math.sqrt(L)
     weights = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi * L)
     return WeightVector(k_lo=window.k_lo, k_hi=window.k_hi, weights=weights)
-
-
-def tn_operator(indicator, window: GaussianWindowSpec) -> float:
-    """Windowed Gaussian average of an indicator: sum_k w_k * indicator(k).
-
-    indicator(k) in {0, 1} stands for 1_A(T^k x).  It is called once, on
-    the int64 array of the window's k, and returns an array of truth values
-    (or one value, broadcast over the window).
-    """
-    return extrapolated_average(lambda ks: np.asarray(indicator(ks), dtype=bool), window).real
 
 
 def extrapolated_average(a, window: GaussianWindowSpec) -> complex:

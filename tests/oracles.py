@@ -8,7 +8,7 @@ import numpy as np
 
 from omegalab.averages import RealTestFunction
 from omegalab.errors import InvalidRangeError
-from omegalab.sieve import base_primes, segment_spans, sieve_segment
+from omegalab.sieve import base_primes
 from omegalab.twosets import _almost_primes_2_harmonic, rho_index
 from omegalab.weights import GaussianWindowSpec, gaussian_weights
 
@@ -124,21 +124,6 @@ def pi_k_by_counting(N: int) -> list[int]:
     return counts
 
 
-def hardy_ramanujan_tail_oracle(N: int, C: float) -> float:
-    """hardy_ramanujan_tail by testing every n in [3, N] against the band, per span."""
-    sd_n = math.sqrt(math.log(math.log(N)))
-    tail = 0
-    for lo, hi in segment_spans(N):
-        counts = sieve_segment(lo, hi)
-        ns = np.arange(lo, hi, dtype=np.float64)
-        mask = ns >= 3  # log log n undefined/negative below 3
-        loglog = np.zeros_like(ns)
-        loglog[mask] = np.log(np.log(ns[mask]))
-        dev = np.abs(counts.astype(np.float64) - loglog)
-        tail += int(np.count_nonzero(mask & (dev > C * sd_n)))
-    return tail / N
-
-
 def loglog_interval_count_by_exp(N: int, lo: float, hi: float, digits: int = 400) -> int:
     """Count of n in [3, N] with lo <= log log n <= hi, from e^{e^x} at `digits` digits.
 
@@ -213,17 +198,6 @@ def extrapolated_average_oracle(a, window: GaussianWindowSpec) -> complex:
     return complex(re, im)
 
 
-def tn_operator_oracle(indicator, window: GaussianWindowSpec) -> float:
-    """sum_k w_k indicator(k) with Gaussian weights, calling indicator once per k."""
-    wv = gaussian_weights(window)
-    return float(
-        math.fsum(
-            w * (1.0 if indicator(int(k)) else 0.0)
-            for k, w in zip(window.ks(), wv.weights)
-        )
-    )
-
-
 # The reductions along Omega as they were written before every one went
 # through averages._dot: integer sums of pi_k, and fsums written out per site.
 
@@ -282,13 +256,6 @@ def extrapolated_average_by_parts(a, window: GaussianWindowSpec) -> complex:
     re = math.fsum(w * values.real)
     im = math.fsum(w * values.imag) if np.iscomplexobj(values) else 0.0
     return complex(re, im)
-
-
-def tn_operator_fsum(indicator, window: GaussianWindowSpec) -> float:
-    """sum_k w_k indicator(k), indicator called once on the window, by one fsum."""
-    ks = window.ks()
-    hits = np.broadcast_to(np.asarray(indicator(ks), dtype=bool), ks.shape)
-    return math.fsum(gaussian_weights(window).weights * hits)
 
 
 def oscillation_profile_oracle(blocks, checkpoints, C: float = 3.0) -> list:

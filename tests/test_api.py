@@ -8,6 +8,7 @@ import inspect
 from pathlib import Path
 
 import numpy as np
+from test_averages import _mentions
 
 import omegalab
 from omegalab import kernels, sieve, twosets, weights
@@ -20,9 +21,6 @@ def test_public_signatures():
     assert str(inspect.signature(sieve.omega_profile)) == (
         "(N: 'int', workers: 'int' = 1) -> 'OmegaProfile'"
     )
-    assert str(inspect.signature(sieve.hardy_ramanujan_tail)) == (
-        "(N: 'int', C: 'float', workers: 'int' = 1) -> 'float'"
-    )
     assert str(inspect.signature(twosets.construct_pair)) == (
         "(epsilon: 'float', rho: 'float', search_limit: 'int') -> 'PrimeSetPair'"
     )
@@ -32,6 +30,30 @@ def test_public_signatures():
     assert [f.name for f in dataclasses.fields(weights.WeightVector)] == [
         "k_lo", "k_hi", "weights",
     ]
+
+
+def test_every_export_is_reached_from_a_subcommand_or_an_acceptance_test():
+    """A name omegalab exports is mentioned by a cli function or by the
+    acceptance tests, directly or through the library names they mention."""
+    found = _mentions()
+    acceptance = Path(__file__).with_name("test_acceptance.py").read_text(encoding="utf-8")
+    reached = set()
+    for node in ast.walk(ast.parse(acceptance)):
+        if isinstance(node, ast.Name):
+            reached.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            reached.add("." + node.attr)
+    owners = {owner for owner in found if owner.startswith("cli.")}
+    while owners:
+        for owner in owners:
+            reached |= found.pop(owner)
+        owners = {owner for owner in found
+                  if {owner.split(".", 1)[1], "." + owner.split(".", 1)[1]} & reached}
+    init = ast.parse(Path(omegalab.__file__).read_text(encoding="utf-8"))
+    exported = {alias.name for node in init.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    # perfbench/traced.py reads active_backend on every benchmark run
+    assert {name for name in exported if not {name, "." + name} & reached} == {"active_backend"}
 
 
 def test_trial_division_lives_only_in_the_test_oracles():

@@ -1,7 +1,6 @@
 import ast
 import cmath
 import math
-import time
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +8,7 @@ import oracles
 import pytest
 
 import omegalab
-from omegalab import liouville, omega_profile, residue_class_density
+from omegalab import omega_profile, residue_class_density
 from omegalab.averages import (
     AverageScheme,
     EKNormalizer,
@@ -20,23 +19,21 @@ from omegalab.averages import (
     ek_report,
     ek_weighted_average,
     grid_cells,
-    log_trick_bound,
-    log_trick_discrepancy,
-    shifted_omega_average,
     smoothed_indicator,
     weyl_sum,
 )
 from omegalab.counterexample import BlockSequence, average_along_omega_blocks, erdos_blocks
 from omegalab.dynamics import (
+    ObservableOrbit,
     exponential_orbit,
     parse_system,
     residue_indicator_orbit,
     rotation_two_points_liouville,
 )
-from omegalab.errors import InvalidRangeError, RangeTooLargeError
+from omegalab.errors import InvalidRangeError
 
 from omegalab.twosets import invariance_gap
-from omegalab.weights import GaussianWindowSpec, extrapolated_average, tn_operator
+from omegalab.weights import GaussianWindowSpec, extrapolated_average
 
 GRID = [-3 + 0.25 * i for i in range(25)]
 
@@ -72,10 +69,14 @@ def test_logarithmic_average_matches_brute_force():
 
 
 def test_constant_orbit_average_is_constant():
-    from omegalab.dynamics import FiniteRotation
+    class Constant(ObservableOrbit):
+        space_mean = 0.7
 
-    orb = FiniteRotation(m=1, start=0, g_values=(0.7,))
-    assert average_along_omega(orb, omega_profile(12345)).real == pytest.approx(0.7, abs=1e-12)
+        def value_at(self, k):
+            return 0.7
+
+    got = average_along_omega(Constant(), omega_profile(12345))
+    assert got.real == pytest.approx(0.7, abs=1e-12)
 
 
 def test_weyl_sum_trivial_and_half():
@@ -182,25 +183,6 @@ def test_correlation_sum_trivial_and_degenerate(profile_1e4):
     assert abs(got - (full - excluded)) < 1e-12
 
 
-def test_shifted_average_sign_flip(profile_1e4):
-    a = lambda k: (-1) ** k
-    s0 = shifted_omega_average(a, profile_1e4, 0)
-    s1 = shifted_omega_average(a, profile_1e4, 1)
-    assert s1 == -s0
-    assert shifted_omega_average(lambda k: 1.0, profile_1e4, 7) == (
-        pytest.approx(1.0, abs=1e-12)
-    )
-    with pytest.raises(InvalidRangeError):
-        shifted_omega_average(a, profile_1e4, -1)
-
-
-def test_shifted_average_small_oracle():
-    a = lambda k: (-1) ** k
-    assert shifted_omega_average(a, omega_profile(10), 0).real == pytest.approx(
-        brute_liouville_average(10), abs=1e-12
-    )
-
-
 def test_log_average_stream_matches_brute_force():
     N = 1000
     got = average_along_omega(
@@ -209,51 +191,6 @@ def test_log_average_stream_matches_brute_force():
     num = math.fsum((-1) ** oracles.omega_oracle(n) / n for n in range(1, N + 1))
     den = math.fsum(1.0 / n for n in range(1, N + 1))
     assert got.real == pytest.approx(num / den, abs=1e-12)
-
-
-def test_log_trick_constant_is_zero():
-    const = lambda k: 1.0
-    assert log_trick_discrepancy(const, 10**4, 3) == pytest.approx(0.0, abs=1e-14)
-
-
-@pytest.mark.parametrize("p", [2, 3, 7])
-def test_log_trick_bound_holds_for_liouville(p):
-    N = 10**4
-    d = log_trick_discrepancy(liouville, N, p)
-    assert d <= log_trick_bound(1.0, N, p) + 1e-12
-
-
-@pytest.mark.parametrize("N", [10**4, 10**6])
-@pytest.mark.parametrize("p", [2, 3, 7])
-def test_log_trick_matches_fsum_brute_force(omega_to_1e6, N, p):
-    lam = np.where(omega_to_1e6[:N] % 2 == 0, 1.0, -1.0)
-    inv = 1.0 / np.arange(1, N + 1, dtype=np.float64)
-
-    def log_average(M):
-        return math.fsum(lam[:M] * inv[:M]) / math.fsum(inv[:M])
-
-    expect = abs(log_average(N // p) - log_average(N))
-    assert log_trick_discrepancy(liouville, N, p) == pytest.approx(expect, abs=1e-14)
-
-
-def test_log_trick_validation():
-    with pytest.raises(InvalidRangeError, match="^p must be >= 2$"):
-        log_trick_discrepancy(liouville, 100, 1)
-    with pytest.raises(InvalidRangeError, match="^need N >= p$"):
-        log_trick_discrepancy(liouville, 2, 3)
-
-
-@pytest.mark.parametrize("N", [0, -5, 1])
-def test_log_trick_bound_needs_n_at_least_p(N):
-    with pytest.raises(InvalidRangeError, match="^need N >= p$"):
-        log_trick_bound(1.0, N, 2)
-
-
-def test_log_trick_bound_is_capped_at_once():
-    start = time.perf_counter()
-    with pytest.raises(RangeTooLargeError):
-        log_trick_bound(1.0, 10**30, 2)
-    assert time.perf_counter() - start < 1
 
 
 def test_smoothed_indicator_shape():
@@ -293,16 +230,12 @@ def test_reductions_match_the_formulas_they_replaced(profile_1e4, profile_1e6):
                 assert repr(invariance_gap(F, a, prof)) == repr(
                     oracles.invariance_gap_two_fsums(F, a, prof))
     values = [erdos_blocks(18), lambda ks: ks % 3 == 1, lambda ks: np.exp(0.3j * ks),
-              lambda ks: 1.0, lambda ks: (ks % 5) - 2.5]
-    indicators = [lambda ks: ks % 3 == 1, lambda ks: True, lambda ks: ks % 2]
+              lambda ks: 1.0, lambda ks: (ks % 5) - 2.5, lambda ks: True, lambda ks: ks % 2]
     for loglogn in (2.5, 27.0, 1e4, 1e6):
         window = GaussianWindowSpec(loglogn=loglogn)
         for a in values:
             assert repr(extrapolated_average(a, window)) == repr(
                 oracles.extrapolated_average_by_parts(a, window))
-        for indicator in indicators:
-            assert repr(tn_operator(indicator, window)) == repr(
-                oracles.tn_operator_fsum(indicator, window))
 
 
 def test_dot_skips_the_imaginary_fsum_of_a_real_array(monkeypatch):
@@ -338,12 +271,11 @@ def test_every_average_along_omega_reduces_through_dot():
     assert "sieve.residue_class_density" not in found
     through = {
         "averages.residue_class_density": "average_along_omega",
-        "counterexample.average_along_omega_blocks": "average_along_omega",
+        "counterexample.average_along_omega_blocks": "_scheme_average",
         "averages.ek_weighted_average": "_dot",
         "averages.correlation_sum": "_dot",
         "twosets.invariance_gap": "_dot",
         "weights.extrapolated_average": "_dot",
-        "weights.tn_operator": "extrapolated_average",
     }
     for owner, via in through.items():
         assert via in found[owner], owner

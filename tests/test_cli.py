@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -25,7 +26,8 @@ from oracles import (
 
 import omegalab
 from omegalab import (
-    AverageScheme, average_along_omega, cli, kernels, omega_profile, sieve, twosets, weights,
+    AverageScheme, average_along_omega, cli, dynamics, kernels, omega_profile, sieve, twosets,
+    weights,
 )
 from omegalab.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 from omegalab.counterexample import Checkpoints, merge_intervals
@@ -116,11 +118,17 @@ def test_correlate_unknown_system(capsys):
     assert code == EXIT_USAGE
 
 
-@pytest.mark.parametrize("spec", ["rot:m=3", "rot:m=x,r=1", "exp:"])
+@pytest.mark.parametrize("spec", [
+    "rot:m=3", "rot:m=x,r=1", "exp:",
+    # unknown or repeated keys
+    "liouville:x=1", "rot:m=3,r=1,beta=2", "rot:m=3,r=1,m=5", "circle:alpha=0.25,garbage",
+])
 def test_correlate_bad_system_arguments(capsys, spec):
-    code, out = run(capsys, "correlate", "--limit", "100", f"--system={spec}", "--quiet")
+    code = main(["correlate", "--limit", "100", f"--system={spec}", "--quiet"])
+    captured = capsys.readouterr()
     assert code == EXIT_USAGE
-    assert out == ""
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("bump", ["1", "a,b", "1,2,3"])
@@ -394,13 +402,6 @@ def test_counterexample_sieve_mode(capsys):
     assert header == ["N", "omega_average", "genericity_defect"]
 
 
-def test_shifted(capsys):
-    code, out = run(capsys, "shifted", "--limit", "10000", "--shift", "1", "--quiet")
-    assert code == EXIT_OK
-    header, rows = parse_csv(out)
-    assert header == ["N", "shift", "re", "im"]
-
-
 def test_limit_over_cap_is_resource_error(capsys):
     code, _ = run(capsys, "pik", "--limit", str(10**10 + 1), "--quiet")
     assert code == EXIT_RESOURCE
@@ -498,7 +499,7 @@ def test_bad_workers_or_precision_fail_before_the_handler(capsys, monkeypatch, a
      ["erdos-kac", "--grid", "1:0:1"],
      ["weights", "--C", "-1"],
      ["weights", "--C", "nan"],
-     ["shifted", "--shift", "-1"]],
+     ["correlate", "--system", "rot:m=3,r=1,m=5"]],
 )
 def test_bad_options_fail_before_sieving(capsys, monkeypatch, argv):
     monkeypatch.setattr(sieve, "omega_profiles", lambda *a, **k: pytest.fail("sieved"))
@@ -566,7 +567,7 @@ def test_ek_limit_below_three_fails_before_sieving(capsys, monkeypatch, cmd, lim
 
 @pytest.mark.parametrize("limit", ["0", "-5"])
 @pytest.mark.parametrize("argv", [
-    ["pik"], ["pnt", "--stride", "decade"], ["weyl", "--beta", "0.5"], ["shifted"],
+    ["pik"], ["pnt", "--stride", "decade"], ["weyl", "--beta", "0.5"], ["pnt"],
     ["counterexample", "--mode", "sieve"],
 ])
 def test_limit_below_one_fails_before_the_progress_line(capsys, monkeypatch, argv, limit):
@@ -676,6 +677,7 @@ WINDOW_C = st.floats(max_value=100.0) | HUGE
 EPSILON_RHO = st.builds(lambda eps, t: (eps, 1.0 + eps * t), st.floats(1e-3, 0.999),
                         st.floats(1e-12, 1.0)) | st.tuples(
     st.floats() | HUGE, st.floats(0.0, 1e-12).map(lambda d: 1.0 + d) | st.floats() | HUGE)
+BLOCKS = "{blocks}"  # stands for a blocks file the test writes
 # Subcommands that sieve take --quiet, which keeps their progress line off stderr.
 FLOAT_ARGVS = st.one_of(
     st.builds(lambda n, beta: ["weyl", "--quiet", "--limit", str(n), f"--beta={beta!r}"],
@@ -694,15 +696,65 @@ FLOAT_ARGVS = st.one_of(
     st.builds(lambda n, er, partial: ["twosets", "--limit", str(n), f"--epsilon={er[0]!r}",
                                       f"--rho={er[1]!r}", *partial],
               st.integers(-10**4, 10**4), EPSILON_RHO, st.sampled_from([[], ["--allow-partial"]])),
+    st.builds(lambda cmd, n, ramp: [cmd, "--quiet", "--limit", str(n), f"--ramp={ramp!r}"],
+              st.sampled_from(["correlate", "invariance"]), LIMITS, st.floats() | HUGE),
+    # log log N up to 1e6 keeps a window of any finite --C under 2e5 k.
+    st.builds(lambda loglogn, c: ["extrapolate", f"--loglogn={loglogn!r}", f"--C={c!r}",
+                                  "--blocks", BLOCKS],
+              st.floats(1.0, 1e6) | st.floats(max_value=1e6) | HUGE,
+              st.floats(0.0, 100.0) | WINDOW_C),
+)
+# --grid specs: any three floats; lo == hi where lo + step == lo; steps below
+# an ulp of lo or far below the 1e-12 slack; counts up to MAX_GRID_POINTS.
+GRIDS = st.one_of(
+    st.tuples(st.floats() | HUGE, st.floats() | HUGE, st.floats() | HUGE),
+    st.builds(lambda x, step: (x, x, step), st.floats(1e15, 1e300) | st.floats(-1e300, -1e15),
+              st.floats(1e-3, 10.0)),
+    st.builds(lambda lo, width, step: (lo, lo + width, step), st.floats(-10.0, 10.0),
+              st.floats(0.0, 1e-11), st.floats(5e-324, 1e-14)),
+    st.builds(lambda lo, count, step: (lo, lo + count * step, step), st.floats(-10.0, 10.0),
+              st.integers(0, 50) | st.sampled_from([cli.MAX_GRID_POINTS - 1, cli.MAX_GRID_POINTS]),
+              st.floats(1e-6, 1.0)),
+).map(lambda grid: ":".join(map(repr, grid)))
+# --system specs from drawn names, keys and values: each system's own keys
+# with numbers, and any keys (unknown and repeated ones too) with any values.
+SYSTEM_NUMBERS = st.integers(-3, 12).map(str) | (st.floats() | HUGE).map(repr)
+SYSTEMS = st.one_of(
+    st.sampled_from(sorted(dynamics.SYSTEM_KEYS.items())).flatmap(
+        lambda item: st.tuples(st.just(item[0]),
+                               st.tuples(*[st.tuples(st.just(key), SYSTEM_NUMBERS)
+                                           for key in item[1]]))),
+    st.tuples(st.sampled_from(["liouville", "rot", "exp", "circle", "torus", ""]),
+              st.lists(st.tuples(st.sampled_from(["m", "r", "beta", "alpha", "start", "x", ""]),
+                                 SYSTEM_NUMBERS | st.text(max_size=3)),
+                       max_size=4)),
+).map(lambda spec: spec[0] + ":" * bool(spec[1]) + ",".join(f"{k}={v}" for k, v in spec[1]))
+STRING_ARGVS = st.one_of(
+    st.builds(lambda n, grid: ["erdos-kac", "--quiet", f"--limit={n}", f"--grid={grid}"],
+              LIMITS, GRIDS),
+    st.builds(lambda n, spec: ["correlate", "--quiet", f"--limit={n}", f"--system={spec}"],
+              LIMITS, SYSTEMS),
+    st.builds(lambda n, a: ["invariance", "--quiet", f"--limit={n}", f"--a={a}"],
+              LIMITS, st.sampled_from(["parity", "one"]) | st.text(max_size=6)),
 )
 
 
 def _exits_cleanly_without_non_finite_rows(argv):
+    """main(argv) ends within 20 s, kept by SIGALRM from outside the code
+    under test, with an exit code of the contract and no nan or inf."""
     out, err = io.StringIO(), io.StringIO()
-    start = time.perf_counter()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert time.perf_counter() - start < 20
+
+    def hung(signum, frame):
+        raise TimeoutError(f"{argv} ran past 20 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_RESOURCE)
     assert len(err.getvalue().splitlines()) <= 1
     if code == EXIT_OK:
@@ -713,6 +765,16 @@ def _exits_cleanly_without_non_finite_rows(argv):
 @settings(max_examples=160, deadline=None)
 @given(FLOAT_ARGVS)
 def test_float_options_exit_cleanly_without_non_finite_rows(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "blocks.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump([[1, 13], [19, 35]], fh)
+        _exits_cleanly_without_non_finite_rows([path if arg == BLOCKS else arg for arg in argv])
+
+
+@settings(max_examples=150, deadline=None)
+@given(STRING_ARGVS)
+def test_string_options_exit_cleanly_without_non_finite_rows(argv):
     _exits_cleanly_without_non_finite_rows(argv)
 
 
@@ -738,13 +800,11 @@ def test_kmax_exits_cleanly_without_non_finite_rows(kmax, mode, with_blocks):
 # a limit at or near HARD_LIMIT itself would sieve for minutes.
 PROFILE_ARGVS = [["pik"], ["pnt", "--stride", "decade"], ["weyl", "--beta", "0.5"],
                  ["erdos-kac"], ["correlate"], ["weights"], ["invariance"],
-                 ["counterexample", "--mode", "sieve"], ["shifted"]]
+                 ["counterexample", "--mode", "sieve"]]
 PROFILE_LIMITS = st.integers(-(10**12), 10**4) | st.integers(sieve.HARD_LIMIT + 1, 10**30)
 INTEGER_ARGVS = st.one_of(
     st.builds(lambda argv, n: [*argv, "--quiet", f"--limit={n}"],
               st.sampled_from(PROFILE_ARGVS), PROFILE_LIMITS),
-    st.builds(lambda shift: ["shifted", "--quiet", "--limit=100", f"--shift={shift}"],
-              st.integers(-(10**30), 10**30)),
     st.builds(lambda lo, width: ["sieve", f"--lo={lo}", f"--hi={lo + width}"],
               st.integers(-(10**12), sieve.HARD_LIMIT + 10),
               st.integers(-10, 2 * cli.MAX_SIEVE_ROWS)),
@@ -831,7 +891,6 @@ def test_every_declared_option_is_read(capsys, tmp_path):
         "invariance": [["--limit", "1000", "--quiet"]],
         # --C is read only in extrapolate mode; --limit and --quiet only in sieve mode.
         "counterexample": [["--mode", "sieve", "--limit", "1000", "--quiet"], ["--kmax", "3"]],
-        "shifted": [["--limit", "1000", "--quiet"]],
     }
     parser = cli._build_parser()
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]

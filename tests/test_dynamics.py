@@ -7,8 +7,6 @@ import pytest
 from omegalab.dynamics import (
     CircleRotation,
     ExponentialOrbit,
-    FiniteRotation,
-    SymbolicOrbit,
     exponential_orbit,
     parse_system,
     residue_indicator_orbit,
@@ -19,8 +17,9 @@ from omegalab.errors import InvalidRangeError
 
 def test_two_point_rotation_is_parity():
     orb = rotation_two_points_liouville()
-    assert [orb.value_at(k) for k in range(4)] == [1, -1, 1, -1]
-    assert orb.space_mean == 0
+    values = [orb.value_at(k) for k in range(4)]
+    assert values == [1, -1, 1, -1] and all(type(v) is int for v in values)
+    assert repr(orb.space_mean) == "0.0"  # pnt and correlate print its products
 
 
 def test_residue_indicator_orbit():
@@ -30,13 +29,6 @@ def test_residue_indicator_orbit():
     huge = residue_indicator_orbit(10**12, 5)  # holds no table of 10^12 values
     assert [huge.value_at(k) for k in (4, 5, 6, 10**12 + 5)] == [0, 1, 0, 1]
     assert huge.space_mean == 1e-12
-
-
-def test_finite_rotation_validation():
-    with pytest.raises(InvalidRangeError, match=r"^bad rotation \(m=3, start=3\)$"):
-        FiniteRotation(m=3, start=3, g_values=(1, 2, 3))
-    with pytest.raises(InvalidRangeError, match="^g_values length must equal m$"):
-        FiniteRotation(m=2, start=0, g_values=(1,))
 
 
 def test_exponential_orbit_unit_modulus():
@@ -64,15 +56,6 @@ def test_circle_rotation_orbit():
     assert abs(orb.value_at(2) - (-1.0)) < 1e-14
 
 
-def test_symbolic_orbit_rejects_non_binary():
-    orb = SymbolicOrbit(a=lambda k: 2)
-    with pytest.raises(ValueError):
-        orb.value_at(0)
-    ok = SymbolicOrbit(a=lambda k: k % 2)
-    assert ok.value_at(3) == 1
-    assert ok.space_mean == 0.0
-
-
 def test_parse_system_variants():
     assert parse_system("liouville").value_at(1) == -1
     rot = parse_system("rot:m=3,r=1")
@@ -81,11 +64,24 @@ def test_parse_system_variants():
     assert abs(exp.value_at(1) + 1.0) < 1e-14
     circ = parse_system("circle:alpha=0.5")
     assert abs(circ.value_at(1) + 1.0) < 1e-14
+    assert parse_system("circle:alpha=0.25,start=0.25").value_at(1) == parse_system(
+        "circle:alpha=0.5").value_at(1)
 
 
 def test_parse_system_unknown():
     with pytest.raises(InvalidRangeError, match="^unknown system spec: 'torus:dim=2'$"):
         parse_system("torus:dim=2")
+
+
+@pytest.mark.parametrize("spec, key", [
+    ("liouville:x=1", "x"), ("rot:m=3,r=1,beta=2", "beta"),
+    ("rot:m=3,r=1,m=5", "m"), ("exp:beta=0.5,beta=0.5", "beta"), ("exp:alpha=0.5", "alpha"),
+    ("circle:alpha=0.25,garbage", "garbage"), ("circle:start=0.1,alpha=0.2,start=0.1", "start"),
+])
+def test_parse_system_rejects_unknown_and_repeated_keys(spec, key):
+    message = f"^system spec {re.escape(repr(spec))} has an unknown or repeated key '{key}'$"
+    with pytest.raises(InvalidRangeError, match=message):
+        parse_system(spec)
 
 
 @pytest.mark.parametrize(

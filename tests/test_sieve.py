@@ -14,14 +14,12 @@ from hypothesis import strategies as st
 from oracles import (
     bulk_omega_oracle,
     eratosthenes,
-    hardy_ramanujan_tail_oracle,
     omega_oracle,
     pi_k_by_counting,
 )
 
 import omegalab
 from omegalab import (
-    hardy_ramanujan_tail,
     kernels,
     liouville,
     omega_profile,
@@ -419,41 +417,10 @@ def test_histogram_small_oracle():
     assert hist == brute
 
 
-def test_hardy_ramanujan_tail_monotone_in_c():
-    t1 = hardy_ramanujan_tail(10**6, 1.0)
-    t2 = hardy_ramanujan_tail(10**6, 2.0)
-    t3 = hardy_ramanujan_tail(10**6, 3.0)
-    assert t1 >= t2 >= t3
-    assert t3 / 10**6 < 0.05
-
-
-@pytest.mark.parametrize("N", [3, 4, 15, 16, 17, 10**3, 10**5 + 3, 10**6])
-def test_hardy_ramanujan_tail_bit_identical_to_per_n_oracle(N, monkeypatch):
-    for C in (0.01, 0.5, 1, 2, 3, 50):
-        expect = hardy_ramanujan_tail_oracle(N, C).hex()
-        for segment_length in (DEFAULT_SEGMENT_LENGTH, 12345):
-            monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LENGTH", segment_length)
-            for workers in (1, 2):
-                got = hardy_ramanujan_tail(N, C, workers)
-                assert got.hex() == expect, (C, segment_length, workers)
-
-
-@pytest.mark.parametrize("C", [math.nan, math.inf])
-def test_hardy_ramanujan_tail_rejects_non_finite_c(C):
-    with pytest.raises(InvalidRangeError):
-        hardy_ramanujan_tail(1000, C)
-
-
-def test_hardy_ramanujan_tail_over_the_limit_is_range_too_large():
-    with pytest.raises(RangeTooLargeError):
-        hardy_ramanujan_tail(10**30, 1.0)
-
-
 def test_warm_tail_sieves_only_the_spans_that_hold_a_cut(tmp_path, monkeypatch):
+    """Cuts spread over [2, N]: per k, the last n with k - log log n above
+    C sqrt(log log N), and the one before the first n with it below -C sqrt(...)."""
     N, C, length = 10**5 + 3, 1.0, 12345
-    expect = hardy_ramanujan_tail_oracle(N, C)
-    # The cuts by brute force: per k, the last n above the band and the one
-    # before the first n below it.
     ns = np.arange(3, N + 1)
     loglog = np.log(np.log(ns.astype(np.float64)))
     band = C * math.sqrt(math.log(math.log(N)))
@@ -463,17 +430,19 @@ def test_warm_tail_sieves_only_the_spans_that_hold_a_cut(tmp_path, monkeypatch):
         above, below = ns[dev > band], ns[-dev > band]
         cuts.add(int(above.max()) if len(above) else 2)
         cuts.add(int(below.min()) - 1 if len(below) else N)
+    cuts = sorted(cuts)
     spans = segment_spans(N, length)
 
     # The store then holds every span, and the odd prefixes at N >> a; the
-    # tail's fold needs the odd prefixes at c >> a for every cut c.
+    # fold needs the odd prefixes at c >> a for every cut c.
     stored = {hi - 1 for _, hi in spans} | {N >> a for a in range(N.bit_length())}
     needed = {c >> a for c in cuts for a in range(c.bit_length())} - stored
     holding = [(lo, hi) for lo, hi in spans if any(lo <= n < hi - 1 for n in needed)]
     assert 0 < len(holding) < len(spans)
 
-    monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LENGTH", length)
+    cold = omega_profiles(cuts)
+    monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
     omega_profile(N)
     sieved = []
     real_kernel = kernels.omega_segment
@@ -483,7 +452,9 @@ def test_warm_tail_sieves_only_the_spans_that_hold_a_cut(tmp_path, monkeypatch):
         return real_kernel(lo, hi, primes)
 
     monkeypatch.setattr(kernels, "omega_segment", counting_kernel)
-    assert hardy_ramanujan_tail(N, C) == expect
+    for warm, ref in zip(omega_profiles(cuts), cold, strict=True):
+        assert warm.pik.tobytes() == ref.pik.tobytes()
+        assert warm.inv_weights.tobytes() == ref.inv_weights.tobytes()
     assert sieved == holding
 
 
@@ -821,8 +792,6 @@ def test_omega_profiles_rejects_bad_checkpoints():
 def test_nonpositive_workers_are_rejected(workers):
     with pytest.raises(InvalidRangeError):
         omega_profiles([1000], workers)
-    with pytest.raises(InvalidRangeError):
-        hardy_ramanujan_tail(1000, 1.0, workers)  # through map_segments
 
 
 @pytest.mark.parametrize("sub", ["", "sub"])

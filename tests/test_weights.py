@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import extrapolated_average_oracle, tn_operator_oracle
+from oracles import extrapolated_average_oracle
 
 from omegalab.errors import InvalidRangeError, RangeTooLargeError
 from omegalab.weights import (
@@ -14,7 +14,6 @@ from omegalab.weights import (
     exact_weights,
     extrapolated_average,
     gaussian_weights,
-    tn_operator,
     window_for,
 )
 
@@ -115,13 +114,6 @@ def test_gaussian_total_mass_near_one_for_wide_window():
     assert gaussian_weights(window).total() == pytest.approx(1.0, abs=0.01)
 
 
-def test_tn_operator_full_and_empty():
-    window = GaussianWindowSpec(loglogn=27.0, C=3.0)
-    full = tn_operator(lambda k: True, window)
-    assert full == pytest.approx(gaussian_weights(window).total(), abs=1e-15)
-    assert tn_operator(lambda k: False, window) == 0.0
-
-
 def test_extrapolated_average_constant():
     window = GaussianWindowSpec(loglogn=50.0, C=3.0)
     mass = gaussian_weights(window).total()
@@ -144,15 +136,6 @@ def test_extrapolated_average_calls_a_once_on_the_window():
     assert ks.tolist() == window.ks().tolist()
     expect = extrapolated_average_oracle(lambda k: (k % 2) + 1j * (k % 3), window)
     assert (got.real.hex(), got.imag.hex()) == (expect.real.hex(), expect.imag.hex())
-
-
-@pytest.mark.parametrize("loglogn", [1.5, 27.0, 1e6])
-def test_tn_operator_bit_identical_to_per_k_oracle(loglogn):
-    window = GaussianWindowSpec(loglogn=loglogn, C=3.0)
-    got = tn_operator(lambda ks: ks % 3 == 1, window)
-    expect = tn_operator_oracle(lambda k: k % 3 == 1, window)
-    assert got.hex() == expect.hex()
-    assert got > 0
 
 
 def test_approximation_report_fields(profile_1e6):
