@@ -39,6 +39,7 @@ from .sieve import (
     liouville,
     omega_profile,
     omega_profiles,
+    pi_k_profile,
     sieve_segment,
 )
 from .twosets import (

@@ -55,7 +55,8 @@ def _scheme_average(prof: OmegaProfile, values: np.ndarray, scheme: AverageSchem
     """Scheme-average over [1, prof.N] of n -> values[Omega(n)]."""
     if scheme is AverageScheme.CESARO:
         return _dot(prof.pik.astype(np.float64), values) / prof.N
-    return _dot(prof.inv_weights, values) / prof.harmonic_sum()
+    mass = prof.harmonic_sum()  # raises on a counted profile, which has no harmonic mass
+    return _dot(prof.inv_weights, values) / mass
 
 
 def weyl_sum(beta: float, profile: OmegaProfile) -> complex:
@@ -183,19 +184,23 @@ def ek_report(profile: OmegaProfile, grid: Sequence[float]) -> EKReport:
     """K_N(A, B)/N against the Gaussian mass, per consecutive grid cell (A, B).
 
     Cells are half-open (A, B] (first cell closed), so the empirical column
-    is a valid sub-probability distribution over the grid span.
+    is a valid sub-probability distribution over the grid span.  Each z is
+    placed by one binary search over the cell edges: z lies in the cell
+    that ends at the first edge >= z.  The cell sums add integer-valued
+    floats below 2**53, so they are exact in any order.
     """
     N = profile.N
     norm = EKNormalizer(N)
     pik = _adjusted_pik(profile)
     z = norm.normalize(np.arange(len(pik), dtype=np.float64))
     pairs = grid_cells(grid)
-    empirical = []
-    gaussian = []
-    for i, (a, b) in enumerate(pairs):
-        inside = ((z >= a) if i == 0 else (z > a)) & (z <= b)
-        empirical.append(float(pik[inside].sum()) / N)
-        gaussian.append(normal_mass(a, b))
+    edges = np.array([pairs[0][0], *(b for _, b in pairs)])
+    cell = np.searchsorted(edges, z, side="left") - 1
+    cell[z == edges[0]] = 0  # the first cell is closed
+    inside = (cell >= 0) & (cell < len(pairs))
+    mass = np.bincount(cell[inside], weights=pik[inside], minlength=len(pairs))
+    empirical = (mass / N).tolist()
+    gaussian = [normal_mass(a, b) for a, b in pairs]
     sup = max(abs(e - g) for e, g in zip(empirical, gaussian))
     return EKReport(N, tuple(pairs), tuple(empirical), tuple(gaussian), sup)
 

@@ -61,7 +61,7 @@ def _output_args(sub, table=True, floats=True):
 
 
 def _sieve_args(sub):
-    """--workers, and --quiet for the progress line that only a sieve pass prints."""
+    """--workers for a sieve pass, and --quiet for the progress line of every profile."""
     sub.add_argument("--workers", type=int, default=1)
     sub.add_argument("--quiet", action="store_true", help="suppress progress output")
 
@@ -75,12 +75,19 @@ def _progress(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _profiles(args, checkpoints):
-    """Profiles at each checkpoint, from one pass over [1, max(checkpoints)]."""
-    if min(checkpoints) < 1:  # before the progress line
+def _check_limits(checkpoints) -> None:
+    """Each --limit checkpoint is >= 1 and within HARD_LIMIT, before the
+    progress line and before any span list or table is built."""
+    if min(checkpoints) < 1:
         raise InvalidRangeError(f"--limit must be >= 1, got {min(checkpoints)}")
+    sieve._check_limit(max(checkpoints) + 1)
+
+
+def _profiles(args, checkpoints):
+    """Sieved profiles, with harmonic masses, at each checkpoint, from one
+    pass over [1, max(checkpoints)]."""
+    _check_limits(checkpoints)
     n = max(checkpoints)
-    sieve._check_limit(n + 1)  # before any span list is built
     spans = sieve.segment_spans(n)
     _progress(args, f"sieving [1, {n}] in {len(spans)} segments "
                     f"({sieve._pool_size(args.workers, len(spans))} workers)")
@@ -88,7 +95,12 @@ def _profiles(args, checkpoints):
 
 
 def _profile(args, n):
-    return _profiles(args, [n])[0]
+    """The pi_k profile at n, counted from prime counts: no sieve pass and no
+    harmonic mass, so --workers is only checked."""
+    _check_limits([n])
+    _progress(args, f"counting pi_k({n}) from prime counts: no sieve pass, "
+                    f"--workers {args.workers} not used")
+    return sieve.pi_k_profile(n)
 
 
 def _fmt(value, precision):

@@ -4,7 +4,9 @@ Segments are independent units of work; every reduction merges per-segment
 partial results in ascending segment order, so output is bit-identical for
 any worker count.  A pass sieves and reduces the odd n only; Omega is
 completely additive, so Omega(2**a m) = a + Omega(m) folds the even n back
-in (sieve_segment, _profile_at).
+in (sieve_segment, _profile_at).  pi_k_profile counts pi_k with no Omega
+sieve, from a table of prime counts, for the callers that need no harmonic
+mass.
 """
 
 from __future__ import annotations
@@ -325,18 +327,25 @@ class OmegaProfile:
     """Per-k totals over [1, N]: counts pi_k(N) and harmonic mass by k.
 
     pik[k] is the number of n <= N with Omega(n) = k; inv_weights[k] is
-    the sum of 1/n over those n (the logarithmic-average mass at k).
+    the sum of 1/n over those n (the logarithmic-average mass at k).  A
+    counted profile (pi_k_profile) has no harmonic mass: inv_weights is
+    None there.
     """
 
     N: int
     pik: np.ndarray = field(repr=False)
-    inv_weights: np.ndarray = field(repr=False)
+    inv_weights: np.ndarray | None = field(repr=False)
 
     @property
     def k_max(self) -> int:
         return len(self.pik) - 1
 
     def harmonic_sum(self) -> float:
+        if self.inv_weights is None:
+            raise OmegalabError(
+                f"the profile at N = {self.N} was counted and has no harmonic mass; "
+                "logarithmic averages need omega_profile"
+            )
         return float(math.fsum(self.inv_weights))
 
 
@@ -391,11 +400,111 @@ def _profile_at(N: int, odd: dict) -> OmegaProfile:
             raise InvalidRangeError(f"pi_k counts do not partition the odd n <= {m}")
         pik[a:] += odd_pik[: _BINS - a]
         inv[a:] += np.ldexp(odd_inv[: _BINS - a], -a)
+    return _checked_profile(N, pik, inv)
+
+
+def _checked_profile(N: int, pik: np.ndarray, inv: np.ndarray | None) -> OmegaProfile:
+    """The profile of pik and inv cut at k_max = floor(log2 N), once sum_k pi_k = N."""
     k_max = max(int(math.log2(N)), 0)
     if int(pik[: k_max + 1].sum()) != N:
         raise InvalidRangeError(f"pi_k counts do not partition [1, {N}]")
-    return OmegaProfile(N, pik[: k_max + 1].copy(), inv[: k_max + 1].copy())
+    return OmegaProfile(N, pik[: k_max + 1].copy(),
+                        None if inv is None else inv[: k_max + 1].copy())
 
 
 def omega_profile(N: int, workers: int = 1) -> OmegaProfile:
     return omega_profiles([N], workers)[0]
+
+
+# ---------------------------------------------------------------------------
+# pi_k by counting, with no Omega sieve
+# ---------------------------------------------------------------------------
+
+TUPLE_CHUNK = 1 << 12  # prime tuples pi_k_profile expands in one step
+
+
+def prime_counts_at_quotients(N: int):
+    """(small, large, primes): pi(v) = small[v] for v <= r = isqrt(N),
+    pi(N // i) = large[i] for 1 <= i <= r, and the primes <= r.
+
+    Lucy_Hedgehog's sieve (Project Euler problem 10 forum, 2013), the
+    simple form of the Meissel-Lehmer method (Lagarias, Miller and
+    Odlyzko, Math. Comp. 44 (1985)).  S(v) starts as v - 1, the count of
+    2..v; for each prime p <= r in turn, the v >= p * p lose the numbers
+    whose least prime factor is p: S(v) -= S(v // p) - S(p - 1).  Every
+    v // p is again some N // i, read from large while i * p <= r and from
+    small after that.  Each right-hand side is read whole before its
+    table is updated, and large before small, so every update reads the
+    S of the previous prime.
+    """
+    r = math.isqrt(N)
+    primes = base_primes(r)
+    small = np.arange(-1, r, dtype=np.int64)  # small[v] = v - 1
+    large = np.zeros(r + 1, dtype=np.int64)
+    large[1:] = N // np.arange(1, r + 1, dtype=np.int64) - 1
+    for p in primes.tolist():
+        below = int(small[p - 1])  # S(p - 1) = pi(p - 1)
+        m = min(r, N // (p * p))  # large[i] with N // i >= p * p
+        q = min(m, r // p)  # i <= q: S(N // (i p)) = large[i p]
+        large[1 : q + 1] -= large[p : q * p + 1 : p] - below
+        large[q + 1 : m + 1] -= small[N // (p * np.arange(q + 1, m + 1))] - below
+        if p * p <= r:
+            small[p * p :] -= np.repeat(small[p : r // p + 1], p)[: r + 1 - p * p] - below
+    return small, large, primes
+
+
+def pi_k_profile(N: int) -> OmegaProfile:
+    """The profile at N by counting, with no Omega sieve: pi_k only, no harmonic mass.
+
+    pi_0(N) = 1.  For k >= 1, every n <= N with Omega(n) = k is P * p for
+    one nondecreasing tuple of k - 1 primes, the last q = primes[i], with
+    product P, and one prime p with q <= p <= N / P: pi(N // P) - i of
+    them (the empty tuple has P = 1 and i = 0); for k = 2 this is the P2
+    term of the Meissel-Lehmer method (Deleglise and Rivat, Math. Comp.
+    65 (1996)).  A tuple has children only while P * q * q <= N; they are
+    expanded depth first, at most TUPLE_CHUNK at a time, so memory stays
+    flat in N.
+    """
+    if N < 1:
+        raise InvalidRangeError(f"N must be >= 1, got {N}")
+    _check_limit(N + 1)
+    small, large, primes = prime_counts_at_quotients(N)
+    r = len(small) - 1
+    pik = np.zeros(_BINS, dtype=np.int64)
+    pik[0] = 1
+
+    def count(P, i):
+        """The sum of pi(N // P) - i over the tuples, then where their children
+        start and each tuple's offset.
+
+        The children of tuple t are the primes p = primes[j], j >= i, with
+        p * p <= N // P; they are numbered starts[t] <= c < starts[t + 1],
+        with j = c - offsets[t].
+        """
+        quotients = N // P
+        counts = small[np.minimum(quotients, r)]  # pi(N // P), for P > r
+        low = P <= r
+        counts[low] = large[P[low]]
+        # floor(sqrt) of a float64 is isqrt for every quotient below 2**52
+        width = np.maximum(small[np.sqrt(quotients).astype(np.int64)] - i, 0)
+        starts = np.zeros(len(P) + 1, dtype=np.int64)
+        np.cumsum(width, out=starts[1:])
+        return int((counts - i).sum()), starts, starts[:-1] - i
+
+    def expand(k, P, i):
+        # count's temporaries are freed before the recursion: each level holds
+        # only P, i, starts and offsets
+        total, starts, offsets = count(P, i)
+        pik[k] += total
+        for first in range(0, int(starts[-1]), TUPLE_CHUNK):
+            last = min(first + TUPLE_CHUNK, int(starts[-1]))
+            # tuples a .. b - 1 hold children first .. last - 1
+            a = int(np.searchsorted(starts, first, side="right")) - 1
+            b = int(np.searchsorted(starts, last - 1, side="right"))
+            bounds = np.clip(starts[a : b + 1], first, last)
+            reps = bounds[1:] - bounds[:-1]
+            j = np.arange(first, last) - np.repeat(offsets[a:b], reps)
+            expand(k + 1, np.repeat(P[a:b], reps) * primes[j], j)
+
+    expand(1, np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
+    return _checked_profile(N, pik, None)

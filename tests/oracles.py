@@ -63,67 +63,6 @@ def bulk_omega_oracle(lo: int, hi: int) -> np.ndarray:
     return counts
 
 
-def prime_counts_at_quotients(N: int):
-    """(pi, primes): pi(v) for every v = N // i, and the primes <= isqrt(N).
-
-    Lucy_Hedgehog's sieve (Project Euler problem 10 forum, 2013), the
-    simple form of the Meissel-Lehmer method.  S(v) starts as v - 1, the
-    count of 2..v; for each prime p in turn, the v >= p * p lose the
-    numbers whose least prime factor is p: S(v) -= S(v // p) - S(p - 1).
-    Every v // p is again some N // i, so two tables hold S: small[v]
-    for v <= isqrt(N) and large[i] = S(N // i) for 1 <= i <= isqrt(N).
-    """
-    r = math.isqrt(N)
-    small = np.arange(-1, r, dtype=np.int64)  # small[v] = v - 1
-    large = np.concatenate([[0], N // np.arange(1, r + 1, dtype=np.int64) - 1])
-    for p in range(2, r + 1):
-        if small[p] == small[p - 1]:
-            continue  # p is composite
-        below = small[p - 1]
-        i = np.arange(1, min(r, N // (p * p)) + 1, dtype=np.int64)
-        j = i * p  # S(N // i // p) = S(N // j)
-        inner = np.where(j <= r, large[np.minimum(j, r)], small[np.minimum(N // j, r)])
-        large[i] -= inner - below  # the right-hand sides read the tables before the update
-        w = np.arange(p * p, r + 1)
-        small[w] -= small[w // p] - below
-    primes = np.flatnonzero(np.diff(small[1:])) + 2  # where S steps up
-
-    def pi(v: np.ndarray) -> np.ndarray:
-        """pi(v) for v in an array of quotients N // P."""
-        # Both branches are evaluated: clip each index into its table.
-        return np.where(v <= r, small[np.minimum(v, r)], large[np.minimum(N // v, r)])
-
-    return pi, primes
-
-
-def pi_k_by_counting(N: int) -> list[int]:
-    """[pi_k(N) for k = 0 .. floor(log2 N)], by counting, with no Omega sieve.
-
-    pi_0(N) = 1 and pi_1(N) = pi(N).  For k >= 2, every n <= N with
-    Omega(n) = k is P * p for one nondecreasing tuple of primes
-    p_1 <= ... <= p_(k-1) = q with product P, and one prime p with
-    q <= p <= N / P: pi(N / P) - pi(q) + 1 of them.  The tuples with
-    P * q <= N are expanded one prime at a time, a whole level at once.
-    """
-    pi, primes = prime_counts_at_quotients(N)
-    counts = [0] * N.bit_length()
-    counts[0] = 1
-    if N >= 2:
-        counts[1] = int(pi(np.array([N]))[0])
-    squares = primes * primes
-    P, i = primes, np.arange(len(primes))  # (product, index of q): pi(q) = i + 1
-    k = 2
-    while len(P):
-        counts[k] = int((pi(N // P) - i).sum())
-        # Extend each tuple by every prime p >= q with P * p * p <= N.
-        width = np.maximum(np.searchsorted(squares, N // P, side="right") - i, 0)
-        first = np.repeat(np.cumsum(width) - width, width)
-        i = np.repeat(i, width) + np.arange(len(first)) - first
-        P = np.repeat(P, width) * primes[i]
-        k += 1
-    return counts
-
-
 def loglog_interval_count_by_exp(N: int, lo: float, hi: float, digits: int = 400) -> int:
     """Count of n in [3, N] with lo <= log log n <= hi, from e^{e^x} at `digits` digits.
 
@@ -222,6 +161,20 @@ def _phi_weights(F, profile) -> np.ndarray:
         pik[1] -= 1
     mean = math.log(math.log(profile.N))
     return pik * np.array([F((k - mean) / math.sqrt(mean)) for k in range(len(pik))])
+
+
+def ek_empirical_by_masks(profile, grid) -> list[float]:
+    """ek_report's empirical column, one boolean mask per grid cell: the first
+    cell [A, B] closed, the others (A, B]."""
+    pik = _phi_weights(lambda z: 1.0, profile)
+    mean = math.log(math.log(profile.N))
+    z = (np.arange(len(pik), dtype=np.float64) - mean) / math.sqrt(mean)
+    pts = sorted(grid)
+    empirical = []
+    for i, (a, b) in enumerate(zip(pts, pts[1:])):
+        inside = ((z >= a) if i == 0 else (z > a)) & (z <= b)
+        empirical.append(float(pik[inside].sum()) / profile.N)
+    return empirical
 
 
 def ek_weighted_average_fsum(F, profile) -> float:

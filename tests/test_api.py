@@ -21,6 +21,7 @@ def test_public_signatures():
     assert str(inspect.signature(sieve.omega_profile)) == (
         "(N: 'int', workers: 'int' = 1) -> 'OmegaProfile'"
     )
+    assert str(inspect.signature(sieve.pi_k_profile)) == "(N: 'int') -> 'OmegaProfile'"
     assert str(inspect.signature(twosets.construct_pair)) == (
         "(epsilon: 'float', rho: 'float', search_limit: 'int') -> 'PrimeSetPair'"
     )
@@ -54,6 +55,27 @@ def test_every_export_is_reached_from_a_subcommand_or_an_acceptance_test():
                 for alias in node.names}
     # perfbench/traced.py reads active_backend on every benchmark run
     assert {name for name in exported if not {name, "." + name} & reached} == {"active_backend"}
+
+
+def test_only_pnt_reaches_the_sieve_pass():
+    """Of the cli handlers, only _cmd_pnt reaches omega_profiles, through the cli
+    functions it mentions; the others read pi_k alone, counted by pi_k_profile."""
+    found = _mentions()
+
+    def reached(owner):
+        seen, todo = set(), [owner]
+        while todo:
+            names = {name.lstrip(".") for name in found[todo.pop()]}
+            todo += [f"cli.{name}" for name in names - seen if f"cli.{name}" in found]
+            seen |= names
+        return seen
+
+    handlers = [owner for owner in found if owner.startswith("cli._cmd_")]
+    assert {h for h in handlers if {"omega_profiles", "omega_profile"} & reached(h)} == {
+        "cli._cmd_pnt"}
+    assert {h for h in handlers if "pi_k_profile" in reached(h)} == {
+        f"cli._cmd_{name}" for name in ("pik", "weyl", "erdos_kac", "correlate", "weights",
+                                        "invariance", "counterexample")}
 
 
 def test_trial_division_lives_only_in_the_test_oracles():

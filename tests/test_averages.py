@@ -8,7 +8,7 @@ import oracles
 import pytest
 
 import omegalab
-from omegalab import omega_profile, residue_class_density
+from omegalab import omega_profile, pi_k_profile, residue_class_density
 from omegalab.averages import (
     AverageScheme,
     EKNormalizer,
@@ -30,7 +30,7 @@ from omegalab.dynamics import (
     residue_indicator_orbit,
     rotation_two_points_liouville,
 )
-from omegalab.errors import InvalidRangeError
+from omegalab.errors import InvalidRangeError, OmegalabError
 
 from omegalab.twosets import invariance_gap
 from omegalab.weights import GaussianWindowSpec, extrapolated_average
@@ -145,6 +145,44 @@ def test_ek_report_sub_probability(profile_1e4):
     assert rep.sup_discrepancy == max(
         abs(e - g) for e, g in zip(rep.empirical, rep.gaussian)
     )
+
+
+def _seeded_grids(profile, seed):
+    """Grids over and past the z range, each holding some z values exactly, some
+    points twice, or lying wholly below or above every z."""
+    rng = np.random.default_rng(seed)
+    mean = math.log(math.log(profile.N))
+    z = (np.arange(profile.k_max + 1, dtype=np.float64) - mean) / math.sqrt(mean)
+    for _ in range(40):
+        points = rng.uniform(z[0] - 1.0, z[-1] + 1.0, rng.integers(2, 60)).tolist()
+        points += rng.choice(z, rng.integers(0, 6)).tolist()  # exactly on a z
+        points += rng.choice(points, rng.integers(0, 3)).tolist()  # repeated points
+        yield points
+    yield [float(z[0]), float(z[0]), float(z[1])]
+    yield [float(z[2]), 5.0]
+    yield [-100.0, float(z[0]) - 1.0]
+    yield [float(z[-1]) + 0.5, 100.0]
+
+
+@pytest.mark.parametrize("profile", ["profile_1e4", "profile_1e6"])
+def test_ek_report_bins_like_one_mask_per_cell(request, profile):
+    prof = request.getfixturevalue(profile)
+    for grid in _seeded_grids(prof, seed=len(profile)):
+        rep = ek_report(prof, grid)
+        assert list(rep.empirical) == oracles.ek_empirical_by_masks(prof, grid), grid
+
+
+def test_ek_report_is_the_same_on_a_counted_profile(profile_1e6):
+    for grid in _seeded_grids(profile_1e6, seed=6):
+        assert ek_report(pi_k_profile(10**6), grid) == ek_report(profile_1e6, grid)
+
+
+def test_log_average_of_a_counted_profile_raises():
+    orbit = rotation_two_points_liouville()
+    counted = pi_k_profile(1000)
+    assert average_along_omega(orbit, counted) == average_along_omega(orbit, omega_profile(1000))
+    with pytest.raises(OmegalabError, match="no harmonic mass"):
+        average_along_omega(orbit, counted, AverageScheme.LOGARITHMIC)
 
 
 def test_ek_weighted_average_trivial(profile_1e4):

@@ -367,10 +367,47 @@ def test_cli_import_leaves_mpmath_unloaded():
 def test_progress_line_shows_the_processes_used(capsys, serial_pool, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LENGTH", 1000)
-    code = main(["pik", "--limit", "10000", "--workers", "100000"])
+    code = main(["pnt", "--limit", "10000", "--workers", "100000"])
     assert code == EXIT_OK
     assert serial_pool == [4]
     assert capsys.readouterr().err == "sieving [1, 10000] in 10 segments (4 workers)\n"
+
+
+# The subcommands that read only pi_k, with options that make each one run.
+PI_K_ARGVS = [["pik"], ["weyl", "--beta", "0.5"], ["erdos-kac"], ["correlate"], ["weights"],
+              ["invariance"], ["counterexample", "--mode", "sieve"]]
+
+
+@pytest.mark.parametrize("argv", PI_K_ARGVS)
+def test_pi_k_subcommands_say_that_nothing_is_sieved(capsys, serial_pool, argv):
+    code = main([*argv, "--limit", "10000", "--workers", "2"])
+    assert code == EXIT_OK
+    assert serial_pool == []
+    assert capsys.readouterr().err == (
+        "counting pi_k(10000) from prime counts: no sieve pass, --workers 2 not used\n")
+
+
+@pytest.mark.parametrize("argv", PI_K_ARGVS)
+def test_pi_k_subcommands_neither_sieve_nor_store(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path / "store"))
+    monkeypatch.setattr(kernels, "omega_segment", lambda *a, **k: pytest.fail("sieved"))
+    code = main([*argv, "--limit", "100000", "--workers", "2", "--quiet"])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_pik_with_workers_loads_no_process_pool():
+    src = os.path.dirname(os.path.dirname(omegalab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = ("import sys; from omegalab.cli import main; "
+             "code = main(['pik', '--limit', '1000000', '--workers', '2', '--quiet']); "
+             "print(code, [m for m in ('multiprocessing', 'concurrent.futures.process') "
+             "if m in sys.modules], file=sys.stderr)")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stderr == "0 []\n"
+    assert result.stdout.startswith("k,pi_k,weight\n")
 
 
 def test_invariance(capsys):
@@ -425,7 +462,7 @@ def test_limit_is_checked_before_spans_are_built(capsys, monkeypatch):
     [["logpnt", "--limit", "100"],
      ["weights", "--limit", "100", "--compare"],
      ["pik", "--limit", "100", "--segment-length", "1000"],
-     # --quiet only where a sieve pass prints progress, --precision only for float tables.
+     # --quiet only where a profile's progress line is printed, --precision only for float tables.
      ["sieve", "--lo", "1", "--hi", "5", "--quiet"],
      ["sieve", "--lo", "1", "--hi", "5", "--precision", "3"],
      ["extrapolate", "--loglogn", "27", "--blocks", "blocks.json", "--quiet"],
@@ -503,6 +540,7 @@ def test_bad_workers_or_precision_fail_before_the_handler(capsys, monkeypatch, a
 )
 def test_bad_options_fail_before_sieving(capsys, monkeypatch, argv):
     monkeypatch.setattr(sieve, "omega_profiles", lambda *a, **k: pytest.fail("sieved"))
+    monkeypatch.setattr(sieve, "pi_k_profile", lambda *a, **k: pytest.fail("counted"))
     code = main([*argv, "--limit", str(10**10), "--workers", "2"])  # no --quiet
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
@@ -518,6 +556,7 @@ def test_bad_options_fail_before_sieving(capsys, monkeypatch, argv):
 )
 def test_bad_range_or_empty_window_fails_before_sieving(capsys, monkeypatch, argv, message):
     monkeypatch.setattr(kernels, "omega_segment", lambda *a: pytest.fail("sieved"))
+    monkeypatch.setattr(sieve, "pi_k_profile", lambda *a, **k: pytest.fail("counted"))
     code = main(argv)  # no --quiet
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
@@ -536,7 +575,7 @@ def test_bad_range_or_empty_window_fails_before_sieving(capsys, monkeypatch, arg
     (["weights", "--limit", "1000", "--C", "0.01"],
      "the window of C = 0.01 at log log N = 1.9326447339160655 holds no integer k"),
     (["pik", "--limit", "100", "--out", "{tmp}"], "--out {tmp}: is a directory"),
-    (["pik", "--limit", "100", "--quiet", "--workers", "2"],  # OMEGALAB_CACHE is a file
+    (["pnt", "--limit", "100", "--quiet", "--workers", "2"],  # OMEGALAB_CACHE is a file
      "cannot write the profile cache {cache}: [Errno 17] File exists: '{cache}'"),
 ])
 def test_usage_errors_keep_their_exact_message(capsys, tmp_path, monkeypatch, argv, message):
@@ -545,7 +584,7 @@ def test_usage_errors_keep_their_exact_message(capsys, tmp_path, monkeypatch, ar
     paths["blocks"].write_text("[[1, 13], [19, 35]]")
     paths["inverted"].write_text("[[5,3]]")
     paths["cache"].write_bytes(b"")
-    monkeypatch.setenv("OMEGALAB_CACHE", str(paths["cache"]))  # only pik reaches the store
+    monkeypatch.setenv("OMEGALAB_CACHE", str(paths["cache"]))  # only pnt reaches the store
     code = main([arg.format(**paths) for arg in argv])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
@@ -558,6 +597,7 @@ def test_usage_errors_keep_their_exact_message(capsys, tmp_path, monkeypatch, ar
 def test_ek_limit_below_three_fails_before_sieving(capsys, monkeypatch, cmd, limit):
     monkeypatch.setattr(kernels, "omega_segment", lambda *a, **k: pytest.fail("sieved"))
     monkeypatch.setattr(sieve, "omega_profiles", lambda *a, **k: pytest.fail("sieved"))
+    monkeypatch.setattr(sieve, "pi_k_profile", lambda *a, **k: pytest.fail("counted"))
     code = main([cmd, "--limit", limit])  # no --quiet
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
@@ -573,6 +613,7 @@ def test_ek_limit_below_three_fails_before_sieving(capsys, monkeypatch, cmd, lim
 def test_limit_below_one_fails_before_the_progress_line(capsys, monkeypatch, argv, limit):
     monkeypatch.setattr(kernels, "omega_segment", lambda *a, **k: pytest.fail("sieved"))
     monkeypatch.setattr(sieve, "omega_profiles", lambda *a, **k: pytest.fail("sieved"))
+    monkeypatch.setattr(sieve, "pi_k_profile", lambda *a, **k: pytest.fail("counted"))
     code = main([*argv, "--limit", limit])  # no --quiet
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
@@ -627,15 +668,15 @@ def test_grid_where_stepping_stalls_ends_cleanly(grid):
 
 def test_truncated_cache_file_is_resieved(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LENGTH", 2048)
-    _, fresh = run(capsys, "pik", "--limit", "5000", "--quiet")
+    _, fresh = run(capsys, "pnt", "--limit", "5000", "--quiet")
     monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
-    run(capsys, "pik", "--limit", "5000", "--quiet")
+    run(capsys, "pnt", "--limit", "5000", "--quiet")
     victim = sorted(tmp_path.iterdir())[0]
     victim.write_bytes(victim.read_bytes()[:-100])
-    code, out = run(capsys, "pik", "--limit", "5000", "--quiet")
+    code, out = run(capsys, "pnt", "--limit", "5000", "--quiet")
     assert code == EXIT_OK
     assert out == fresh
-    code, out = run(capsys, "pik", "--limit", "5000", "--quiet")
+    code, out = run(capsys, "pnt", "--limit", "5000", "--quiet")
     assert code == EXIT_OK
     assert out == fresh
 
@@ -646,7 +687,7 @@ def test_unwritable_cache_is_usage_error(capsys, tmp_path, monkeypatch, workers)
     blocker.write_bytes(b"")
     monkeypatch.setenv("OMEGALAB_CACHE", str(blocker))
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LENGTH", 50)
-    code, out = run(capsys, "pik", "--limit", "100", "--workers", workers, "--quiet")
+    code, out = run(capsys, "pnt", "--limit", "100", "--workers", workers, "--quiet")
     assert code == EXIT_USAGE
     assert out == ""
 
@@ -678,7 +719,7 @@ EPSILON_RHO = st.builds(lambda eps, t: (eps, 1.0 + eps * t), st.floats(1e-3, 0.9
                         st.floats(1e-12, 1.0)) | st.tuples(
     st.floats() | HUGE, st.floats(0.0, 1e-12).map(lambda d: 1.0 + d) | st.floats() | HUGE)
 BLOCKS = "{blocks}"  # stands for a blocks file the test writes
-# Subcommands that sieve take --quiet, which keeps their progress line off stderr.
+# Subcommands that build a profile take --quiet, which keeps their progress line off stderr.
 FLOAT_ARGVS = st.one_of(
     st.builds(lambda n, beta: ["weyl", "--quiet", "--limit", str(n), f"--beta={beta!r}"],
               LIMITS, st.floats()),
@@ -796,8 +837,8 @@ def test_kmax_exits_cleanly_without_non_finite_rows(kmax, mode, with_blocks):
         _exits_cleanly_without_non_finite_rows(argv)
 
 
-# --limit of every subcommand that sieves a profile, up to 10^4 or past HARD_LIMIT:
-# a limit at or near HARD_LIMIT itself would sieve for minutes.
+# --limit of every subcommand that builds a profile, up to 10^4 or past HARD_LIMIT:
+# at or near HARD_LIMIT itself, pnt would sieve for minutes.
 PROFILE_ARGVS = [["pik"], ["pnt", "--stride", "decade"], ["weyl", "--beta", "0.5"],
                  ["erdos-kac"], ["correlate"], ["weights"], ["invariance"],
                  ["counterexample", "--mode", "sieve"]]

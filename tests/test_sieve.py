@@ -15,7 +15,6 @@ from oracles import (
     bulk_omega_oracle,
     eratosthenes,
     omega_oracle,
-    pi_k_by_counting,
 )
 
 import omegalab
@@ -24,6 +23,7 @@ from omegalab import (
     liouville,
     omega_profile,
     omega_profiles,
+    pi_k_profile,
     sieve,
     sieve_segment,
 )
@@ -338,20 +338,77 @@ def test_profile_chunk_matches_bincount_on_random_spans(lo, length, data):
     assert_chunk_matches_bincount(lo, hi, cuts)
 
 
-def test_pi_k_by_counting_matches_profiles(profile_1e6):
-    """Every pi_k against Lucy_Hedgehog's count, which shares nothing with the sieve."""
-    checkpoints = [
-        1, 2, 3, 4, 16, 17,
-        *(2**j + d for j in (3, 5, 10, 16, 21, 23) for d in (-1, 0, 1)),
-        # span ends of the default length and one past them; for a >= 1,
-        # (3 * 2**22) >> a lies inside a span
-        2**22, 2**22 + 1, 3 * 2**22, 3 * 2**22 + 1,
-        9, 1009**2, 2039**2,  # squares of primes
-        6, 1009 * 1013, 2003 * 2011,  # products p * q
-        10**6 + 3,
-    ]
-    for prof in [*omega_profiles(checkpoints), profile_1e6]:
-        assert prof.pik.tolist() == pi_k_by_counting(prof.N), prof.N
+# N = 1 .. 300, 2**j - 1, 2**j and 2**j + 1, the ends of the first default
+# spans and one past them, and for a >= 1, (3 * 2**22) >> a inside a span.
+COUNTED_CHECKPOINTS = sorted({
+    *range(1, 301),
+    *(2**j + d for j in range(1, 24) for d in (-1, 0, 1)),
+    2**22, 2**22 + 1, 3 * 2**22, 3 * 2**22 + 1,
+    1009**2, 2039**2, 1009 * 1013, 2003 * 2011,  # squares and products of primes
+    *np.random.default_rng(23).integers(1, 10**7, 12).tolist(),
+})
+
+
+def test_counted_pi_k_match_the_sieve_pass(profile_1e6, profile_1e8):
+    """Every pi_k of pi_k_profile against the sieve pass, which shares no step with it."""
+    for prof in [*omega_profiles(COUNTED_CHECKPOINTS), profile_1e6, profile_1e8]:
+        counted = pi_k_profile(prof.N)
+        assert counted.pik.dtype == prof.pik.dtype
+        assert counted.pik.tolist() == prof.pik.tolist(), prof.N
+        assert counted.inv_weights is None
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_counted_pi_k_do_not_depend_on_the_chunk(monkeypatch, chunk):
+    checkpoints = [*range(1, 70), 255, 256, 257, 10**4, 123_457]
+    reference = [pi_k_profile(n).pik.tolist() for n in checkpoints]
+    monkeypatch.setattr(sieve, "TUPLE_CHUNK", chunk)
+    assert [pi_k_profile(n).pik.tolist() for n in checkpoints] == reference
+
+
+def test_counted_pi_k_against_trial_division(omega_to_1e6):
+    for N in (1000, 10**6):
+        assert pi_k_profile(N).pik.tolist() == np.bincount(omega_to_1e6[:N]).tolist(), N
+
+
+def test_pi_k_frontier_by_counting():
+    """pi_1 and pi_2 at 10^9 and 10^10 (published), L(10^k) = sum_j (-1)^j pi_j(10^k)
+    for k = 7..10 (Borwein, Ferguson and Mossinghoff, Math. Comp. 77 (2008)),
+    and sum_k k pi_k(10^10) = sum_{n <= 10^10} Omega(n)."""
+    profiles = {k: pi_k_profile(10**k) for k in (7, 8, 9, 10)}
+    assert profiles[9].pik[1:3].tolist() == [50_847_534, 160_788_536]
+    assert profiles[10].pik[1:3].tolist() == [455_052_511, 1_493_776_443]
+    liouville_sums = {k: int(prof.pik[0::2].sum() - prof.pik[1::2].sum())
+                      for k, prof in profiles.items()}
+    assert liouville_sums == {7: -842, 8: -3884, 9: -25_216, 10: -116_026}
+    pik = profiles[10].pik
+    assert int(np.arange(len(pik)) @ pik) == 41_518_796_555
+
+
+def test_counted_profile_checks_the_partition_identity(monkeypatch):
+    real_table = sieve.prime_counts_at_quotients
+
+    def one_prime_short(N):
+        small, large, primes = real_table(N)
+        large[1] -= 1  # pi(N)
+        return small, large, primes
+
+    monkeypatch.setattr(sieve, "prime_counts_at_quotients", one_prime_short)
+    with pytest.raises(InvalidRangeError, match=r"^pi_k counts do not partition \[1, 1000\]$"):
+        pi_k_profile(1000)
+
+
+def test_counted_profile_checks_its_limit():
+    for bad in (0, -7):
+        with pytest.raises(InvalidRangeError):
+            pi_k_profile(bad)
+    with pytest.raises(RangeTooLargeError, match="exceeds the configured limit"):
+        pi_k_profile(HARD_LIMIT + 1)
+
+
+def test_a_counted_profile_has_no_harmonic_mass():
+    with pytest.raises(OmegalabError, match="no harmonic mass"):
+        pi_k_profile(1000).harmonic_sum()
 
 
 @pytest.mark.parametrize("N", [10**6, 10**7])
