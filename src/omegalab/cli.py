@@ -188,7 +188,8 @@ def _cmd_pnt(args):
 
 
 def _cmd_weyl(args):
-    orbit = dynamics.exponential_orbit(args.beta)  # checks --beta before sieving
+    # checks --beta before the progress line and the count
+    orbit = dynamics.exponential_orbit(args.beta)
     value = averages.average_along_omega(orbit, _profile(args, args.limit))
     rows = [(args.beta, args.limit, value.real, value.imag, abs(value))]
     return ("beta", "N", "re", "im", "modulus"), rows, {"limit": args.limit}
@@ -217,8 +218,9 @@ def _parse_grid(spec: str):
 
 def _cmd_erdos_kac(args):
     grid = _parse_grid(args.grid)
-    averages.grid_cells(grid)  # checks --grid before sieving
-    averages.EKNormalizer(args.limit)  # checks --limit >= 3 before sieving
+    # checks --grid and --limit >= 3 before the progress line and the count
+    averages.grid_cells(grid)
+    averages.EKNormalizer(args.limit)
     report = averages.ek_report(_profile(args, args.limit), grid)
     rows = [
         (a, b, emp, gau, abs(emp - gau))
@@ -239,7 +241,8 @@ def _parse_bump(spec: str, ramp: float):
 def _cmd_correlate(args):
     orbit = dynamics.parse_system(args.system)
     F = _parse_bump(args.bump, args.ramp)
-    averages.EKNormalizer(args.limit)  # checks --limit >= 3 before sieving
+    # checks --limit >= 3 before the progress line and the count
+    averages.EKNormalizer(args.limit)
     prof = _profile(args, args.limit)
     value = averages.correlation_sum(F, orbit, prof)
     ek = averages.ek_weighted_average(F, prof)
@@ -259,7 +262,8 @@ def _cmd_correlate(args):
 
 
 def _cmd_weights(args):
-    window = weights.window_for(args.limit, args.C)  # checks --C before sieving
+    # checks --C before the progress line and the count
+    window = weights.window_for(args.limit, args.C)
     exact = weights.exact_weights(_profile(args, args.limit))
     erdos = weights.erdos_weights(window)
     gauss = weights.gaussian_weights(window)
@@ -293,7 +297,7 @@ def _cmd_extrapolate(args):
     seq = _read_blocks(args.blocks)
     window = weights.GaussianWindowSpec(loglogn=args.loglogn, C=args.C)
     value = weights.extrapolated_average(seq, window)
-    mass = weights.gaussian_weights(window).total()
+    mass = weights.extrapolated_average(lambda ks: 1.0, window).real  # the sum of w_k
     rows = [(args.loglogn, value.real, mass)]
     return ("loglogn", "value", "window_mass"), rows, {"C": args.C}
 
@@ -320,22 +324,6 @@ def _cmd_twosets(args):
         "coupling_b2": c2,
     }
     _write(args, json.dumps(payload, indent=2) + "\n")
-
-
-def _cmd_invariance(args):
-    F = _parse_bump(args.bump, args.ramp)
-    a = _parse_arith(args.a)
-    averages.EKNormalizer(args.limit)  # checks --limit >= 3 before sieving
-    gap = twosets.invariance_gap(F, a, _profile(args, args.limit))
-    return ("N", "gap"), [(args.limit, gap)], {"limit": args.limit, "a": args.a}
-
-
-def _parse_arith(name: str):
-    if name == "parity":
-        return lambda k: (-1) ** k
-    if name == "one":
-        return lambda k: 1.0
-    raise InvalidRangeError(f"unknown arithmetic function {name!r}")
 
 
 def _cmd_counterexample(args):
@@ -427,15 +415,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _output_args(sub, table=False)
     sub.set_defaults(handler=_cmd_twosets)
-
-    sub = subs.add_parser("invariance", help="shift-invariance gap")
-    _limit_arg(sub)
-    sub.add_argument("--a", default="parity")
-    sub.add_argument("--bump", default="-2,2")
-    sub.add_argument("--ramp", type=float, default=1.0)
-    _output_args(sub)
-    _sieve_args(sub)
-    sub.set_defaults(handler=_cmd_invariance)
 
     sub = subs.add_parser("counterexample", help="oscillating block averages")
     sub.add_argument("--kmax", type=int, default=5)

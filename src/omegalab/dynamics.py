@@ -10,7 +10,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import InvalidRangeError, require_finite
 
@@ -26,23 +25,18 @@ class ObservableOrbit:
 
 @dataclass(frozen=True)
 class CircleRotation(ObservableOrbit):
-    """Rotation of the circle by alpha full turns, observed through g.
-
-    The space mean (the integral of g over [0, 1)) must be supplied by the
-    caller; this module does not integrate arbitrary callables.
-    """
+    """Rotation of the circle by alpha full turns, observed through e^{2 pi i x}."""
 
     alpha: float
-    start: float
-    g: Callable[[float], complex]
-    space_mean: complex
+    start: float = 0.0
+    space_mean = 0.0
 
     def __post_init__(self):
         require_finite(alpha=self.alpha, start=self.start)
 
     def value_at(self, k: int) -> complex:
         # alpha % 1.0 is alpha itself on [0, 1), and keeps k * alpha finite
-        return self.g((self.start + k * (self.alpha % 1.0)) % 1.0)
+        return cmath.exp(2j * math.pi * ((self.start + k * (self.alpha % 1.0)) % 1.0))
 
 
 @dataclass(frozen=True)
@@ -137,9 +131,4 @@ def parse_system(spec: str) -> ObservableOrbit:
         return residue_indicator_orbit(number("m", int), number("r", int))
     if name == "exp":
         return exponential_orbit(number("beta"))
-    return CircleRotation(
-        alpha=number("alpha"),
-        start=number("start") if "start" in kv else 0.0,
-        g=lambda x: cmath.exp(2j * math.pi * x),
-        space_mean=0.0,
-    )
+    return CircleRotation(number("alpha"), number("start") if "start" in kv else 0.0)

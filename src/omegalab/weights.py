@@ -9,15 +9,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .averages import _dot
 from .errors import InvalidRangeError, RangeTooLargeError, require_finite
 from .sieve import OmegaProfile
 
-MAX_WINDOW_POINTS = 10**7  # k values in one Gaussian window
+MAX_WINDOW_POINTS = 10**7  # k values in one Gaussian window: bounds its time
 MAX_WINDOW_K = 2**62  # largest k of a window (k is an int64)
+WINDOW_CHUNK = 2**16  # k values evaluated at once: bounds a window's memory, not its result
 
 
 @dataclass(frozen=True)
@@ -38,9 +39,6 @@ class WeightVector:
         if not self.k_lo <= k <= self.k_hi:
             return 0.0
         return float(self.weights[k - self.k_lo])
-
-    def total(self) -> float:
-        return float(math.fsum(self.weights))
 
 
 @dataclass(frozen=True)
@@ -122,15 +120,19 @@ def erdos_weights(window: GaussianWindowSpec) -> WeightVector:
     return WeightVector(k_lo=k_lo, k_hi=k_hi, weights=weights)
 
 
+def _gaussian(ks: np.ndarray, L: float) -> np.ndarray:
+    """gaussian_weights' w_k at each k of an int64 array."""
+    z = (ks.astype(np.float64) - L) / math.sqrt(L)
+    return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi * L)
+
+
 def gaussian_weights(window: GaussianWindowSpec) -> WeightVector:
     """w_k = (2 pi L)^{-1/2} exp(-(k - L)^2 / (2L)) on the window.
 
     Raw, not rescaled to total mass 1 (the averaging-operator convention).
     """
-    L = window.loglogn
-    z = (window.ks().astype(np.float64) - L) / math.sqrt(L)
-    weights = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi * L)
-    return WeightVector(k_lo=window.k_lo, k_hi=window.k_hi, weights=weights)
+    return WeightVector(k_lo=window.k_lo, k_hi=window.k_hi,
+                        weights=_gaussian(window.ks(), window.loglogn))
 
 
 def extrapolated_average(a, window: GaussianWindowSpec) -> complex:
@@ -138,12 +140,25 @@ def extrapolated_average(a, window: GaussianWindowSpec) -> complex:
 
     Interpreted as the approximate value of (1/N) sum a(Omega(n)) at the
     virtual N with the window's log log N; needs no sieve data.  a is called
-    once, on the int64 array of the window's k, and returns an array of
-    values (or one value, broadcast over the window).
+    on int64 arrays of at most WINDOW_CHUNK consecutive k, and returns an
+    array of values (or one value, broadcast over the chunk).  Each part is
+    one fsum of every product, which rounds their exact sum, so the result
+    does not depend on the chunks; the imaginary part is summed, in a second
+    pass, only if some chunk's values are complex.
     """
-    ks = window.ks()
-    values = np.broadcast_to(a(ks), ks.shape)
-    return _dot(gaussian_weights(window).weights, values)
+    complex_seen = False
+
+    def products(part):
+        nonlocal complex_seen
+        for lo in range(window.k_lo, window.k_hi + 1, WINDOW_CHUNK):
+            ks = np.arange(lo, min(lo + WINDOW_CHUNK, window.k_hi + 1), dtype=np.int64)
+            values = np.broadcast_to(a(ks), ks.shape)
+            complex_seen |= np.iscomplexobj(values)
+            yield (_gaussian(ks, window.loglogn) * part(values)).tolist()
+
+    re = math.fsum(chain.from_iterable(products(np.real)))
+    im = math.fsum(chain.from_iterable(products(np.imag))) if complex_seen else 0.0
+    return complex(re, im)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """The library's settable surface: no parameter that only tests set or that the code derives."""
 
+import argparse
 import ast
 import builtins
 import dataclasses
@@ -11,7 +12,7 @@ import numpy as np
 from test_averages import _mentions
 
 import omegalab
-from omegalab import kernels, sieve, twosets, weights
+from omegalab import cli, kernels, sieve, twosets, weights
 
 
 def test_public_signatures():
@@ -75,7 +76,31 @@ def test_only_pnt_reaches_the_sieve_pass():
         "cli._cmd_pnt"}
     assert {h for h in handlers if "pi_k_profile" in reached(h)} == {
         f"cli._cmd_{name}" for name in ("pik", "weyl", "erdos_kac", "correlate", "weights",
-                                        "invariance", "counterexample")}
+                                        "counterexample")}
+
+
+def test_cli_surface():
+    """Each subcommand and its option strings: a new option or subcommand shows here."""
+    parser = cli._build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {name: {s for action in sub._actions for s in action.option_strings
+                      if s not in ("-h", "--help")}
+               for name, sub in subparsers.choices.items()}
+    table = {"--json", "--precision", "--out"}
+    counted = {"--limit", *table, "--workers", "--quiet"}
+    assert surface == {
+        "sieve": {"--lo", "--hi", "--json", "--out"},
+        "pik": counted,
+        "pnt": counted | {"--stride"},
+        "weyl": counted | {"--beta"},
+        "erdos-kac": counted | {"--grid"},
+        "correlate": counted | {"--system", "--bump", "--ramp"},
+        "weights": counted | {"--C"},
+        "extrapolate": table | {"--loglogn", "--C", "--blocks"},
+        "twosets": {"--limit", "--epsilon", "--rho", "--allow-partial", "--out"},
+        "counterexample": counted | {"--kmax", "--C", "--mode", "--blocks"},
+    }
+    assert sum(map(len, surface.values())) == 68
 
 
 def test_trial_division_lives_only_in_the_test_oracles():

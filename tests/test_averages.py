@@ -1,6 +1,7 @@
 import ast
 import cmath
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -276,6 +277,20 @@ def test_reductions_match_the_formulas_they_replaced(profile_1e4, profile_1e6):
                 oracles.extrapolated_average_by_parts(a, window))
 
 
+def test_parity_invariance_gap_is_twice_the_liouville_correlation():
+    """a(k) - a(k + 1) = 2 (-1)^k for a = parity, and scaling by 2 is exact in
+    fsum, so the gap is 2 |correlation_sum| bit for bit; for a = 1 it is 0."""
+    rng = random.Random(24)
+    tests = [smoothed_indicator(lo, lo + rng.uniform(0.0, 4.0), rng.uniform(0.05, 2.0))
+             for lo in (rng.uniform(-4.0, 2.0) for _ in range(6))]
+    liouville = rotation_two_points_liouville()
+    for prof in map(pi_k_profile, (3, 10**3, 10**6, 10**8)):
+        for F in tests:
+            assert invariance_gap(F, lambda k: (-1) ** k, prof) == 2 * abs(
+                correlation_sum(F, liouville, prof))
+            assert invariance_gap(F, lambda k: 1.0, prof) == 0.0
+
+
 def test_dot_skips_the_imaginary_fsum_of_a_real_array(monkeypatch):
     calls = []
     real_fsum = math.fsum
@@ -304,7 +319,8 @@ def _mentions():
 def test_every_average_along_omega_reduces_through_dot():
     """The averages along Omega reduce through _dot and build no sum of their own;
     only _ek_weights builds phi-weights, and pi_k and the harmonic masses are
-    read outside sieve.py and averages.py only where a table needs them."""
+    read outside sieve.py and averages.py only where a table needs them.
+    (extrapolated_average, at virtual N, sums its window's chunks by fsum.)"""
     found = _mentions()
     assert "sieve.residue_class_density" not in found
     through = {
@@ -313,7 +329,6 @@ def test_every_average_along_omega_reduces_through_dot():
         "averages.ek_weighted_average": "_dot",
         "averages.correlation_sum": "_dot",
         "twosets.invariance_gap": "_dot",
-        "weights.extrapolated_average": "_dot",
     }
     for owner, via in through.items():
         assert via in found[owner], owner

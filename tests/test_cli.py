@@ -353,6 +353,27 @@ def test_counterexample_window_too_large_exits_before_any_work(capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+def test_largest_windows_peak_under_60_mb():
+    """counterexample --kmax 25 evaluates windows of up to 7.8e6 k in chunks, so
+    its peak RSS stays near the interpreter's own (329 MB when each window
+    was built whole)."""
+    src = os.path.dirname(os.path.dirname(omegalab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    # wait4 in a small parent: a child spawned from this process would count
+    # this process's own RSS at the exec into its peak.
+    probe = ("import os, sys; "
+             "pid = os.posix_spawn(sys.executable, sys.argv[1:], os.environ, "
+             "file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]); "
+             "_, status, usage = os.wait4(pid, 0); "
+             "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+    argv = [sys.executable, "-m", "omegalab.cli", "counterexample", "--kmax", "25", "--quiet"]
+    result = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    code, peak_kib = map(int, result.stdout.split())  # ru_maxrss is in KiB on Linux
+    assert code == EXIT_OK
+    assert peak_kib < 60 * 1024
+
+
 def test_cli_import_leaves_mpmath_unloaded():
     """Start-up loads neither mpmath, decimal nor the process pool (multiprocessing)."""
     src = os.path.dirname(os.path.dirname(omegalab.__file__))
@@ -375,7 +396,7 @@ def test_progress_line_shows_the_processes_used(capsys, serial_pool, monkeypatch
 
 # The subcommands that read only pi_k, with options that make each one run.
 PI_K_ARGVS = [["pik"], ["weyl", "--beta", "0.5"], ["erdos-kac"], ["correlate"], ["weights"],
-              ["invariance"], ["counterexample", "--mode", "sieve"]]
+              ["counterexample", "--mode", "sieve"]]
 
 
 @pytest.mark.parametrize("argv", PI_K_ARGVS)
@@ -408,18 +429,6 @@ def test_pik_with_workers_loads_no_process_pool():
                             text=True, timeout=60, check=True)
     assert result.stderr == "0 []\n"
     assert result.stdout.startswith("k,pi_k,weight\n")
-
-
-def test_invariance(capsys):
-    code, out = run(capsys, "invariance", "--limit", "10000", "--a", "parity", "--quiet")
-    assert code == EXIT_OK
-    header, rows = parse_csv(out)
-    assert header == ["N", "gap"]
-
-
-def test_invariance_unknown_function(capsys):
-    code, _ = run(capsys, "invariance", "--limit", "100", "--a", "mobius", "--quiet")
-    assert code == EXIT_USAGE
 
 
 def test_counterexample_extrapolate(capsys):
@@ -460,6 +469,7 @@ def test_limit_is_checked_before_spans_are_built(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [["logpnt", "--limit", "100"],
+     ["invariance", "--limit", "100"],
      ["weights", "--limit", "100", "--compare"],
      ["pik", "--limit", "100", "--segment-length", "1000"],
      # --quiet only where a profile's progress line is printed, --precision only for float tables.
@@ -593,7 +603,7 @@ def test_usage_errors_keep_their_exact_message(capsys, tmp_path, monkeypatch, ar
 
 
 @pytest.mark.parametrize("limit", ["2", "1", "-4"])
-@pytest.mark.parametrize("cmd", ["erdos-kac", "correlate", "invariance"])
+@pytest.mark.parametrize("cmd", ["erdos-kac", "correlate"])
 def test_ek_limit_below_three_fails_before_sieving(capsys, monkeypatch, cmd, limit):
     monkeypatch.setattr(kernels, "omega_segment", lambda *a, **k: pytest.fail("sieved"))
     monkeypatch.setattr(sieve, "omega_profiles", lambda *a, **k: pytest.fail("sieved"))
@@ -695,7 +705,6 @@ def test_unwritable_cache_is_usage_error(capsys, tmp_path, monkeypatch, workers)
 @pytest.mark.parametrize(
     "argv",
     [
-        ["invariance", "--limit", "100", "--a", "parity", "--bump=nan,1"],
         ["weyl", "--limit", "1000", "--beta", "nan"],
         ["correlate", "--limit", "1000", "--system", "circle:alpha=inf"],
         ["weights", "--limit", "1000", "--C", "nan"],
@@ -723,10 +732,9 @@ BLOCKS = "{blocks}"  # stands for a blocks file the test writes
 FLOAT_ARGVS = st.one_of(
     st.builds(lambda n, beta: ["weyl", "--quiet", "--limit", str(n), f"--beta={beta!r}"],
               LIMITS, st.floats()),
-    st.builds(lambda cmd, n, lo, hi: [cmd, "--quiet", "--limit", str(n),
-                                      f"--bump={lo!r},{hi!r}"],
-              st.sampled_from(["correlate", "invariance"]), LIMITS, st.floats() | HUGE,
-              st.floats() | HUGE),
+    st.builds(lambda n, lo, hi: ["correlate", "--quiet", "--limit", str(n),
+                                 f"--bump={lo!r},{hi!r}"],
+              LIMITS, st.floats() | HUGE, st.floats() | HUGE),
     st.builds(lambda n, c: ["weights", "--quiet", "--limit", str(n), f"--C={c!r}"],
               LIMITS, WINDOW_C),
     st.builds(lambda c: ["counterexample", "--quiet", "--mode", "extrapolate", f"--C={c!r}"],
@@ -737,8 +745,8 @@ FLOAT_ARGVS = st.one_of(
     st.builds(lambda n, er, partial: ["twosets", "--limit", str(n), f"--epsilon={er[0]!r}",
                                       f"--rho={er[1]!r}", *partial],
               st.integers(-10**4, 10**4), EPSILON_RHO, st.sampled_from([[], ["--allow-partial"]])),
-    st.builds(lambda cmd, n, ramp: [cmd, "--quiet", "--limit", str(n), f"--ramp={ramp!r}"],
-              st.sampled_from(["correlate", "invariance"]), LIMITS, st.floats() | HUGE),
+    st.builds(lambda n, ramp: ["correlate", "--quiet", "--limit", str(n), f"--ramp={ramp!r}"],
+              LIMITS, st.floats() | HUGE),
     # log log N up to 1e6 keeps a window of any finite --C under 2e5 k.
     st.builds(lambda loglogn, c: ["extrapolate", f"--loglogn={loglogn!r}", f"--C={c!r}",
                                   "--blocks", BLOCKS],
@@ -775,8 +783,6 @@ STRING_ARGVS = st.one_of(
               LIMITS, GRIDS),
     st.builds(lambda n, spec: ["correlate", "--quiet", f"--limit={n}", f"--system={spec}"],
               LIMITS, SYSTEMS),
-    st.builds(lambda n, a: ["invariance", "--quiet", f"--limit={n}", f"--a={a}"],
-              LIMITS, st.sampled_from(["parity", "one"]) | st.text(max_size=6)),
 )
 
 
@@ -840,7 +846,7 @@ def test_kmax_exits_cleanly_without_non_finite_rows(kmax, mode, with_blocks):
 # --limit of every subcommand that builds a profile, up to 10^4 or past HARD_LIMIT:
 # at or near HARD_LIMIT itself, pnt would sieve for minutes.
 PROFILE_ARGVS = [["pik"], ["pnt", "--stride", "decade"], ["weyl", "--beta", "0.5"],
-                 ["erdos-kac"], ["correlate"], ["weights"], ["invariance"],
+                 ["erdos-kac"], ["correlate"], ["weights"],
                  ["counterexample", "--mode", "sieve"]]
 PROFILE_LIMITS = st.integers(-(10**12), 10**4) | st.integers(sieve.HARD_LIMIT + 1, 10**30)
 INTEGER_ARGVS = st.one_of(
@@ -929,7 +935,6 @@ def test_every_declared_option_is_read(capsys, tmp_path):
         "extrapolate": [["--loglogn", "27", "--blocks", str(blocks)]],
         "twosets": [["--limit", "1000", "--epsilon", "0.05", "--rho", "1.05",
                      "--allow-partial"]],
-        "invariance": [["--limit", "1000", "--quiet"]],
         # --C is read only in extrapolate mode; --limit and --quiet only in sieve mode.
         "counterexample": [["--mode", "sieve", "--limit", "1000", "--quiet"], ["--kmax", "3"]],
     }

@@ -1,5 +1,3 @@
-import cmath
-import math
 import re
 
 import pytest
@@ -47,13 +45,9 @@ def test_exponential_half_is_parity():
 
 
 def test_circle_rotation_orbit():
-    orb = CircleRotation(
-        alpha=0.25,
-        start=0.0,
-        g=lambda x: cmath.exp(2j * math.pi * x),
-        space_mean=0.0,
-    )
+    orb = CircleRotation(alpha=0.25, start=0.0)
     assert abs(orb.value_at(2) - (-1.0)) < 1e-14
+    assert orb.space_mean == 0.0
 
 
 def test_parse_system_variants():

@@ -1,9 +1,16 @@
 import math
+import random
 
 import numpy as np
 import pytest
-from oracles import extrapolated_average_oracle
+from oracles import (
+    block_scan_oracle,
+    extrapolated_average_by_parts,
+    extrapolated_average_oracle,
+)
 
+from omegalab import weights
+from omegalab.counterexample import erdos_blocks
 from omegalab.errors import InvalidRangeError, RangeTooLargeError
 from omegalab.weights import (
     MAX_WINDOW_POINTS,
@@ -64,14 +71,13 @@ def test_weight_vector_lookup():
     assert wv.weight(3) == pytest.approx(0.2)
     assert wv.weight(1) == 0.0
     assert wv.weight(5) == 0.0
-    assert wv.total() == pytest.approx(0.6)
     with pytest.raises(InvalidRangeError, match="^empty weight window$"):
         WeightVector(k_lo=2, k_hi=1, weights=np.array([]))
 
 
 def test_exact_weights_sum_to_one(profile_1e4):
     wv = exact_weights(profile_1e4)
-    assert wv.total() == pytest.approx(1.0, abs=1e-15)
+    assert math.fsum(wv.weights) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_erdos_weights_recurrence_identity():
@@ -111,31 +117,54 @@ def test_gaussian_weights_formula():
 
 def test_gaussian_total_mass_near_one_for_wide_window():
     window = GaussianWindowSpec(loglogn=100.0, C=3.0)
-    assert gaussian_weights(window).total() == pytest.approx(1.0, abs=0.01)
+    assert extrapolated_average(lambda ks: 1.0, window).real == pytest.approx(1.0, abs=0.01)
 
 
 def test_extrapolated_average_constant():
     window = GaussianWindowSpec(loglogn=50.0, C=3.0)
-    mass = gaussian_weights(window).total()
+    mass = math.fsum(gaussian_weights(window).weights)
     got = extrapolated_average(lambda k: 1.0, window)
     assert got.real == pytest.approx(mass, abs=1e-15)
     assert got.imag == 0.0
 
 
 def test_extrapolated_average_calls_a_once_on_the_window():
-    window = GaussianWindowSpec(loglogn=1000.0, C=3.0)
+    window = GaussianWindowSpec(loglogn=1000.0, C=3.0)  # 190 k: one chunk
     calls = []
 
     def a(ks):
         calls.append(ks)
-        return (ks % 2) + 1j * (ks % 3)  # exact, so both paths form the same products
+        return (ks % 2) + 0.5 * (ks % 3)  # exact, so both paths form the same products
 
     got = extrapolated_average(a, window)
-    (ks,) = calls
+    (ks,) = calls  # real values: no pass for the imaginary part
     assert ks.dtype == np.int64
     assert ks.tolist() == window.ks().tolist()
-    expect = extrapolated_average_oracle(lambda k: (k % 2) + 1j * (k % 3), window)
+    expect = extrapolated_average_oracle(lambda k: (k % 2) + 0.5 * (k % 3), window)
     assert (got.real.hex(), got.imag.hex()) == (expect.real.hex(), expect.imag.hex())
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_extrapolated_average_in_small_chunks_matches_the_oracles(monkeypatch, chunk):
+    """Chunks change only which products are formed together: fsum rounds the
+    exact sum of all of them, so every value is the whole window's, bit for bit."""
+    monkeypatch.setattr(weights, "WINDOW_CHUNK", chunk)
+    rng = random.Random(chunk)
+    seq = erdos_blocks(5)
+    values = [seq, lambda ks: ks % 3 == 1, lambda ks: np.exp(0.3j * ks), lambda ks: 1.0,
+              lambda ks: (ks % 5) - 2.5]
+    for _ in range(10):
+        window = GaussianWindowSpec(loglogn=rng.uniform(1.01, 400.0), C=rng.uniform(0.5, 4.0))
+        for a in values:
+            assert repr(extrapolated_average(a, window)) == repr(
+                extrapolated_average_by_parts(a, window))
+        assert repr(extrapolated_average(seq, window)) == repr(
+            extrapolated_average_oracle(lambda k: block_scan_oracle(seq.blocks, k), window))
+        for a, passes in ((lambda ks: 1.0, 1), (lambda ks: 1j, 2)):  # one pass per part
+            calls = []
+            extrapolated_average(lambda ks: calls.append(ks) or a(ks), window)
+            assert all(ks.dtype == np.int64 and 1 <= len(ks) <= chunk for ks in calls)
+            assert np.concatenate(calls).tolist() == window.ks().tolist() * passes
 
 
 def test_approximation_report_fields(profile_1e6):
