@@ -134,28 +134,6 @@ _CRC = struct.Struct("<I")
 PROFILE_FILE_SIZE = len(CACHE_MAGIC) + _RANGE.size + RECORD_DTYPE.itemsize + _CRC.size
 
 
-def write_profile_file(path: str, lo: int, hi: int, record: np.ndarray) -> None:
-    body = CACHE_MAGIC + _RANGE.pack(lo, hi) + record.tobytes()
-    with open(path, "wb") as fh:
-        fh.write(body + _CRC.pack(zlib.crc32(body)))
-
-
-def read_profile_file(path: str) -> tuple[int, int, np.ndarray]:
-    """(lo, hi, record) from a profile file; InvalidRangeError if malformed."""
-    with open(path, "rb") as fh:
-        data = fh.read(PROFILE_FILE_SIZE + 1)
-    if len(data) != PROFILE_FILE_SIZE:
-        raise InvalidRangeError(f"{path}: {len(data)} bytes, not {PROFILE_FILE_SIZE}")
-    if data[: len(CACHE_MAGIC)] != CACHE_MAGIC:
-        raise InvalidRangeError(f"{path}: bad magic {data[: len(CACHE_MAGIC)]!r}")
-    body, (crc,) = data[: -_CRC.size], _CRC.unpack(data[-_CRC.size :])
-    if zlib.crc32(body) != crc:
-        raise InvalidRangeError(f"{path}: checksum mismatch")
-    lo, hi = _RANGE.unpack_from(body, len(CACHE_MAGIC))
-    record = np.frombuffer(bytearray(body[len(CACHE_MAGIC) + _RANGE.size :]), RECORD_DTYPE)
-    return lo, hi, record
-
-
 def _cache_dir() -> str | None:
     return os.environ.get(CACHE_ENV_VAR) or None
 
@@ -167,19 +145,22 @@ def _cache_path(lo: int, hi: int) -> str:
 def _cache_read(lo: int, hi: int) -> np.ndarray | None:
     """The stored record of [lo, hi), or None on a miss.
 
-    A missing, unreadable, short, foreign (bad magic, or a header naming
-    another range) or checksum-failing file is a miss: the caller sieves
-    the span again and rewrites the file.
+    A missing or unreadable file, or one of the wrong size, magic, range
+    or checksum, is a miss: the caller sieves the span again and rewrites
+    the file.  Nothing is raised.
     """
     if _cache_dir() is None:
         return None
     try:
-        file_lo, file_hi, record = read_profile_file(_cache_path(lo, hi))
-    except (OSError, InvalidRangeError):
+        with open(_cache_path(lo, hi), "rb") as fh:
+            data = fh.read(PROFILE_FILE_SIZE + 1)
+    except OSError:
         return None
-    if (file_lo, file_hi) != (lo, hi):
+    head, body = CACHE_MAGIC + _RANGE.pack(lo, hi), data[: -_CRC.size]
+    if (len(data) != PROFILE_FILE_SIZE or not body.startswith(head)
+            or data[-_CRC.size :] != _CRC.pack(zlib.crc32(body))):
         return None
-    return record
+    return np.frombuffer(bytearray(body[len(head) :]), RECORD_DTYPE)
 
 
 def _cache_write(lo: int, hi: int, record: np.ndarray) -> None:
@@ -194,10 +175,12 @@ def _cache_write(lo: int, hi: int, record: np.ndarray) -> None:
         return
     path = _cache_path(lo, hi)
     tmp = f"{path}.{os.getpid()}.tmp"  # one writer per process and path
+    body = CACHE_MAGIC + _RANGE.pack(lo, hi) + record.tobytes()
     try:
         os.makedirs(directory, exist_ok=True)
         try:
-            write_profile_file(tmp, lo, hi, record)
+            with open(tmp, "wb") as fh:
+                fh.write(body + _CRC.pack(zlib.crc32(body)))
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(FileNotFoundError):
@@ -300,13 +283,13 @@ def _reduce(counts: np.ndarray, lo: int, ends) -> list:
 
 
 def _profile_chunk(span, cuts=()):
-    """(pik, inv) of the odd n in one span: counts and sums of 1/n by Omega(n).
+    """[(end, pik, inv), ...]: the counts and sums of 1/n by Omega(n) of the
+    odd n in [lo, end), from one pass over the span.
 
-    Then, for each cut N inside the span (lo <= N < hi - 1), in ascending
-    order, the (pik, inv) of the odd n in [lo, N], from the same pass as
-    the span's own.  Each comes from its stored record, of [lo, hi) or
-    [lo, N + 1); the span is sieved only if one of them is missing, and
-    then every missing one is written.
+    The ends ascend: N + 1 for each cut N inside the span (lo <= N < hi -
+    1), then the span's own end hi, last.  Each record comes from the store
+    file of [lo, end); the span is sieved only if one of them is missing,
+    and then every missing one is written.
     """
     lo, hi = span
     ends = [n + 1 for n in sorted(cuts) if lo <= n < hi - 1] + [hi]
@@ -317,9 +300,7 @@ def _profile_chunk(span, cuts=()):
             if records[i] is None:
                 records[i] = np.array([part], dtype=RECORD_DTYPE)
                 _cache_write(lo, ends[i], records[i])
-    span_record = records.pop()
-    return (span_record["pik"][0], span_record["inv"][0],
-            *((record["pik"][0], record["inv"][0]) for record in records))
+    return [(end, record["pik"][0], record["inv"][0]) for end, record in zip(ends, records)]
 
 
 @dataclass(frozen=True)
@@ -366,20 +347,14 @@ def omega_profiles(checkpoints, workers: int = 1) -> list[OmegaProfile]:
     _check_limit(n_max + 1)  # before the span list is built
     spans = segment_spans(n_max)
     wanted = {n >> a for n in set(checkpoints) for a in range(n.bit_length())}
-    cuts = sorted(wanted - {hi - 1 for _, hi in spans})
-    chunk_fn = partial(_profile_chunk, cuts=tuple(cuts)) if cuts else _profile_chunk
-    chunks = map_segments(spans, chunk_fn, workers)
+    chunks = map_segments(spans, partial(_profile_chunk, cuts=tuple(sorted(wanted))), workers)
     pik = np.zeros(_BINS, dtype=np.int64)
     inv = np.zeros(_BINS, dtype=np.float64)
     odd = {}
-    for (lo, hi), (chunk_pik, chunk_inv, *parts) in zip(spans, chunks):  # segment order
-        inside = [n for n in cuts if lo <= n < hi - 1]
-        for n, (part_pik, part_inv) in zip(inside, parts):
-            odd[n] = pik + part_pik, inv + part_inv
-        pik += chunk_pik
-        inv += chunk_inv
-        if hi - 1 in wanted:
-            odd[hi - 1] = pik.copy(), inv.copy()
+    for parts in chunks:  # segment order
+        for end, part_pik, part_inv in parts:
+            odd[end - 1] = pik + part_pik, inv + part_inv
+        pik, inv = odd[end - 1]  # the span's own end, last
     return [_profile_at(n, odd) for n in checkpoints]
 
 

@@ -159,9 +159,10 @@ def test_names_the_benchmark_reads(tmp_path, monkeypatch):
     assert counts.dtype == np.uint8 and len(counts) == (hi - lo) // 2
     monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
     assert sieve._cache_dir() == str(tmp_path)
-    pik, inv = sieve._profile_chunk((lo, hi))
+    ((_, pik, inv),) = sieve._profile_chunk((lo, hi))
     record = sieve._cache_read(lo, hi)
     assert record.nbytes + len(sieve.CACHE_MAGIC) + 16 + 4 == sieve.PROFILE_FILE_SIZE
     assert record["pik"][0].tobytes() == pik.tobytes()
     sieve._cache_write(lo, hi, record)
-    assert sieve.map_segments([(lo, hi)], sieve._profile_chunk, 1)[0][0].tobytes() == pik.tobytes()
+    ((_, mapped_pik, _),) = sieve.map_segments([(lo, hi)], sieve._profile_chunk, 1)[0]
+    assert mapped_pik.tobytes() == pik.tobytes()

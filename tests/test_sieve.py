@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import struct
+import tempfile
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -54,9 +55,7 @@ from omegalab.sieve import (
     _reduce,
     base_primes,
     map_segments,
-    read_profile_file,
     segment_spans,
-    write_profile_file,
 )
 
 
@@ -295,20 +294,20 @@ RECORD_INV_BOUND = 2 * REDUCE_BLOCK * 2.0**-53
 
 
 def assert_chunk_matches_bincount(lo, hi, cuts):
-    """_profile_chunk at the span end and at every cut, over the odd n from lo:
-    pik equals one bincount; inv equals the reduction of a span that ends
-    there, bit for bit, and the per-k fsum of 1/n within RECORD_INV_BOUND."""
+    """_profile_chunk at every cut and then the span end, over the odd n from
+    lo: the ends ascend with hi last; pik equals one bincount; inv equals the
+    reduction of a span that ends there, bit for bit, and at hi the per-k
+    fsum of 1/n within RECORD_INV_BOUND."""
     counts = omega_segment(lo, hi, base_primes(math.isqrt(hi - 1)))
-    pik, inv, *parts = _profile_chunk((lo, hi), tuple(cuts))
-    ends = [n + 1 for n in sorted(cuts)] + [hi]
-    assert len(parts) == len(cuts)
-    for end, (got_pik, got_inv) in zip(ends, [*parts, (pik, inv)]):
+    parts = _profile_chunk((lo, hi), tuple(cuts))
+    assert [end for end, _, _ in parts] == [n + 1 for n in sorted(cuts)] + [hi]
+    for end, got_pik, got_inv in parts:
         odd = end // 2 - lo // 2  # the odd n in [lo, end)
         assert np.array_equal(got_pik, np.bincount(counts[:odd], minlength=MAX_OMEGA + 1))
         ((_, alone_inv),) = _reduce(counts[:odd], lo, [end])
         assert got_inv.tobytes() == alone_inv.tobytes()
     recips = 1.0 / np.arange(lo | 1, hi, 2, dtype=np.float64)
-    for got, ref in zip(inv, per_k_fsum(counts, recips, MAX_OMEGA + 1)):
+    for got, ref in zip(parts[-1][2], per_k_fsum(counts, recips, MAX_OMEGA + 1)):
         assert abs(got - ref) <= RECORD_INV_BOUND * ref
 
 
@@ -434,7 +433,8 @@ def test_pool_starts_at_most_one_process_per_cpu_and_span(serial_pool, monkeypat
         chunks = map_segments(segment_spans(n_max, 1000), _profile_chunk, workers)
         assert serial_pool == [size]
         serial = [_profile_chunk(span) for span in segment_spans(n_max, 1000)]
-        assert [c[1].tobytes() for c in chunks] == [c[1].tobytes() for c in serial]
+        assert [[(end, inv.tobytes()) for end, _, inv in c] for c in chunks] == [
+            [(end, inv.tobytes()) for end, _, inv in c] for c in serial]
     serial_pool.clear()
     map_segments(segment_spans(1000, 1000), _profile_chunk, 100_000)  # one span: no pool
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one process
@@ -602,23 +602,31 @@ def no_kernel(*args):
     raise AssertionError("a stored span was sieved again")
 
 
-def test_segment_cache_roundtrip(tmp_path):
-    record = np.array([_profile_chunk((1000, 2000))], dtype=RECORD_DTYPE)
-    path = tmp_path / "span.omp"
-    write_profile_file(str(path), 1000, 2000, record)
+def profile_file_bytes(lo, hi, pik, inv):
+    """A store file of [lo, hi), encoded here from the format, not by sieve's writer."""
+    return with_crc(b"OMP2" + struct.pack("<QQ", lo, hi)
+                    + pik.astype("<i8").tobytes() + inv.astype("<f8").tobytes())
+
+
+def test_segment_cache_roundtrip(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
+    ((_, pik, inv),) = _profile_chunk((1000, 2000))
+    record = np.array([(pik, inv)], dtype=RECORD_DTYPE)
+    _cache_write(1000, 2000, record)
+    (path,) = tmp_path.iterdir()
+    assert path.name == "span_1000_2000.omp"
+    assert path.read_bytes() == profile_file_bytes(1000, 2000, pik, inv)
     assert path.stat().st_size == PROFILE_FILE_SIZE < 1100
-    lo, hi, stored = read_profile_file(str(path))
-    assert (lo, hi) == (1000, 2000)
-    assert stored.tobytes() == record.tobytes()
+    assert _cache_read(1000, 2000).tobytes() == record.tobytes()
 
 
 def test_segment_cache_env(tmp_path, monkeypatch):
     monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
-    pik, inv = _profile_chunk((5000, 6000))
+    ((_, pik, inv),) = _profile_chunk((5000, 6000))
     files = os.listdir(tmp_path)
     assert len(files) == 1
     monkeypatch.setattr(kernels, "omega_segment", no_kernel)
-    again_pik, again_inv = _profile_chunk((5000, 6000))
+    ((_, again_pik, again_inv),) = _profile_chunk((5000, 6000))
     assert np.array_equal(pik, again_pik)
     assert inv.tobytes() == again_inv.tobytes()
 
@@ -632,17 +640,21 @@ def test_segment_cache_env(tmp_path, monkeypatch):
         lambda data: data[:4] + struct.pack("<QQ", 4000, 5000) + data[20:],  # other range
         # other range with a valid checksum
         lambda data: with_crc(data[:4] + struct.pack("<QQ", 4000, 5000) + data[20:-4]),
+        lambda data: b"",  # empty
+        lambda data: data + b"\0",  # one byte longer than PROFILE_FILE_SIZE
     ],
 )
 def test_segment_cache_damaged_file_is_a_miss(tmp_path, monkeypatch, damage):
     monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
-    fresh_pik, fresh_inv = (part.copy() for part in _profile_chunk((5000, 6000)))
+    ((_, fresh_pik, fresh_inv),) = _profile_chunk((5000, 6000))
     (path,) = tmp_path.iterdir()
-    path.write_bytes(damage(path.read_bytes()))
-    pik, inv = _profile_chunk((5000, 6000))
+    whole = path.read_bytes()
+    path.write_bytes(damage(whole))
+    assert _cache_read(5000, 6000) is None
+    ((_, pik, inv),) = _profile_chunk((5000, 6000))
     assert np.array_equal(pik, fresh_pik)
     assert inv.tobytes() == fresh_inv.tobytes()
-    assert read_profile_file(str(path))[:2] == (5000, 6000)  # rewritten whole
+    assert path.read_bytes() == whole  # rewritten whole
     assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temporary left
 
 
@@ -656,9 +668,9 @@ def test_store_file_of_the_all_n_format_is_a_miss(tmp_path, monkeypatch):
     path.write_bytes(with_crc(b"OMP1" + struct.pack("<QQ", 5000, 6000) + all_n.tobytes()))
     monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
     assert _cache_read(5000, 6000) is None
-    pik, inv = _profile_chunk((5000, 6000))
+    ((_, pik, inv),) = _profile_chunk((5000, 6000))
     assert pik.sum() == 500 < all_n["pik"].sum()  # the odd n only
-    assert read_profile_file(str(path))[2].tobytes() == np.array([(pik, inv)], RECORD_DTYPE).tobytes()
+    assert path.read_bytes() == profile_file_bytes(5000, 6000, pik, inv)
     assert path.read_bytes()[:4] == CACHE_MAGIC == b"OMP2"
 
 
@@ -673,6 +685,50 @@ def test_flipped_bit_in_inv_is_a_miss(tmp_path, monkeypatch):
     assert _cache_read(5000, 6000) is None
     _profile_chunk((5000, 6000))
     assert path.read_bytes() == whole
+
+
+# A valid store file of [5000, 6000) with an arbitrary record, and ways to damage it.
+STORED_PIK = np.arange(MAX_OMEGA + 1, dtype=np.int64) * 7
+STORED_INV = 1.0 / np.arange(1, MAX_OMEGA + 2)
+STORED_FILE = profile_file_bytes(5000, 6000, STORED_PIK, STORED_INV)
+
+
+@st.composite
+def store_file_bytes(draw):
+    """Random bytes, or STORED_FILE truncated, extended, bit-flipped or naming
+    another range, with its CRC kept or recomputed."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=2 * PROFILE_FILE_SIZE))
+    data = bytearray(STORED_FILE)
+    if draw(st.booleans()):
+        lo, hi = draw(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)))
+        data[4:20] = struct.pack("<QQ", lo, hi)
+    for i in draw(st.lists(st.integers(0, 8 * PROFILE_FILE_SIZE - 1), max_size=3)):
+        data[i // 8] ^= 1 << i % 8
+    size = draw(st.sampled_from(["kept", "extended", "truncated"]))
+    if size == "extended":
+        data += draw(st.binary(min_size=1, max_size=PROFILE_FILE_SIZE))
+    elif size == "truncated":
+        del data[draw(st.integers(0, PROFILE_FILE_SIZE - 1)) :]
+    if draw(st.booleans()) and len(data) >= 4:
+        data = bytearray(with_crc(bytes(data[:-4])))
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(store_file_bytes(), st.just(STORED_FILE)))
+def test_any_bytes_in_the_store_read_as_a_miss_or_the_stored_record(data):
+    """_cache_read never raises: it returns None, or the record of a whole,
+    valid file of its own range."""
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+        patch.setenv("OMEGALAB_CACHE", directory)
+        Path(sieve._cache_path(5000, 6000)).write_bytes(data)
+        got = _cache_read(5000, 6000)
+    valid = (len(data) == PROFILE_FILE_SIZE and data[:20] == STORED_FILE[:20]
+             and data == with_crc(data[:-4]))
+    assert (got is not None) == valid
+    if got is not None:
+        assert profile_file_bytes(5000, 6000, got["pik"][0], got["inv"][0]) == data
 
 
 def odd_cuts(checkpoints, span_length, n_max):
@@ -715,13 +771,40 @@ def test_checkpoint_inside_a_span_on_a_warm_store(tmp_path, monkeypatch):
         assert prof.inv_weights.tobytes() == ref.inv_weights.tobytes()
 
 
+@st.composite
+def merge_checkpoints(draw):
+    """(segment length, checkpoints <= 10^5): random N, span ends, the last cut
+    a span allows (hi - 2), and N that share some N >> a."""
+    length = draw(st.sampled_from([1000, 4097, 12345]))
+    span_end = st.integers(1, 10**5 // length).map(lambda j: j * length)
+    m = draw(st.integers(1, 3000))  # n >> a == m for every n drawn from shared
+    shared = st.integers(1, 5).flatmap(lambda a: st.integers(m << a, ((m + 1) << a) - 1))
+    n = st.one_of(st.integers(1, 10**5), span_end, span_end.map(lambda e: e - 1), shared)
+    return length, draw(st.lists(n, min_size=1, max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(merge_checkpoints())
+def test_merged_profiles_match_each_profile_alone(case):
+    length, checkpoints = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sieve, "DEFAULT_SEGMENT_LENGTH", length)
+        profiles = omega_profiles(checkpoints, workers=1)
+        for prof, n in zip(profiles, checkpoints, strict=True):
+            alone = omega_profile(n)
+            assert prof.N == n
+            assert prof.pik.tobytes() == alone.pik.tobytes()
+            assert prof.inv_weights.tobytes() == alone.inv_weights.tobytes()
+
+
 def rewrite_span(record, times):
     for _ in range(times):
         _cache_write(5000, 6000, record)
 
 
 def test_racing_writers_never_show_a_partial_file(tmp_path, monkeypatch):
-    record = np.array([_profile_chunk((5000, 6000))], dtype=RECORD_DTYPE)
+    ((_, pik, inv),) = _profile_chunk((5000, 6000))
+    record = np.array([(pik, inv)], dtype=RECORD_DTYPE)
     monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
     fork = multiprocessing.get_context("fork")
     writers = [fork.Process(target=rewrite_span, args=(record, 400)) for _ in range(2)]
@@ -790,9 +873,10 @@ def test_profile_worker_counts_agree_at_1e6(profile_1e6):
 
 def test_profile_checks_partition_identity(monkeypatch):
     def lossy_chunk(span, cuts=()):
-        pik, inv, *parts = _profile_chunk(span, cuts)
+        parts = _profile_chunk(span, cuts)
+        _, pik, _ = parts[-1]  # the span's own record
         pik[1] -= 1
-        return pik, inv, *parts
+        return parts
 
     monkeypatch.setattr(sieve, "_profile_chunk", lossy_chunk)
     with pytest.raises(InvalidRangeError, match=r"partition the odd n <= 1000$"):
@@ -805,11 +889,11 @@ def test_profile_checks_the_fold_covers_one_to_n(monkeypatch):
     real_chunk = _profile_chunk
 
     def high_chunk(span, cuts=()):
-        pik, inv, *parts = real_chunk(span, cuts)
-        for counts in [pik] + [part[0] for part in parts]:
+        parts = real_chunk(span, cuts)
+        for _, counts, _ in parts:
             counts[1] -= 1
             counts[MAX_OMEGA - 20] += 1
-        return pik, inv, *parts
+        return parts
 
     monkeypatch.setattr(sieve, "_profile_chunk", high_chunk)
     with pytest.raises(InvalidRangeError, match=r"partition \[1, 1000\]$"):
