@@ -33,6 +33,7 @@ MAX_SEGMENT_LENGTH = 1 << 24
 REDUCE_BLOCK = 1 << 16  # odd integers per pi_k/harmonic reduction step
 HARD_LIMIT = 10**10
 MAX_SEGMENTS = 10**5  # spans of one pass; the default length needs 2385 at HARD_LIMIT
+_PRIME_SEGMENT = 1 << 20  # odd numbers per segment of _prime_segments: 1 MB of flags
 
 CACHE_MAGIC = b"OMP2"
 CACHE_ENV_VAR = "OMEGALAB_CACHE"
@@ -40,23 +41,51 @@ CACHE_ENV_VAR = "OMEGALAB_CACHE"
 
 @lru_cache(maxsize=8)
 def base_primes(limit: int) -> np.ndarray:
-    """Primes <= limit (int64 array) by a sieve of Eratosthenes over the odd numbers.
+    """Primes <= limit (int64 array), the segments of _prime_segments in one array.
 
-    flags[i] stands for 2 i + 1, so the sieve holds (limit + 1) // 2 bytes
-    and makes no pass for 2.  flags[0] (the number 1) stays set: its slot in
-    the result becomes the prime 2.
+    Memory is the result plus one segment: the segments are written into a
+    buffer of Rosser and Schoenfeld's bound pi(x) < 1.25506 x / ln x for
+    x > 1 (Illinois J. Math. 6 (1962)), which resize then shrinks in place.
     """
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    flags = np.ones((limit + 1) // 2, dtype=bool)
-    for p in range(3, math.isqrt(limit) + 1, 2):
-        if flags[p // 2]:
-            flags[p * p // 2 :: p] = False
-    primes = np.flatnonzero(flags).astype(np.int64, copy=False)
-    primes *= 2
-    primes += 1
-    primes[0] = 2
+    primes = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.int64)
+    count = 0
+    for chunk in _prime_segments(limit):
+        primes[count : count + len(chunk)] = chunk
+        count += len(chunk)
+    primes.resize(count, refcheck=False)  # no view of the buffer exists
     return primes
+
+
+def _prime_segments(limit: int):
+    """The primes <= limit as non-empty ascending int64 arrays, one per range.
+
+    A segmented sieve of Eratosthenes (Bays and Hudson, BIT 17 (1977)) over
+    the odd numbers: each range holds _PRIME_SEGMENT of them, flags[i]
+    standing for lo + 2 i, and is crossed off by the odd primes p with
+    p * p < hi, which come from the same generator at isqrt(limit).  The
+    number 1 stays set in the first range: its slot in the result becomes
+    the prime 2.
+    """
+    if limit < 2:
+        return
+    odd = [p for chunk in _prime_segments(math.isqrt(limit)) for p in chunk.tolist()][1:]
+    for lo in range(1, limit + 1, 2 * _PRIME_SEGMENT):
+        hi = min(lo + 2 * _PRIME_SEGMENT, limit + 1)
+        flags = np.ones((hi - lo + 1) // 2, dtype=bool)
+        for p in odd:
+            if p * p >= hi:
+                break
+            start = max(-(-lo // p) | 1, p) * p  # the first odd multiple >= lo and >= p * p
+            flags[(start - lo) // 2 :: p] = False
+        chunk = np.flatnonzero(flags).astype(np.int64, copy=False)
+        chunk *= 2
+        chunk += lo
+        if lo == 1:
+            chunk[0] = 2
+        if len(chunk):
+            yield chunk
 
 
 def _check_limit(hi: int) -> None:

@@ -16,11 +16,18 @@ import numpy as np
 
 from .averages import AverageScheme, RealTestFunction, _dot, _ek_weights, _values
 from .errors import InvalidRangeError, RangeTooLargeError, SearchExhaustedError
-from .sieve import OmegaProfile, _check_limit, base_primes, segment_spans, sieve_segment
+from .sieve import (
+    OmegaProfile,
+    _check_limit,
+    _prime_segments,
+    base_primes,
+    segment_spans,
+    sieve_segment,
+)
 
 MAX_SET_SIZE = 50_000  # caps |B1| = |B2|, and so the search's time and output
 MAX_RHO_INTERVALS = 10**5  # caps the rho-adic intervals of a search or a validation
-MAX_SEARCH_LIMIT = 10**9  # caps the search's base primes, half a byte per integer
+MAX_SEARCH_LIMIT = 10**9  # caps the time of the floor's pass over the primes <= the limit
 MAX_TK_N = 10**7  # tk_discrepancy peaks at 20 B (Cesaro), 28 B (log) per n: 280 MB (tracemalloc)
 _FIRST_TABLE_LIMIT = 2**20  # the search's 2-almost-prime table starts here and doubles
 
@@ -176,16 +183,29 @@ def _almost_primes_2(limit: int, primes: np.ndarray) -> np.ndarray:
     return np.stack((ms[order], ps[order], qs[order]), axis=1)
 
 
-def _almost_primes_2_harmonic(limit: int, primes: np.ndarray, inv: np.ndarray) -> float:
-    """Sum of 1/m over the 2-almost primes m <= limit, without their table.
+def _prime_harmonic_sums(limit: int) -> tuple[float, float]:
+    """(sum of 1/p over the primes p <= limit, sum of 1/m over the 2-almost primes m <= limit).
 
-    primes holds every prime <= limit // 2 in ascending order and inv = 1 / primes.
-    The sum is sum_{p <= sqrt(limit)} (1/p) sum_{p <= q <= limit/p} 1/q; the
-    loop runs over the primes p <= sqrt(limit) only.
+    The second is sum_{p <= sqrt(limit)} (1/p) (S(limit // p) - S(p - 1)),
+    where S(x) sums 1/q over the primes q <= x.  Both are read off one pass
+    over _prime_segments: S at each cut is the running sum of the segments
+    before it plus a prefix of its own, so memory stays within one segment.
     """
-    small = primes[: np.searchsorted(primes, math.isqrt(limit), side="right")]
-    ends = np.searchsorted(primes, limit // small, side="right").tolist()
-    return math.fsum(float(inv[i]) * float(np.sum(inv[i:end])) for i, end in enumerate(ends))
+    small = base_primes(math.isqrt(limit))
+    cuts = np.concatenate((small - 1, limit // small))
+    order = np.argsort(cuts)
+    ascending = cuts[order]
+    at = np.empty(len(cuts))  # S(cuts[i])
+    total = 0.0
+    done = 0  # the ascending cuts read so far
+    for chunk in _prime_segments(limit):
+        sums = np.add.accumulate(np.concatenate(([total], 1.0 / chunk)))  # S before each prime
+        stop = int(np.searchsorted(ascending, chunk[-1]))
+        at[order[done:stop]] = sums[np.searchsorted(chunk, ascending[done:stop], side="right")]
+        total, done = float(sums[-1]), stop
+    at[order[done:]] = total
+    below, quotient = at[: len(small)], at[len(small) :]
+    return total, math.fsum(((quotient - below) / small).tolist())
 
 
 def construct_pair(epsilon: float, rho: float, search_limit: int) -> PrimeSetPair:
@@ -198,10 +218,10 @@ def construct_pair(epsilon: float, rho: float, search_limit: int) -> PrimeSetPai
     pair and its couplings, and reporting the floor 1/(2 sum 1/m) that no
     coupling goes below) if the limit or the set-size cap is reached first.
 
-    The 2-almost-prime table covers [1, 2**20] and doubles, up to
-    search_limit, only when the scan reaches past it.  The table over a
+    The primes and the 2-almost-prime table cover [1, 2**20] and double,
+    up to search_limit, only when the scan reaches past them.  Each over a
     smaller limit is a prefix of the full one, so the result does not
-    depend on where the table stops.
+    depend on where they stop; only the floor's pass sieves to search_limit.
 
     The intervals one table covers are scanned as a batch: searchsorted
     gives every interval's end on both sides, and a cumulative sum capped
@@ -215,13 +235,11 @@ def construct_pair(epsilon: float, rho: float, search_limit: int) -> PrimeSetPai
         raise InvalidRangeError("rho must lie in (1, 1 + epsilon]")
     if search_limit < 1:
         raise InvalidRangeError(f"search limit must be >= 1, got {search_limit}")
-    if search_limit > MAX_SEARCH_LIMIT:  # before base_primes allocates limit / 2 bytes
+    if search_limit > MAX_SEARCH_LIMIT:  # before the floor's pass sieves to the limit
         raise RangeTooLargeError(
             f"search limit {search_limit} is over the cap of {MAX_SEARCH_LIMIT}"
         )
     bounds = _rho_bounds(rho, rho_index(search_limit, rho))
-    primes = base_primes(search_limit)
-    ends1 = np.searchsorted(primes, bounds, side="right")
     table_limit = 0  # the first interval builds the table over min(2**20, search_limit)
     b1: list[int] = []
     b2: list[int] = []
@@ -231,15 +249,16 @@ def construct_pair(epsilon: float, rho: float, search_limit: int) -> PrimeSetPai
     while True:
         while table_limit < min(float(bounds[j]), search_limit):
             table_limit = min(max(2 * table_limit, _FIRST_TABLE_LIMIT), search_limit)
+            primes = base_primes(table_limit)
             almost = _almost_primes_2(table_limit, primes)
-        # this table holds every 2-almost prime <= bound for the intervals j..stop-1
+        # these tables hold every prime and 2-almost prime <= bound for the intervals j..stop-1
         if table_limit == search_limit:
             stop = len(bounds)
         else:
             stop = int(np.searchsorted(bounds, table_limit, side="right"))
         # m <= bound exactly when m <= floor(bound), for m < 2**53
         keys = np.floor(bounds[j:stop]).astype(np.int64)
-        n1 = ends1[j:stop]
+        n1 = np.searchsorted(primes, keys, side="right")
         n2 = np.searchsorted(almost[:, 0], keys, side="right")
         start1 = np.concatenate(([i1], n1[:-1]))
         start2 = np.concatenate(([i2], n2[:-1]))
@@ -263,9 +282,7 @@ def construct_pair(epsilon: float, rho: float, search_limit: int) -> PrimeSetPai
     reason = f"best achieved {achieved}"
     if b1:  # the diagonal terms alone give coupling(B) >= 1/(2 sum_{m in B} 1/m)
         own = tuple(0.5 / c.harmonic for c in (c1, c2))
-        inv = 1.0 / primes
-        pool = (0.5 / float(np.sum(inv)),
-                0.5 / _almost_primes_2_harmonic(search_limit, primes, inv))
+        pool = tuple(0.5 / h for h in _prime_harmonic_sums(search_limit))
         reason += (f"; proven floor 1/(2 sum 1/m): ({own[0]:.3g}, {own[1]:.3g}) for these "
                    f"sets, ({pool[0]:.3g}, {pool[1]:.3g}) for any sets <= {search_limit}")
     raise SearchExhaustedError(

@@ -3,7 +3,7 @@ import concurrent.futures
 import pytest
 from oracles import bulk_omega_oracle
 
-from omegalab import omega_profile
+from omegalab import omega_profile, sieve
 
 ORACLE_LIMIT = 10**6 + 1
 
@@ -52,3 +52,19 @@ def serial_pool(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return sizes
+
+
+@pytest.fixture
+def prime_segment(monkeypatch):
+    """Set the odd numbers per segment of sieve._prime_segments.
+
+    base_primes' cache is emptied after each setting and at the end, so no
+    array sieved at another length is read.
+    """
+
+    def set_length(length):
+        monkeypatch.setattr(sieve, "_PRIME_SEGMENT", length)
+        sieve.base_primes.cache_clear()
+
+    yield set_length
+    sieve.base_primes.cache_clear()

@@ -9,7 +9,7 @@ import numpy as np
 from omegalab.averages import RealTestFunction
 from omegalab.errors import InvalidRangeError
 from omegalab.sieve import base_primes
-from omegalab.twosets import _almost_primes_2_harmonic, rho_index
+from omegalab.twosets import _prime_harmonic_sums, rho_index
 from omegalab.weights import GaussianWindowSpec, gaussian_weights
 
 
@@ -401,9 +401,7 @@ def two_sets_scan_oracle(epsilon: float, rho: float, search_limit: int, max_set_
     reason = f"best achieved {achieved}"
     if b1:
         own = (0.5 / c1.harmonic, 0.5 / c2.harmonic)
-        inv = 1.0 / primes
-        pool = (0.5 / float(np.sum(inv)),
-                0.5 / _almost_primes_2_harmonic(search_limit, primes, inv))
+        pool = tuple(0.5 / h for h in _prime_harmonic_sums(search_limit))
         reason += (f"; proven floor 1/(2 sum 1/m): ({own[0]:.3g}, {own[1]:.3g}) for these "
                    f"sets, ({pool[0]:.3g}, {pool[1]:.3g}) for any sets <= {search_limit}")
     message = f"coupling target {epsilon} not reached by limit {search_limit}: {reason}"

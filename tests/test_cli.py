@@ -353,25 +353,43 @@ def test_counterexample_window_too_large_exits_before_any_work(capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+def _exit_code_and_peak_kib(*args):
+    """Run the CLI with args in a new process, its output discarded; its exit code and peak RSS.
+
+    wait4 in a small parent: a child spawned from this process would count
+    this process's own RSS at the exec into its peak.
+    """
+    src = os.path.dirname(os.path.dirname(omegalab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = ("import os, sys; "
+             "pid = os.posix_spawn(sys.executable, sys.argv[1:], os.environ, file_actions=["
+             "(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0) for fd in (1, 2)]); "
+             "_, status, usage = os.wait4(pid, 0); "
+             "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+    argv = [sys.executable, "-m", "omegalab.cli", *args]
+    result = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    code, peak_kib = map(int, result.stdout.split())  # ru_maxrss is in KiB on Linux
+    return code, peak_kib
+
+
 def test_largest_windows_peak_under_60_mb():
     """counterexample --kmax 25 evaluates windows of up to 7.8e6 k in chunks, so
     its peak RSS stays near the interpreter's own (329 MB when each window
     was built whole)."""
-    src = os.path.dirname(os.path.dirname(omegalab.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    # wait4 in a small parent: a child spawned from this process would count
-    # this process's own RSS at the exec into its peak.
-    probe = ("import os, sys; "
-             "pid = os.posix_spawn(sys.executable, sys.argv[1:], os.environ, "
-             "file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]); "
-             "_, status, usage = os.wait4(pid, 0); "
-             "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
-    argv = [sys.executable, "-m", "omegalab.cli", "counterexample", "--kmax", "25", "--quiet"]
-    result = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True,
-                            text=True, timeout=60, check=True)
-    code, peak_kib = map(int, result.stdout.split())  # ru_maxrss is in KiB on Linux
+    code, peak_kib = _exit_code_and_peak_kib("counterexample", "--kmax", "25", "--quiet")
     assert code == EXIT_OK
     assert peak_kib < 60 * 1024
+
+
+def test_twosets_search_to_1e8_peaks_under_64_mb():
+    """The scan sieves only as far as its table and the floor streams one
+    segment at a time, so memory does not follow --limit (134.7 MB when the
+    search sieved every prime <= 1e8)."""
+    code, peak_kib = _exit_code_and_peak_kib("twosets", "--limit", str(10**8),
+                                             "--epsilon", "0.1", "--rho", "1.05")
+    assert code == EXIT_RESOURCE
+    assert peak_kib < 64 * 1024
 
 
 def test_cli_import_leaves_mpmath_unloaded():

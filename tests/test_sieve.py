@@ -90,11 +90,23 @@ def _base_primes_cases():
     return sorted(set(range(301)) | set(squares) | set(powers) | {10**6 + 3})
 
 
-def test_base_primes_matches_eratosthenes():
-    for limit in _base_primes_cases():
-        primes = base_primes(limit)
-        assert primes.dtype == np.int64
-        assert primes.tolist() == eratosthenes(limit).tolist(), limit
+def _prime_segment_edges(length, segments):
+    """Limits beside the ends of the first segments of _prime_segments, which
+    hold length odd numbers each: segment k ends at 2 (k + 1) length."""
+    return sorted({2 * k * length + d for k in range(1, segments + 1) for d in (-2, -1, 0, 1, 2)})
+
+
+def test_base_primes_matches_eratosthenes(prime_segment):
+    default = sieve._PRIME_SEGMENT
+    runs = [(default, _base_primes_cases() + _prime_segment_edges(default, 3))]
+    # segments short enough that the sieving primes' squares fall in later ones
+    runs += [(length, [*range(301), *_prime_segment_edges(length, 40)]) for length in (1, 2, 8, 64)]
+    for length, limits in runs:
+        prime_segment(length)
+        for limit in limits:
+            primes = base_primes(limit)
+            assert primes.dtype == np.int64
+            assert primes.tolist() == eratosthenes(limit).tolist(), (limit, length)
 
 
 def test_sieve_matches_trial_division_to_one_million(omega_to_1e6):

@@ -18,8 +18,8 @@ from omegalab.twosets import (
     MAX_TK_N,
     PrimeSetPair,
     _almost_primes_2,
-    _almost_primes_2_harmonic,
     _interval_counts,
+    _prime_harmonic_sums,
     _rho_bounds,
     construct_pair,
     invariance_gap,
@@ -32,6 +32,7 @@ from oracles import (
     almost_primes_2_by_rows,
     coupling,
     coupling_grouped,
+    eratosthenes,
     omega_oracle,
     phi,
     two_sets_scan_oracle,
@@ -183,12 +184,38 @@ def test_almost_primes_table_matches_the_row_oracle(limit):
         assert table.shape == (0, 3)
 
 
+def assert_floor_sums_match_the_tables(x):
+    primes = eratosthenes(x)
+    prime_sum = math.fsum((1.0 / primes).tolist())
+    table_sum = math.fsum(1.0 / m for m in _almost_primes_2(x, primes)[:, 0].tolist())
+    assert _prime_harmonic_sums(x) == pytest.approx((prime_sum, table_sum), rel=1e-12), x
+
+
 @pytest.mark.parametrize("x", [4, 5, 9, 10, 30, 1000, 2**20 + 1])
 def test_table_free_floor_matches_the_table(x):
-    primes = base_primes(x // 2)
-    table_sum = math.fsum(1.0 / m for m in _almost_primes_2(x, primes)[:, 0].tolist())
-    harmonic = _almost_primes_2_harmonic(x, primes, 1.0 / primes)
-    assert 1 / (2 * harmonic) == pytest.approx(1 / (2 * table_sum), rel=1e-12)
+    assert_floor_sums_match_the_tables(x)
+
+
+@pytest.mark.parametrize("length", [1, 4, 64])
+def test_table_free_floor_across_prime_segment_edges(prime_segment, length):
+    """Every limit to 300, and limits beside the ends of the first segments,
+    so that the cuts limit // p and p - 1 fall on, before and after a
+    segment's last prime."""
+    prime_segment(length)
+    edges = {2 * k * length + d for k in range(1, 40) for d in (-2, -1, 0, 1, 2)}
+    for x in sorted(set(range(4, 301)) | {x for x in edges if x >= 4}):
+        assert_floor_sums_match_the_tables(x)
+
+
+def test_table_free_floor_peak_is_one_segment():
+    tracemalloc.start()
+    try:
+        sums = _prime_harmonic_sums(10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.5 / sums[0] == pytest.approx(0.164, abs=5e-4)  # the floor in the exit-3 message
+    assert peak < 8 * 10**6  # base_primes(10**7) and 1 / p took 15.6 MB
 
 
 def test_almost_primes_table_from_a_longer_prime_array():
@@ -272,6 +299,22 @@ def test_short_search_builds_only_the_first_table(monkeypatch):
     with pytest.raises(SearchExhaustedError):
         construct_pair(0.1, 1.05, 10**7)
     assert limits == [2**20]
+
+
+@pytest.mark.parametrize("limit", [10**7, 2**20, 50_000, 1000])
+def test_search_sieves_only_as_far_as_its_table(monkeypatch, limit):
+    """The scan asks base_primes for its table's limit, min(2**20, limit) when
+    it stops near 6.1e5; the floor for the primes <= isqrt(limit), its cuts."""
+    limits = []
+
+    def recording_base_primes(n):
+        limits.append(n)
+        return base_primes(n)
+
+    monkeypatch.setattr(twosets, "base_primes", recording_base_primes)
+    with pytest.raises(SearchExhaustedError):
+        construct_pair(0.1, 1.05, limit)
+    assert limits == [min(2**20, limit), math.isqrt(limit)]
 
 
 def test_rho_close_to_one_fails_before_allocating():
