@@ -123,6 +123,8 @@ def smoothed_indicator(lo: float, hi: float, ramp: float = 1.0) -> RealTestFunct
     require_finite(lo=lo, hi=hi, ramp=ramp, support_lo=lo - ramp, support_hi=hi + ramp)
     if ramp <= 0:
         raise InvalidRangeError("ramp width must be positive")
+    if hi < lo:  # fn would be a sawtooth, neither an indicator nor continuous
+        raise InvalidRangeError(f"plateau [{lo}, {hi}] needs lo <= hi")
 
     def fn(x: float) -> float:
         if lo <= x <= hi:

@@ -10,17 +10,28 @@ import math
 import os
 import sys
 
-from . import __version__, averages, counterexample, dynamics, sieve, twosets, weights
-from .averages import AverageScheme
-from .errors import InvalidRangeError, OmegalabError, RangeTooLargeError, SearchExhaustedError
-
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
+
+def _load_library() -> None:
+    """Bind the library's modules here.  main calls this only once argv has
+    parsed, so --help and usage errors never import numpy."""
+    global __version__, averages, counterexample, dynamics, sieve, twosets, weights
+    global AverageScheme, InvalidRangeError, OmegalabError, RangeTooLargeError
+    global SearchExhaustedError
+    from . import __version__, averages, counterexample, dynamics, sieve, twosets, weights
+    from .averages import AverageScheme
+    from .errors import (
+        InvalidRangeError, OmegalabError, RangeTooLargeError, SearchExhaustedError,
+    )
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    _load_library()
     try:
         _check_args(args)
         table = args.handler(args)

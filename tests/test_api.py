@@ -6,6 +6,9 @@ import builtins
 import dataclasses
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -51,11 +54,39 @@ def test_every_export_is_reached_from_a_subcommand_or_an_acceptance_test():
             reached |= found.pop(owner)
         owners = {owner for owner in found
                   if {owner.split(".", 1)[1], "." + owner.split(".", 1)[1]} & reached}
-    init = ast.parse(Path(omegalab.__file__).read_text(encoding="utf-8"))
-    exported = {alias.name for node in init.body if isinstance(node, ast.ImportFrom)
-                for alias in node.names}
+    exported = {name for names in omegalab._EXPORTS.values() for name in names}
     # perfbench/traced.py reads active_backend on every benchmark run
     assert {name for name in exported if not {name, "." + name} & reached} == {"active_backend"}
+
+
+def _fresh(probe: str) -> str:
+    """stdout of `python -c probe` in a fresh interpreter."""
+    src = str(Path(omegalab.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True).stdout
+
+
+def test_package_loads_the_library_on_first_use():
+    """The package contract that perfbench/traced.py and callers rely on,
+    each part in a fresh interpreter."""
+    layers = ("sieve", "kernels", "averages", "weights", "counterexample", "twosets", "cli")
+    assert _fresh(  # the imports of perfbench/traced.py
+        "import sys, omegalab; from omegalab import cli, sieve, twosets; "
+        f"print([m for m in {layers!r} if 'omegalab.' + m not in sys.modules])") == "[]\n"
+    assert _fresh("import sys, omegalab; "
+                  "print(hasattr(omegalab, 'no_such_name'), 'numpy' in sys.modules)"
+                  ) == "False False\n"
+    # a submodule imported first: sieve.py's `from . import kernels` meets no load
+    assert _fresh("from omegalab.averages import RealTestFunction; "
+                  "print(RealTestFunction.__name__)") == "RealTestFunction\n"
+    assert _fresh(
+        "import importlib, omegalab; print(all(getattr(omegalab, name) is "
+        "getattr(importlib.import_module('omegalab.' + module), name) "
+        "for module, names in omegalab._EXPORTS.items() for name in names))") == "True\n"
+    assert _fresh("from omegalab import *; import omegalab; "
+                  "print(len(omegalab.__all__), all(n in globals() for n in omegalab.__all__))"
+                  ) == f"{len(omegalab.__all__)} True\n"
 
 
 def test_only_pnt_reaches_the_sieve_pass():

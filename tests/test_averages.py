@@ -243,6 +243,14 @@ def test_smoothed_indicator_shape():
         smoothed_indicator(-1, 1, 0.0)
 
 
+def test_smoothed_indicator_needs_lo_at_most_hi():
+    """hi < lo would give a sawtooth, not an indicator; lo == hi is a peak."""
+    with pytest.raises(InvalidRangeError, match=r"plateau \[1.0, 0.0\] needs lo <= hi"):
+        smoothed_indicator(1.0, 0.0)
+    F = smoothed_indicator(0.5, 0.5, 0.5)
+    assert (F(0.5), F(0.25), F(0.75), F(1.0)) == (1.0, 0.5, 0.5, 0.0)
+
+
 def test_reductions_match_the_formulas_they_replaced(profile_1e4, profile_1e6):
     """Every average along Omega, bit for bit (by repr) against its pre-_dot formula."""
     tests = [smoothed_indicator(-1, 1, 0.5), oracles.interval_indicator(-0.5, 2.0),

@@ -131,11 +131,17 @@ def test_correlate_bad_system_arguments(capsys, spec):
     assert len(captured.err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("bump", ["1", "a,b", "1,2,3"])
+@pytest.mark.parametrize("bump", ["1", "a,b", "1,2,3", "1,0"])
 def test_correlate_bad_bump(capsys, bump):
     code, out = run(capsys, "correlate", "--limit", "100", f"--bump={bump}", "--quiet")
     assert code == EXIT_USAGE
     assert out == ""
+
+
+def test_correlate_reversed_bump_fails_before_the_progress_line(capsys):
+    code = main(["correlate", "--limit", "1000", "--bump=1,0"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "omegalab: plateau [1.0, 0.0] needs lo <= hi\n"
 
 
 def test_weights_table(capsys):
@@ -392,15 +398,32 @@ def test_twosets_search_to_1e8_peaks_under_64_mb():
     assert peak_kib < 64 * 1024
 
 
-def test_cli_import_leaves_mpmath_unloaded():
-    """Start-up loads neither mpmath, decimal nor the process pool (multiprocessing)."""
+def _lazy_imports(*args):
+    """Exit code of `python -X importtime *args` in a fresh interpreter, and
+    which of numpy, decimal and multiprocessing it imported."""
     src = os.path.dirname(os.path.dirname(omegalab.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    lazy = ("mpmath", "decimal", "concurrent.futures.process", "multiprocessing")
-    probe = f"import sys, omegalab.cli; print([m for m in {lazy!r} if m in sys.modules])"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                            text=True, timeout=60, check=True)
-    assert result.stdout == "[]\n"
+    result = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
+                            capture_output=True, text=True, timeout=60)
+    imported = {line.rsplit("|", 1)[1].strip().split(".")[0]
+                for line in result.stderr.splitlines() if line.startswith("import time:")}
+    return result.returncode, sorted(imported & {"numpy", "decimal", "multiprocessing"})
+
+
+def test_start_up_without_work_loads_no_numpy():
+    """Importing the package or the CLI, any --help and a usage error load
+    neither numpy, decimal nor the process pool; loading the library loads
+    numpy alone."""
+    parser = cli._build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    runs = {("-c", "import omegalab"): (EXIT_OK, []),
+            ("-c", "import omegalab.cli"): (EXIT_OK, []),
+            ("-m", "omegalab.cli", "pik"): (EXIT_USAGE, []),  # no --limit
+            ("-c", "from omegalab import cli"): (EXIT_OK, ["numpy"])}
+    runs.update({("-m", "omegalab.cli", name, "--help"): (EXIT_OK, [])
+                 for name in subparsers.choices})
+    assert len(runs) == 14
+    assert {args: _lazy_imports(*args) for args in runs} == runs
 
 
 def test_progress_line_shows_the_processes_used(capsys, serial_pool, monkeypatch):
