@@ -46,15 +46,18 @@ def base_primes(limit: int) -> np.ndarray:
     Memory is the result plus one segment: the segments are written into a
     buffer of Rosser and Schoenfeld's bound pi(x) < 1.25506 x / ln x for
     x > 1 (Illinois J. Math. 6 (1962)), which resize then shrinks in place.
+    The array is read-only: the cache hands the same one to every caller.
     """
     if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    primes = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.int64)
-    count = 0
-    for chunk in _prime_segments(limit):
-        primes[count : count + len(chunk)] = chunk
-        count += len(chunk)
-    primes.resize(count, refcheck=False)  # no view of the buffer exists
+        primes = np.empty(0, dtype=np.int64)
+    else:
+        primes = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.int64)
+        count = 0
+        for chunk in _prime_segments(limit):
+            primes[count : count + len(chunk)] = chunk
+            count += len(chunk)
+        primes.resize(count, refcheck=False)  # no view of the buffer exists
+    primes.flags.writeable = False
     return primes
 
 

@@ -29,7 +29,8 @@ MAX_SET_SIZE = 50_000  # caps |B1| = |B2|, and so the search's time and output
 MAX_RHO_INTERVALS = 10**5  # caps the rho-adic intervals of a search or a validation
 MAX_SEARCH_LIMIT = 10**9  # caps the time of the floor's pass over the primes <= the limit
 MAX_TK_N = 10**7  # tk_discrepancy peaks at 20 B (Cesaro), 28 B (log) per n: 280 MB (tracemalloc)
-_FIRST_TABLE_LIMIT = 2**20  # the search's 2-almost-prime table starts here and doubles
+_FIRST_TABLE_LIMIT = 2**20  # the search's prime table starts here and doubles
+ROW_SEGMENT = 2**17  # the m of the search's 2-almost primes built at once
 
 
 @dataclass(frozen=True)
@@ -165,16 +166,16 @@ class _BatchCoupling:
         return (self.prime_part + self.self_part) / (self.harmonic * self.harmonic)
 
 
-def _almost_primes_2(limit: int, primes: np.ndarray) -> np.ndarray:
-    """All (m, p, q) with m = p*q <= limit, p <= q prime; sorted by m.
+def _almost_primes_2(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
+    """All (m, p, q) with lo < m = p*q <= hi, p <= q prime; sorted by m.
 
-    primes holds every prime <= limit // 2 in ascending order (base_primes
-    of limit // 2 or of any larger limit); only that part of it is read.
+    primes holds every prime <= hi // 2 in ascending order from 2 (base_primes
+    of hi // 2 or of any larger limit).  The q of each p run from the first
+    prime >= p and > lo // p (so that p*q > lo) to the last <= hi // p.
     """
-    primes = primes[: np.searchsorted(primes, limit // 2, side="right")]
-    small = primes[: np.searchsorted(primes, math.isqrt(limit), side="right")]
-    starts = np.arange(len(small))  # the q of p = primes[i] run from primes[i] on
-    lengths = np.searchsorted(primes, limit // small, side="right") - starts
+    small = primes[: np.searchsorted(primes, math.isqrt(hi), side="right")]
+    starts = np.maximum(np.arange(len(small)), np.searchsorted(primes, lo // small, side="right"))
+    lengths = np.maximum(np.searchsorted(primes, hi // small, side="right") - starts, 0)
     ps = np.repeat(small, lengths)
     shift = np.cumsum(lengths) - lengths - starts  # first row of each p, less its start
     qs = primes[np.arange(len(ps)) - np.repeat(shift, lengths)]
@@ -190,6 +191,8 @@ def _prime_harmonic_sums(limit: int) -> tuple[float, float]:
     where S(x) sums 1/q over the primes q <= x.  Both are read off one pass
     over _prime_segments: S at each cut is the running sum of the segments
     before it plus a prefix of its own, so memory stays within one segment.
+    Each segment's running sums are written into one reused buffer, in the
+    order a new array would get them, so the bits do not change.
     """
     small = base_primes(math.isqrt(limit))
     cuts = np.concatenate((small - 1, limit // small))
@@ -198,14 +201,85 @@ def _prime_harmonic_sums(limit: int) -> tuple[float, float]:
     at = np.empty(len(cuts))  # S(cuts[i])
     total = 0.0
     done = 0  # the ascending cuts read so far
+    buffer = np.empty(0)
     for chunk in _prime_segments(limit):
-        sums = np.add.accumulate(np.concatenate(([total], 1.0 / chunk)))  # S before each prime
+        if len(buffer) <= len(chunk):
+            buffer = np.empty(len(chunk) + 1)
+        sums = buffer[: len(chunk) + 1]  # S before each prime, then after the last
+        sums[0] = total
+        np.divide(1.0, chunk, out=sums[1:])
+        np.add.accumulate(sums, out=sums)
         stop = int(np.searchsorted(ascending, chunk[-1]))
         at[order[done:stop]] = sums[np.searchsorted(chunk, ascending[done:stop], side="right")]
         total, done = float(sums[-1]), stop
     at[order[done:]] = total
     below, quotient = at[: len(small)], at[len(small) :]
     return total, math.fsum(((quotient - below) / small).tolist())
+
+
+def _scan(epsilon: float, rho: float, search_limit: int):
+    """construct_pair's scan: B1 and B2 as lists of int64 chunks, their
+    couplings (None if no element was taken) and their harmonic sums.  It
+    stops at the first take that brings both couplings to epsilon.
+
+    The intervals are scanned a segment of m at a time.  A segment starts
+    at the bound of the last interval scanned and holds the intervals that
+    end within ROW_SEGMENT of it, or the next interval alone when that is
+    wider; only its own 2-almost primes are built.  The primes cover
+    [1, 2**20] and double, up to search_limit, only when an interval ends
+    past them.
+
+    The intervals of a segment are scanned as a batch: searchsorted gives
+    every interval's end on both sides, and a cumulative sum capped at
+    MAX_SET_SIZE every interval's take.  Only the intervals that take
+    elements run Python code; each hands its elements to the couplings in
+    one call.
+    """
+    # m <= bound exactly when m <= floor(bound), for m < 2**53; the last
+    # interval is cut at search_limit
+    ends = np.floor(_rho_bounds(rho, rho_index(search_limit, rho)))
+    ends = np.minimum(ends, search_limit).astype(np.int64)
+    table_limit = 0  # the first interval sieves the primes <= min(2**20, search_limit)
+    b1: list[np.ndarray] = []
+    b2: list[np.ndarray] = []
+    size = 0  # |B1| = |B2| before interval j
+    c1 = _BatchCoupling()
+    c2 = _BatchCoupling()
+    j = i1 = lo = 0  # the first interval not scanned, the primes before it, and its start
+    while j < len(ends):
+        while table_limit < ends[j]:
+            table_limit = min(max(2 * table_limit, _FIRST_TABLE_LIMIT), search_limit)
+            primes = base_primes(table_limit)
+        hi = min(max(lo + ROW_SEGMENT, int(ends[j])), table_limit)
+        stop = int(np.searchsorted(ends, hi, side="right"))  # intervals j .. stop - 1
+        rows = _almost_primes_2(lo, int(ends[stop - 1]), primes)
+        n1 = np.searchsorted(primes, ends[j:stop], side="right")
+        n2 = np.searchsorted(rows[:, 0], ends[j:stop], side="right")
+        start1 = np.concatenate(([i1], n1[:-1]))
+        start2 = np.concatenate(([0], n2[:-1]))
+        sizes = np.minimum(size + np.cumsum(np.minimum(n1 - start1, n2 - start2)),
+                           MAX_SET_SIZE)
+        takes = np.diff(sizes, prepend=size)
+        capped = int(np.searchsorted(sizes, MAX_SET_SIZE))  # the interval that fills B1
+        for k in np.flatnonzero(takes[: capped + 1] > 0).tolist():
+            s1, s2, take = int(start1[k]), int(start2[k]), int(takes[k])
+            ones, twos = primes[s1 : s1 + take], rows[s2 : s2 + take]
+            b1.append(ones)
+            b2.append(twos[:, 0].copy())  # a copy, so that no view keeps the rows
+            c1.add_primes(ones)
+            c2.add_semiprimes(twos)
+            if c1.value() <= epsilon and c2.value() <= epsilon:
+                return b1, b2, (c1.value(), c2.value()), (c1.harmonic, c2.harmonic)
+        if capped < len(sizes):
+            break
+        j, i1, lo, size = stop, int(n1[-1]), int(ends[stop - 1]), int(sizes[-1])
+    couplings = (c1.value(), c2.value()) if b1 else None
+    return b1, b2, couplings, (c1.harmonic, c2.harmonic)
+
+
+def _joined(chunks: list[np.ndarray]) -> tuple:
+    """The chunks' elements, in order, as a tuple of ints."""
+    return tuple(np.concatenate(chunks).tolist())
 
 
 def construct_pair(epsilon: float, rho: float, search_limit: int) -> PrimeSetPair:
@@ -218,16 +292,12 @@ def construct_pair(epsilon: float, rho: float, search_limit: int) -> PrimeSetPai
     pair and its couplings, and reporting the floor 1/(2 sum 1/m) that no
     coupling goes below) if the limit or the set-size cap is reached first.
 
-    The primes and the 2-almost-prime table cover [1, 2**20] and double,
-    up to search_limit, only when the scan reaches past them.  Each over a
-    smaller limit is a prefix of the full one, so the result does not
-    depend on where they stop; only the floor's pass sieves to search_limit.
-
-    The intervals one table covers are scanned as a batch: searchsorted
-    gives every interval's end on both sides, and a cumulative sum capped
-    at MAX_SET_SIZE every interval's take.  Only the intervals that take
-    elements run Python code; each hands its elements to the couplings in
-    one call.  The result is the one a scan element by element would give.
+    The scan (_scan) holds a table of primes that doubles from 2**20 and
+    the 2-almost primes of one segment of m.  Each holds every element of
+    the intervals it serves, so the result is the one a scan element by
+    element over whole tables would give.  The scan's arrays and couplings
+    are released before the floor's pass, the only part that sieves to
+    search_limit.
     """
     if not 0 < epsilon < 1:
         raise InvalidRangeError("epsilon must lie in (0, 1)")
@@ -239,55 +309,18 @@ def construct_pair(epsilon: float, rho: float, search_limit: int) -> PrimeSetPai
         raise RangeTooLargeError(
             f"search limit {search_limit} is over the cap of {MAX_SEARCH_LIMIT}"
         )
-    bounds = _rho_bounds(rho, rho_index(search_limit, rho))
-    table_limit = 0  # the first interval builds the table over min(2**20, search_limit)
-    b1: list[int] = []
-    b2: list[int] = []
-    c1 = _BatchCoupling()
-    c2 = _BatchCoupling()
-    j = i1 = i2 = 0  # the first interval not scanned, and the elements before it
-    while True:
-        while table_limit < min(float(bounds[j]), search_limit):
-            table_limit = min(max(2 * table_limit, _FIRST_TABLE_LIMIT), search_limit)
-            primes = base_primes(table_limit)
-            almost = _almost_primes_2(table_limit, primes)
-        # these tables hold every prime and 2-almost prime <= bound for the intervals j..stop-1
-        if table_limit == search_limit:
-            stop = len(bounds)
-        else:
-            stop = int(np.searchsorted(bounds, table_limit, side="right"))
-        # m <= bound exactly when m <= floor(bound), for m < 2**53
-        keys = np.floor(bounds[j:stop]).astype(np.int64)
-        n1 = np.searchsorted(primes, keys, side="right")
-        n2 = np.searchsorted(almost[:, 0], keys, side="right")
-        start1 = np.concatenate(([i1], n1[:-1]))
-        start2 = np.concatenate(([i2], n2[:-1]))
-        sizes = np.minimum(len(b1) + np.cumsum(np.minimum(n1 - start1, n2 - start2)),
-                           MAX_SET_SIZE)
-        takes = np.diff(sizes, prepend=len(b1))
-        capped = int(np.searchsorted(sizes, MAX_SET_SIZE))  # the interval that fills B1
-        for k in np.flatnonzero(takes[: capped + 1] > 0).tolist():
-            s1, s2, take = int(start1[k]), int(start2[k]), int(takes[k])
-            ones, twos = primes[s1 : s1 + take], almost[s2 : s2 + take]
-            b1 += ones.tolist()
-            b2 += twos[:, 0].tolist()
-            c1.add_primes(ones)
-            c2.add_semiprimes(twos)
-            if c1.value() <= epsilon and c2.value() <= epsilon:
-                return PrimeSetPair(tuple(b1), tuple(b2), rho, epsilon, (c1.value(), c2.value()))
-        if capped < len(sizes) or stop == len(bounds):
-            break
-        j, i1, i2 = stop, int(n1[-1]), int(n2[-1])
-    achieved = (c1.value(), c2.value()) if b1 else None
+    b1, b2, achieved, harmonics = _scan(epsilon, rho, search_limit)
+    if b1 and max(achieved) <= epsilon:
+        return PrimeSetPair(_joined(b1), _joined(b2), rho, epsilon, achieved)
     reason = f"best achieved {achieved}"
     if b1:  # the diagonal terms alone give coupling(B) >= 1/(2 sum_{m in B} 1/m)
-        own = tuple(0.5 / c.harmonic for c in (c1, c2))
+        own = tuple(0.5 / h for h in harmonics)
         pool = tuple(0.5 / h for h in _prime_harmonic_sums(search_limit))
         reason += (f"; proven floor 1/(2 sum 1/m): ({own[0]:.3g}, {own[1]:.3g}) for these "
                    f"sets, ({pool[0]:.3g}, {pool[1]:.3g}) for any sets <= {search_limit}")
     raise SearchExhaustedError(
         f"coupling target {epsilon} not reached by limit {search_limit}: {reason}",
-        best_pair=PrimeSetPair(tuple(b1), tuple(b2), rho, epsilon, achieved) if b1 else None,
+        best_pair=PrimeSetPair(_joined(b1), _joined(b2), rho, epsilon, achieved) if b1 else None,
         couplings=achieved,
     )
 

@@ -18,7 +18,7 @@ from .sieve import OmegaProfile
 
 MAX_WINDOW_POINTS = 10**7  # k values in one Gaussian window: bounds its time
 MAX_WINDOW_K = 2**62  # largest k of a window (k is an int64)
-WINDOW_CHUNK = 2**16  # k values evaluated at once: bounds a window's memory, not its result
+WINDOW_CHUNK = 2**12  # k values evaluated at once: bounds a window's memory, not its result
 
 
 @dataclass(frozen=True)

@@ -222,7 +222,7 @@ def test_twosets_partial_couplings_are_the_carried_ones(capsys):
                     found.add((owner, name))
     assert found == {
         ("twosets._BatchCoupling", "_BatchCoupling"),
-        ("twosets.construct_pair", "_BatchCoupling"),
+        ("twosets._scan", "_BatchCoupling"),
     }
     code, out = run(
         capsys, "twosets", "--limit", "10000", "--epsilon", "0.1", "--rho", "1.05",

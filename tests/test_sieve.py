@@ -109,6 +109,21 @@ def test_base_primes_matches_eratosthenes(prime_segment):
             assert primes.tolist() == eratosthenes(limit).tolist(), (limit, length)
 
 
+def test_base_primes_are_read_only(profile_1e4):
+    """The cached array is shared, so a write into it would reach every later
+    caller: writing into it raises, the empty array's included."""
+    for limit in (0, 1, 100, 10**4):
+        primes = base_primes(limit)
+        assert not primes.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            primes[:1] = 3
+        with pytest.raises(ValueError, match="read-only"):
+            primes += 1
+    assert base_primes(100)[:3].tolist() == [2, 3, 5]
+    counted = pi_k_profile(10**4)
+    assert counted.pik.tolist() == profile_1e4.pik.tolist()
+
+
 def test_sieve_matches_trial_division_to_one_million(omega_to_1e6):
     for lo, hi in segment_spans(10**6, 1 << 18):
         seg = sieve_segment(lo, hi + 1)
@@ -190,6 +205,23 @@ def assert_words_match_plain_loop(lo, hi):
     acc = _accumulate(lo, hi, primes)
     assert acc.dtype == WORD
     assert np.array_equal(acc, plain_accumulate(lo, hi, primes, WORD)[(lo | 1) - lo :: 2])
+
+
+def test_kernel_steps_are_made_once_per_prime_array():
+    primes = base_primes(2**17)
+    assert primes[-1] ** 2 > HARD_LIMIT  # every sieving prime below HARD_LIMIT
+    steps = list(kernels._steps(primes))
+    entry = kernels._STEPS[id(primes)]
+    assert list(kernels._steps(primes)) == steps and kernels._STEPS[id(primes)] is entry
+    assert [p for p, _ in steps] == primes.tolist()
+    assert all(type(step) is WORD and step == kernels._step(p) for p, step in steps)
+    writable = primes.copy()  # may change after a call, so nothing is kept for it
+    assert list(kernels._steps(writable)) == steps
+    assert id(writable) not in kernels._STEPS
+    for lo, hi in ((1, 3000), (10**9, 10**9 + 2**12), (HARD_LIMIT - 2**12, HARD_LIMIT + 1)):
+        assert_words_match_plain_loop(lo, hi)
+        primes = base_primes(math.isqrt(hi - 1))
+        assert np.array_equal(_accumulate(lo, hi, primes), _accumulate(lo, hi, primes.copy()))
 
 
 @pytest.mark.parametrize(

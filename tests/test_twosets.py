@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import tracemalloc
 from collections import Counter
 
@@ -165,7 +166,7 @@ def test_interval_counts_match_rho_index_on_boundaries(rho):
 
 
 def test_almost_primes_table():
-    table = _almost_primes_2(30, base_primes(15))
+    table = _almost_primes_2(0, 30, base_primes(15))
     ms = [int(r[0]) for r in table]
     assert ms == [4, 6, 9, 10, 14, 15, 21, 22, 25, 26]
     for m, p, q in table:
@@ -175,7 +176,7 @@ def test_almost_primes_table():
 @pytest.mark.parametrize("limit", [1, 3, 4, 6, 10, 100, 2**20, 2**22])
 def test_almost_primes_table_matches_the_row_oracle(limit):
     primes = base_primes(limit // 2)
-    table = _almost_primes_2(limit, primes)
+    table = _almost_primes_2(0, limit, primes)
     expected = almost_primes_2_by_rows(limit, primes)
     assert table.shape == expected.shape
     assert table.dtype == expected.dtype == np.int64
@@ -187,7 +188,7 @@ def test_almost_primes_table_matches_the_row_oracle(limit):
 def assert_floor_sums_match_the_tables(x):
     primes = eratosthenes(x)
     prime_sum = math.fsum((1.0 / primes).tolist())
-    table_sum = math.fsum(1.0 / m for m in _almost_primes_2(x, primes)[:, 0].tolist())
+    table_sum = math.fsum(1.0 / m for m in _almost_primes_2(0, x, primes)[:, 0].tolist())
     assert _prime_harmonic_sums(x) == pytest.approx((prime_sum, table_sum), rel=1e-12), x
 
 
@@ -221,8 +222,29 @@ def test_table_free_floor_peak_is_one_segment():
 def test_almost_primes_table_from_a_longer_prime_array():
     primes = base_primes(10**4)
     for limit in (1, 4, 30, 1000, 9973, 10**4):
-        own = _almost_primes_2(limit, base_primes(limit // 2))
-        assert _almost_primes_2(limit, primes).tolist() == own.tolist()
+        own = _almost_primes_2(0, limit, base_primes(limit // 2))
+        assert _almost_primes_2(0, limit, primes).tolist() == own.tolist()
+
+
+@pytest.mark.parametrize("limit", [30, 1000, 10**5, 2**20])
+def test_segmented_rows_join_to_the_whole_table(limit):
+    """Rows over (lo, hi] for random cuts, cuts at some m = p q and at
+    squares p * p, and empty segments, concatenate to the whole table."""
+    primes = base_primes(limit // 2)
+    whole = almost_primes_2_by_rows(limit, primes)
+    ms = whole[:, 0].tolist()
+    squares = [p * p for p in primes.tolist() if p * p <= limit]
+    rng = random.Random(limit)
+    cuts = rng.sample(range(1, limit), 20) + rng.sample(ms, 10) + squares[:5] + squares[-5:]
+    edges = [0, *sorted(cuts + cuts[:3]), limit]  # a repeated cut makes an empty segment
+    parts = [_almost_primes_2(lo, hi, primes) for lo, hi in zip(edges, edges[1:])]
+    for (lo, hi), part in zip(zip(edges, edges[1:]), parts):
+        assert part.shape[1] == 3 and part.dtype == np.int64
+        assert np.all((lo < part[:, 0]) & (part[:, 0] <= hi))
+    assert np.array_equal(np.concatenate(parts), whole)
+    longer = base_primes(2 * limit)  # a longer prime array gives the same rows
+    assert np.array_equal(_almost_primes_2(edges[5], edges[-5], longer),
+                          np.concatenate(parts[5:-4]))
 
 
 def _search(*args):
@@ -235,16 +257,45 @@ def _search(*args):
         return pair and pair.b1, pair and pair.b2, exc.couplings, str(exc)
 
 
-def _recording_table(monkeypatch):
-    """Record the limit of every _almost_primes_2 call made by construct_pair."""
-    limits = []
+def _recording_search(monkeypatch):
+    """Record construct_pair's (lo, hi) of every _almost_primes_2 call and
+    limit of every base_primes call."""
+    rows, tables = [], []
 
-    def table(limit, primes):
-        limits.append(limit)
-        return _almost_primes_2(limit, primes)
+    def almost(lo, hi, primes):
+        rows.append((lo, hi))
+        return _almost_primes_2(lo, hi, primes)
 
-    monkeypatch.setattr(twosets, "_almost_primes_2", table)
-    return limits
+    def primes(limit):
+        tables.append(limit)
+        return base_primes(limit)
+
+    monkeypatch.setattr(twosets, "_almost_primes_2", almost)
+    monkeypatch.setattr(twosets, "base_primes", primes)
+    return rows, tables
+
+
+def _scan_tables(search, tables, limit):
+    """The base_primes limits of the scan: all but the floor's, which an
+    exhausted search with elements asks for last."""
+    if search[0] and search[3]:
+        assert tables[-1] == math.isqrt(limit)
+        return tables[:-1]
+    return tables
+
+
+def assert_segment_policy(rows, tables, rho, limit, width):
+    """Each segment starts at the bound of the last interval scanned and
+    ends at the last interval end within its first interval's end or
+    lo + width, whichever is larger, and within the primes table built for
+    that first interval: the smallest table >= it."""
+    ends = sorted({min(math.floor(rho ** (j + 1)), limit) for j in range(rho_index(limit, rho) + 1)})
+    assert rows[0][0] == 0
+    assert all(b[0] == a[1] for a, b in zip(rows, rows[1:]))  # contiguous
+    for lo, hi in rows:
+        first = min(e for e in ends if e > lo)
+        table = min(t for t in tables if t >= first)
+        assert hi == max(e for e in ends if e <= min(max(lo + width, first), table))
 
 
 @pytest.mark.parametrize(
@@ -260,18 +311,30 @@ def _recording_table(monkeypatch):
     ],
 )
 def test_growing_table_gives_the_same_search(monkeypatch, epsilon, rho, limit, cap):
-    limits = _recording_table(monkeypatch)
+    rows, tables = _recording_search(monkeypatch)
     monkeypatch.setattr(twosets, "MAX_SET_SIZE", cap)
     monkeypatch.setattr(twosets, "_FIRST_TABLE_LIMIT", 2**62)
+    monkeypatch.setattr(twosets, "ROW_SEGMENT", 2**62)
     whole = _search(epsilon, rho, limit)
-    assert limits == [limit]
-    limits.clear()
-    monkeypatch.setattr(twosets, "_FIRST_TABLE_LIMIT", 64)
-    grown = _search(epsilon, rho, limit)
-    assert grown == whole  # the same lists, bit-identical couplings, the same message
-    assert limits[0] == min(64, limit) and limits[-1] <= limit
-    assert all(b == min(2 * a, limit) for a, b in zip(limits, limits[1:]))
-    assert limits[-1] >= max(whole[1] or [0])  # B2 past 64 forces doublings
+    assert rows == [(0, limit)]  # one unsegmented table
+    assert _scan_tables(whole, tables, limit) == [limit]
+    assert whole == two_sets_scan_oracle(epsilon, rho, limit, cap)
+    for width in (16, 1000):
+        rows.clear()
+        tables.clear()
+        monkeypatch.setattr(twosets, "_FIRST_TABLE_LIMIT", 64)
+        monkeypatch.setattr(twosets, "ROW_SEGMENT", width)
+        grown = _search(epsilon, rho, limit)
+        assert grown == whole  # the same lists, bit-identical couplings, the same message
+        limits = _scan_tables(grown, tables, limit)
+        assert limits[0] == min(64, limit) and limits[-1] <= limit
+        assert all(b == min(2 * a, limit) for a, b in zip(limits, limits[1:]))
+        assert limits[-1] >= max(whole[1] or [0])  # B2 past 64 forces doublings
+        assert_segment_policy(rows, limits, rho, limit, width)
+        if whole[3] is None or len(whole[1] or ()) == cap:  # stopped at epsilon or the cap
+            assert rows[-1][0] < max(whole[1]) <= rows[-1][1]  # in the last segment built
+        else:  # every interval up to the limit was scanned
+            assert rows[-1][1] == limit
 
 
 @pytest.mark.parametrize(
@@ -294,11 +357,46 @@ def test_batched_search_matches_the_element_scan(monkeypatch, epsilon, rho, limi
 
 
 def test_short_search_builds_only_the_first_table(monkeypatch):
-    limits = _recording_table(monkeypatch)
+    rows, tables = _recording_search(monkeypatch)
     monkeypatch.setattr(twosets, "MAX_SET_SIZE", 300)
-    with pytest.raises(SearchExhaustedError):
-        construct_pair(0.1, 1.05, 10**7)
-    assert limits == [2**20]
+    segmented = _search(0.1, 1.05, 10**7)
+    assert segmented[3] is not None  # exhausted
+    assert tables == [2**20, math.isqrt(10**7)]  # the first prime table, then the floor's
+    # one segment of 2-almost primes: up to the last interval end within ROW_SEGMENT
+    ends = [math.floor(1.05 ** (j + 1)) for j in range(rho_index(10**7, 1.05) + 1)]
+    assert rows == [(0, max(e for e in ends if e <= twosets.ROW_SEGMENT))]
+    assert max(segmented[1]) <= rows[0][1]
+    assert segmented == two_sets_scan_oracle(0.1, 1.05, 10**7, 300)
+    monkeypatch.setattr(twosets, "ROW_SEGMENT", 2**62)
+    assert _search(0.1, 1.05, 10**7) == segmented  # the unsegmented search
+
+
+def test_search_that_reaches_epsilon_returns_its_pair(monkeypatch):
+    """The searches a test can afford end exhausted (B2's couplings stay
+    above 1), so here a coupling reads 0.05 once its harmonic sum passes 0.8."""
+    monkeypatch.setattr(twosets._BatchCoupling, "value",
+                        lambda self: 0.05 if self.harmonic > 0.8 else 1.0)
+    found = []
+    for width in (2**62, 2**17, 16):
+        monkeypatch.setattr(twosets, "ROW_SEGMENT", width)
+        found.append(_search(0.1, 1.05, 10**6))
+    assert found[0] == found[1] == found[2]
+    b1, b2, couplings, message = found[0]
+    assert message is None and couplings == (0.05, 0.05)
+    assert len(b1) == len(b2) == 1448
+    assert min(math.fsum(1 / m for m in b) for b in (b1, b2)) > 0.8
+
+
+def test_search_peak_is_one_segment():
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchExhaustedError) as exc_info:
+            construct_pair(0.1, 1.05, 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(exc_info.value.best_pair.b2) == 50_000
+    assert peak < 12 * 10**6  # the table over 2**20 and its temporaries took 18.25 MB
 
 
 @pytest.mark.parametrize("limit", [10**7, 2**20, 50_000, 1000])
@@ -419,7 +517,7 @@ def test_exhaustion_reports_the_diagonal_floor():
     exc = exc_info.value
     own = [1 / (2 * math.fsum(1 / m for m in B)) for B in (exc.best_pair.b1, exc.best_pair.b2)]
     pools = [1 / (2 * math.fsum(1 / int(m) for m in B))
-             for B in (base_primes(1000), _almost_primes_2(1000, base_primes(500))[:, 0])]
+             for B in (base_primes(1000), _almost_primes_2(0, 1000, base_primes(500))[:, 0])]
     for value, floor, pool in zip(exc.couplings, own, pools):
         assert value >= floor >= pool
     assert str(exc) == (
