@@ -61,29 +61,6 @@ def _step(p: int) -> np.uint16:
     return WORD((round(LOG_SCALE * math.log2(p)) << COUNT_BITS) | 1)
 
 
-_STEPS: dict = {}  # id(primes) -> (primes, its primes as ints, their steps)
-_STEPS_KEPT = 8  # as many arrays as base_primes caches
-
-
-def _steps(primes: np.ndarray):
-    """(p, _step(p)) for the primes in order, p as a Python int.
-
-    Every segment of a pass gets one of a few cached base_primes arrays,
-    which are read-only, so each is converted once.  The entry keeps its
-    array alive, so no other array can take its id.  A writable array may
-    change, so its pairs are made again on each call, lazily.
-    """
-    if primes.flags.writeable:
-        return ((p, _step(p)) for p in map(int, primes))
-    entry = _STEPS.get(id(primes))
-    if entry is None:
-        if len(_STEPS) == _STEPS_KEPT:
-            del _STEPS[next(iter(_STEPS))]  # the oldest
-        plist = primes.tolist()
-        entry = _STEPS[id(primes)] = (primes, plist, [_step(p) for p in plist])
-    return zip(entry[1], entry[2])
-
-
 @lru_cache(maxsize=1)
 def _pattern() -> np.ndarray:
     """pattern[j]: the summed steps of the pattern powers dividing 2 j + 1 (read-only)."""
@@ -141,11 +118,13 @@ def _accumulate(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
         skip = {}
     j0 = lo // 2
     blocked = []
-    for p, step in _steps(primes):
+    for p in primes:
+        p = int(p)
         if p * p >= hi:
             break
         if p == 2:  # divides no odd n
             continue
+        step = _step(p)
         q = p
         while q <= skip.get(p, 0):
             q *= p

@@ -218,9 +218,10 @@ def _prime_harmonic_sums(limit: int) -> tuple[float, float]:
 
 
 def _scan(epsilon: float, rho: float, search_limit: int):
-    """construct_pair's scan: B1 and B2 as lists of int64 chunks, their
-    couplings (None if no element was taken) and their harmonic sums.  It
-    stops at the first take that brings both couplings to epsilon.
+    """construct_pair's scan: whether it reached epsilon, B1 and B2 as lists
+    of int64 chunks, their couplings (None if no element was taken) and their
+    harmonic sums.  It stops at the first take that brings both couplings to
+    epsilon.
 
     The intervals are scanned a segment of m at a time.  A segment starts
     at the bound of the last interval scanned and holds the intervals that
@@ -269,12 +270,12 @@ def _scan(epsilon: float, rho: float, search_limit: int):
             c1.add_primes(ones)
             c2.add_semiprimes(twos)
             if c1.value() <= epsilon and c2.value() <= epsilon:
-                return b1, b2, (c1.value(), c2.value()), (c1.harmonic, c2.harmonic)
+                return True, b1, b2, (c1.value(), c2.value()), (c1.harmonic, c2.harmonic)
         if capped < len(sizes):
             break
         j, i1, lo, size = stop, int(n1[-1]), int(ends[stop - 1]), int(sizes[-1])
     couplings = (c1.value(), c2.value()) if b1 else None
-    return b1, b2, couplings, (c1.harmonic, c2.harmonic)
+    return False, b1, b2, couplings, (c1.harmonic, c2.harmonic)
 
 
 def _joined(chunks: list[np.ndarray]) -> tuple:
@@ -309,8 +310,8 @@ def construct_pair(epsilon: float, rho: float, search_limit: int) -> PrimeSetPai
         raise RangeTooLargeError(
             f"search limit {search_limit} is over the cap of {MAX_SEARCH_LIMIT}"
         )
-    b1, b2, achieved, harmonics = _scan(epsilon, rho, search_limit)
-    if b1 and max(achieved) <= epsilon:
+    reached, b1, b2, achieved, harmonics = _scan(epsilon, rho, search_limit)
+    if reached:
         return PrimeSetPair(_joined(b1), _joined(b2), rho, epsilon, achieved)
     reason = f"best achieved {achieved}"
     if b1:  # the diagonal terms alone give coupling(B) >= 1/(2 sum_{m in B} 1/m)

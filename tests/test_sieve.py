@@ -207,23 +207,6 @@ def assert_words_match_plain_loop(lo, hi):
     assert np.array_equal(acc, plain_accumulate(lo, hi, primes, WORD)[(lo | 1) - lo :: 2])
 
 
-def test_kernel_steps_are_made_once_per_prime_array():
-    primes = base_primes(2**17)
-    assert primes[-1] ** 2 > HARD_LIMIT  # every sieving prime below HARD_LIMIT
-    steps = list(kernels._steps(primes))
-    entry = kernels._STEPS[id(primes)]
-    assert list(kernels._steps(primes)) == steps and kernels._STEPS[id(primes)] is entry
-    assert [p for p, _ in steps] == primes.tolist()
-    assert all(type(step) is WORD and step == kernels._step(p) for p, step in steps)
-    writable = primes.copy()  # may change after a call, so nothing is kept for it
-    assert list(kernels._steps(writable)) == steps
-    assert id(writable) not in kernels._STEPS
-    for lo, hi in ((1, 3000), (10**9, 10**9 + 2**12), (HARD_LIMIT - 2**12, HARD_LIMIT + 1)):
-        assert_words_match_plain_loop(lo, hi)
-        primes = base_primes(math.isqrt(hi - 1))
-        assert np.array_equal(_accumulate(lo, hi, primes), _accumulate(lo, hi, primes.copy()))
-
-
 @pytest.mark.parametrize(
     "lo, hi",
     [
