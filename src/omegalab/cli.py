@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
+import importlib
 import io
 import json
 import math
@@ -14,24 +16,41 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
+LIBRARY = ("averages", "counterexample", "dynamics", "sieve", "twosets", "weights")
+# The library modules each subcommand's code here reads.  Loading one loads
+# what it imports, so pik loads sieve, kernels and errors, and no averages.
+SUBCOMMAND_MODULES = {
+    "sieve": ("sieve",),
+    "pik": ("sieve",),
+    "pnt": ("sieve", "dynamics", "averages"),
+    "weyl": ("sieve", "dynamics", "averages"),
+    "erdos-kac": ("sieve", "averages"),
+    "correlate": ("sieve", "dynamics", "averages"),
+    "weights": ("sieve", "weights"),
+    "extrapolate": ("counterexample", "weights"),
+    "twosets": ("twosets",),
+    "counterexample": ("sieve", "counterexample"),
+}
 
-def _load_library() -> None:
-    """Bind the library's modules here.  main calls this only once argv has
-    parsed, so --help and usage errors never import numpy."""
-    global __version__, averages, counterexample, dynamics, sieve, twosets, weights
-    global AverageScheme, InvalidRangeError, OmegalabError, RangeTooLargeError
+
+def _load_library(modules=LIBRARY) -> None:
+    """Bind the given library modules here, and the error classes.  main calls
+    this only once argv has parsed, with its subcommand's modules, so --help
+    and usage errors never import numpy and a run loads only what it reads."""
+    global __version__, InvalidRangeError, OmegalabError, RangeTooLargeError
     global SearchExhaustedError
-    from . import __version__, averages, counterexample, dynamics, sieve, twosets, weights
-    from .averages import AverageScheme
+    from . import __version__
     from .errors import (
         InvalidRangeError, OmegalabError, RangeTooLargeError, SearchExhaustedError,
     )
+    for name in modules:
+        globals()[name] = importlib.import_module(f"{__package__}.{name}")
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    _load_library()
+    _load_library(SUBCOMMAND_MODULES[args.subcommand])
     try:
         _check_args(args)
         table = args.handler(args)
@@ -44,6 +63,19 @@ def main(argv=None) -> int:
         print(f"omegalab: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK
+
+
+def run() -> int:
+    """The process entry point: main, then an exit that skips the final
+    collection.  Once both streams are flushed, gc.freeze() moves every
+    tracked object out of the collector's reach, so the interpreter's last
+    collection does not walk numpy's and the library's objects only to free
+    them at exit; atexit handlers and stream flushes still run."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    gc.freeze()
+    return code
 
 
 def _check_args(args) -> None:
@@ -139,9 +171,14 @@ def _emit(args, header, rows, meta):
 
 
 def _write(args, text):
-    """Write text to --out, or to stdout without it."""
+    """Write text to --out, or to stdout without it.  stdout is flushed here,
+    so a failed write to either ends in one line, not in a traceback at exit."""
     if not args.out:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            raise OmegalabError(f"stdout: {exc.strerror}") from None
         return
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -192,8 +229,8 @@ def _cmd_pnt(args):
     rows = []
     orbit = dynamics.rotation_two_points_liouville()
     for n, prof in zip(checkpoints, _profiles(args, checkpoints)):
-        ces = averages.average_along_omega(orbit, prof, AverageScheme.CESARO)
-        log = averages.average_along_omega(orbit, prof, AverageScheme.LOGARITHMIC)
+        ces = averages.average_along_omega(orbit, prof, averages.AverageScheme.CESARO)
+        log = averages.average_along_omega(orbit, prof, averages.AverageScheme.LOGARITHMIC)
         rows.append((n, ces.real, log.real))
     return ("N", "cesaro_liouville", "log_liouville"), rows, {"limit": args.limit}
 
@@ -441,4 +478,4 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -428,6 +428,17 @@ def omega_profile(N: int, workers: int = 1) -> OmegaProfile:
 # ---------------------------------------------------------------------------
 
 TUPLE_CHUNK = 1 << 12  # prime tuples pi_k_profile expands in one step
+PAIR_CHUNK = 1 << 14  # (i, p) pairs prime_counts_at_quotients subtracts in one scatter
+
+
+def _icbrt(n: int) -> int:
+    """The largest c with c**3 <= n, for n >= 0."""
+    c = round(n ** (1 / 3))
+    while c**3 > n:
+        c -= 1
+    while (c + 1) ** 3 <= n:
+        c += 1
+    return c
 
 
 def prime_counts_at_quotients(N: int):
@@ -440,16 +451,33 @@ def prime_counts_at_quotients(N: int):
     2..v; for each prime p <= r in turn, the v >= p * p lose the numbers
     whose least prime factor is p: S(v) -= S(v // p) - S(p - 1).  Every
     v // p is again some N // i, read from large while i * p <= r and from
-    small after that.  Each right-hand side is read whole before its
-    table is updated, and large before small, so every update reads the
-    S of the previous prime.
+    small after that.
+
+    The primes p <= c = icbrt(N) go one at a time.  Each right-hand side
+    is read whole before its table is updated, and large before small, so
+    every update reads the S of the previous prime.
+
+    The primes above c go together, as integer scatters of the (i, p)
+    pairs, whole primes at a time, at most PAIR_CHUNK pairs per scatter
+    (one prime has at most c pairs).  That gives the same tables:
+    - small is final once p * p > r, and p > c gives p**3 > N, so
+      p * p > N / p >= N / r >= r.  S(p - 1) and every small[N // (i p)]
+      are read final.
+    - p changes large[i] only for i <= N // p**2, and reads large only at
+      i * p.  For p, p' > c, N // p'**2 <= N // (c + 1)**2 < c + 1 <= p
+      <= i * p: no prime of the batch writes a large[j] that another prime
+      of the batch reads, so every read finds the S that the primes <= c
+      left, which no later prime changed: the S of the previous prime.
+    - Integer subtraction commutes, so the order in which the pairs
+      subtract from one large[i] does not change it.
     """
     r = math.isqrt(N)
     primes = base_primes(r)
     small = np.arange(-1, r, dtype=np.int64)  # small[v] = v - 1
     large = np.zeros(r + 1, dtype=np.int64)
     large[1:] = N // np.arange(1, r + 1, dtype=np.int64) - 1
-    for p in primes.tolist():
+    split = int(np.searchsorted(primes, _icbrt(N), side="right"))
+    for p in primes[:split].tolist():
         below = int(small[p - 1])  # S(p - 1) = pi(p - 1)
         m = min(r, N // (p * p))  # large[i] with N // i >= p * p
         q = min(m, r // p)  # i <= q: S(N // (i p)) = large[i p]
@@ -457,6 +485,22 @@ def prime_counts_at_quotients(N: int):
         large[q + 1 : m + 1] -= small[N // (p * np.arange(q + 1, m + 1))] - below
         if p * p <= r:
             small[p * p :] -= np.repeat(small[p : r // p + 1], p)[: r + 1 - p * p] - below
+    big = primes[split:]
+    starts = np.zeros(len(big) + 1, dtype=np.int64)
+    np.cumsum(N // (big * big), out=starts[1:])  # p's pairs are i = 1 .. N // p**2
+    a = 0
+    while a < len(big):
+        b = max(a + 1, int(np.searchsorted(starts, starts[a] + PAIR_CHUNK, side="right")) - 1)
+        reps = starts[a + 1 : b + 1] - starts[a:b]
+        p = np.repeat(big[a:b], reps)
+        i = np.arange(starts[a], starts[b]) - np.repeat(starts[a:b] - 1, reps)
+        ip = i * p
+        value = small[np.minimum(N // ip, r)]  # S(N // (i p)), for i p > r
+        inner = ip <= r
+        value[inner] = large[ip[inner]]
+        value -= small[p - 1]
+        np.subtract.at(large, i, value)
+        a = b
     return small, large, primes
 
 

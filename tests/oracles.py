@@ -23,6 +23,24 @@ def eratosthenes(limit: int) -> np.ndarray:
     return np.flatnonzero(flags[: limit + 1]).astype(np.int64)
 
 
+def prime_counts_one_prime_at_a_time(N: int):
+    """(small, large) of sieve.prime_counts_at_quotients, from Lucy_Hedgehog's
+    sieve with every prime <= isqrt(N) applied alone, in order."""
+    r = math.isqrt(N)
+    small = np.arange(-1, r, dtype=np.int64)  # small[v] = v - 1
+    large = np.zeros(r + 1, dtype=np.int64)
+    large[1:] = N // np.arange(1, r + 1, dtype=np.int64) - 1
+    for p in base_primes(r).tolist():
+        below = int(small[p - 1])  # S(p - 1) = pi(p - 1)
+        m = min(r, N // (p * p))  # large[i] with N // i >= p * p
+        q = min(m, r // p)  # i <= q: S(N // (i p)) = large[i p]
+        large[1 : q + 1] -= large[p : q * p + 1 : p] - below
+        large[q + 1 : m + 1] -= small[N // (p * np.arange(q + 1, m + 1))] - below
+        if p * p <= r:
+            small[p * p :] -= np.repeat(small[p : r // p + 1], p)[: r + 1 - p * p] - below
+    return small, large
+
+
 def omega_oracle(n: int) -> int:
     """Omega(n) by naive trial division."""
     if n < 1:

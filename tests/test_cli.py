@@ -2,6 +2,7 @@ import argparse
 import ast
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
@@ -398,16 +399,33 @@ def test_twosets_search_to_1e8_peaks_under_64_mb():
     assert peak_kib < 64 * 1024
 
 
+def _cli_env():
+    src = os.path.dirname(os.path.dirname(omegalab.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def _lazy_imports(*args):
     """Exit code of `python -X importtime *args` in a fresh interpreter, and
     which of numpy, decimal and multiprocessing it imported."""
-    src = os.path.dirname(os.path.dirname(omegalab.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
+    result = subprocess.run([sys.executable, "-X", "importtime", *args], env=_cli_env(),
                             capture_output=True, text=True, timeout=60)
     imported = {line.rsplit("|", 1)[1].strip().split(".")[0]
                 for line in result.stderr.splitlines() if line.startswith("import time:")}
     return result.returncode, sorted(imported & {"numpy", "decimal", "multiprocessing"})
+
+
+def _loaded_modules(probe, *argv):
+    """Exit code of `python -c probe *argv` in a fresh interpreter, and the
+    omegalab modules, without the package, loaded when it exits.
+
+    An atexit handler reads sys.modules: -X importtime misses the modules
+    that importlib.import_module loads.
+    """
+    at_exit = ("import atexit, sys; atexit.register(lambda: print(*sorted(m[9:] for m in "
+               "sys.modules if m.startswith('omegalab.')), file=sys.stderr)); ")
+    result = subprocess.run([sys.executable, "-c", at_exit + probe, *argv], env=_cli_env(),
+                            capture_output=True, text=True, timeout=60)
+    return result.returncode, set(result.stderr.splitlines()[-1].split())
 
 
 def test_start_up_without_work_loads_no_numpy():
@@ -424,6 +442,103 @@ def test_start_up_without_work_loads_no_numpy():
                  for name in subparsers.choices})
     assert len(runs) == 14
     assert {args: _lazy_imports(*args) for args in runs} == runs
+
+
+def test_each_subcommand_loads_only_its_modules(tmp_path):
+    """A run loads the library modules its subcommand reads, with what they
+    import, and no other; in a fresh interpreter, so a handler that reads a
+    module its subcommand did not load fails here."""
+    blocks = tmp_path / "blocks.json"
+    blocks.write_text("[[1, 2]]")
+    counted = {"errors", "kernels", "sieve"}
+    averaged = counted | {"dynamics", "averages"}
+    library = averaged | {"weights", "counterexample", "twosets"}
+    runs = {
+        ("sieve", "--lo", "1", "--hi", "11"): counted,
+        ("pik", "--limit", "100"): counted,
+        ("pnt", "--limit", "100"): averaged,
+        ("weyl", "--limit", "100", "--beta", "0.5"): averaged,
+        ("erdos-kac", "--limit", "100"): averaged,
+        ("correlate", "--limit", "100"): averaged,
+        ("weights", "--limit", "100"): counted | {"weights"},
+        ("extrapolate", "--loglogn", "27", "--blocks", str(blocks)): library - {"twosets"},
+        ("twosets", "--limit", "1000", "--epsilon", "0.05", "--rho", "1.05",
+         "--allow-partial"): averaged | {"twosets"},
+        ("counterexample", "--kmax", "2"): library - {"twosets"},
+        ("counterexample", "--mode", "sieve", "--limit", "100"): library - {"twosets"},
+    }
+    parser = cli._build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {argv[0] for argv in runs} == set(subparsers.choices)
+    main_block = "import runpy; runpy.run_module('omegalab.cli', run_name='__main__')"
+    loaded = {argv: _loaded_modules(main_block, *argv) for argv in runs}
+    assert loaded == {argv: (EXIT_OK, modules) for argv, modules in runs.items()}
+    # the package's first `cli` request still loads the whole library
+    assert _loaded_modules("from omegalab import cli") == (EXIT_OK, library | {"cli"})
+
+
+def _fresh_cli(*argv, **kwargs):
+    """`python -m omegalab.cli *argv` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "omegalab.cli", *argv], env=_cli_env(),
+                          text=True, timeout=60, **kwargs)
+
+
+def test_module_entry_keeps_exit_codes_and_one_line_stderr(capsys):
+    """`python -m omegalab.cli` and the installed command run one entry
+    function, and it exits 0, 2 and 3 as main returns them."""
+    pyproject = Path(omegalab.__file__).parents[2] / "pyproject.toml"
+    assert 'omegalab = "omegalab.cli:run"' in pyproject.read_text(encoding="utf-8").splitlines()
+    ok = _fresh_cli("pik", "--limit", "1000", capture_output=True)
+    assert main(["pik", "--limit", "1000"]) == EXIT_OK
+    assert (ok.returncode, ok.stdout, ok.stderr) == (EXIT_OK, *capsys.readouterr())
+    assert len(ok.stderr.splitlines()) == 1  # the progress line
+    usage = _fresh_cli("pik", "--limit", "0", capture_output=True)
+    assert (usage.returncode, usage.stdout, usage.stderr) == (
+        EXIT_USAGE, "", "omegalab: --limit must be >= 1, got 0\n")
+    exhausted = _fresh_cli("twosets", "--limit", "1000", "--epsilon", "0.05", "--rho", "1.05",
+                           capture_output=True)
+    assert (exhausted.returncode, exhausted.stdout) == (EXIT_RESOURCE, "")
+    assert exhausted.stderr.startswith("omegalab: ") and exhausted.stderr.count("\n") == 1
+
+
+def test_run_freezes_the_collector_after_the_output_is_flushed(monkeypatch):
+    events = []
+
+    class Stream(io.StringIO):
+        def flush(self):
+            events.append("flush")
+
+    monkeypatch.setattr(sys, "argv", ["omegalab", "pik", "--limit", "100", "--quiet"])
+    monkeypatch.setattr(sys, "stdout", Stream())
+    monkeypatch.setattr(sys, "stderr", Stream())
+    monkeypatch.setattr(cli.gc, "freeze", lambda: events.append("freeze"))
+    assert cli.run() == EXIT_OK
+    assert sys.stdout.getvalue().startswith("k,pi_k,weight\n")
+    assert events[-3:] == ["flush", "flush", "freeze"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no full device")
+@pytest.mark.parametrize("argv", [
+    ["pik", "--limit", "1000", "--json", "--quiet"],
+    ["twosets", "--limit", "50000", "--epsilon", "0.1", "--rho", "1.05", "--allow-partial"],
+])
+def test_failed_write_to_stdout_is_one_line_usage_error(argv):
+    """A full device under stdout: the write fails in _write, not at exit."""
+    with open("/dev/full", "w") as full:
+        result = _fresh_cli(*argv, stdout=full, stderr=subprocess.PIPE)
+    assert (result.returncode, result.stderr) == (
+        EXIT_USAGE, "omegalab: stdout: No space left on device\n")
+
+
+def test_failed_flush_of_stdout_is_one_line_usage_error(capsys, monkeypatch):
+    """A write that stdout buffers and then fails to flush fails in _write too."""
+    class Full(io.StringIO):
+        def flush(self):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    assert main(["pik", "--limit", "100", "--quiet"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "omegalab: stdout: No space left on device\n"
 
 
 def test_progress_line_shows_the_processes_used(capsys, serial_pool, monkeypatch):

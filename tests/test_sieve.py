@@ -16,6 +16,7 @@ from oracles import (
     bulk_omega_oracle,
     eratosthenes,
     omega_oracle,
+    prime_counts_one_prime_at_a_time,
 )
 
 import omegalab
@@ -390,6 +391,60 @@ def test_counted_pi_k_do_not_depend_on_the_chunk(monkeypatch, chunk):
     reference = [pi_k_profile(n).pik.tolist() for n in checkpoints]
     monkeypatch.setattr(sieve, "TUPLE_CHUNK", chunk)
     assert [pi_k_profile(n).pik.tolist() for n in checkpoints] == reference
+
+
+def _prime_count_cases():
+    """N = 1..3000, c**3 - 1, c**3, c**3 + 1 and p**3 - 1, p**3 around the
+    batch's split at icbrt(N), and 10^k for k <= 10.  Every c <= 200 runs; of
+    c <= 1000 and of the primes p <= 2000, the largest and a seeded draw,
+    since the one-prime oracle takes up to 0.14 s per N."""
+    rng = np.random.default_rng(30)
+    cubes = [*range(1, 201), 999, 1000, *rng.integers(201, 999, 6).tolist()]
+    primes = base_primes(2000)
+    prime_cubes = [*primes[:46].tolist(), 1999, *rng.choice(primes[46:-1], 4).tolist()]
+    return sorted({
+        *range(1, 3001),
+        *(c**3 + d for c in cubes for d in (-1, 0, 1)),
+        *(p**3 + d for p in prime_cubes for d in (-1, 0)),
+        *(10**k for k in range(11)),
+    })
+
+
+def test_batched_prime_counts_match_one_prime_at_a_time():
+    for N in _prime_count_cases():
+        small, large, primes = sieve.prime_counts_at_quotients(N)
+        expected_small, expected_large = prime_counts_one_prime_at_a_time(N)
+        assert small.tolist() == expected_small.tolist(), N
+        assert large.tolist() == expected_large.tolist(), N
+        assert primes is base_primes(math.isqrt(N))
+
+
+def test_integer_cube_root():
+    assert [sieve._icbrt(n) for n in range(28)] == [0] * 1 + [1] * 7 + [2] * 19 + [3]
+    for c in (*range(2, 3000), 2154, 10**4, 2**21, 10**6):
+        assert [sieve._icbrt(c**3 + d) for d in (-1, 0, 1)] == [c - 1, c, c], c
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_prime_counts_do_not_depend_on_the_pair_chunk(monkeypatch, chunk):
+    checkpoints = [*range(1, 70), 1000, 1001, 10**4, 123_457, 10**7]
+    reference = [[a.tolist() for a in sieve.prime_counts_at_quotients(n)] for n in checkpoints]
+    monkeypatch.setattr(sieve, "PAIR_CHUNK", chunk)
+    assert [[a.tolist() for a in sieve.prime_counts_at_quotients(n)]
+            for n in checkpoints] == reference
+
+
+def test_prime_count_table_scatters_in_chunks():
+    """At 10^10 the batch covers 5.2e5 pairs; one scatter of them all held 27 MB."""
+    primes = base_primes(10**5)
+    tracemalloc.start()
+    try:
+        small, large, _ = sieve.prime_counts_at_quotients(10**10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert int(large[1]) == 455_052_511  # pi(10^10)
+    assert peak <= small.nbytes + large.nbytes + primes.nbytes + 2**21
 
 
 def test_counted_pi_k_against_trial_division(omega_to_1e6):
