@@ -20,8 +20,7 @@ _EXPORTS = {
     "dynamics": ("CircleRotation", "ExponentialOrbit", "ObservableOrbit", "exponential_orbit",
                  "parse_system", "residue_indicator_orbit", "rotation_two_points_liouville"),
     "kernels": ("active_backend",),
-    "sieve": ("OmegaProfile", "liouville", "omega_profile", "omega_profiles", "pi_k_profile",
-              "sieve_segment"),
+    "sieve": ("OmegaProfile", "liouville", "omega_profile", "pi_k_profile", "sieve_segment"),
     "twosets": ("PrimeSetPair", "construct_pair", "invariance_gap", "tk_discrepancy"),
     "weights": ("ApproximationReport", "GaussianWindowSpec", "WeightVector",
                 "approximation_report", "erdos_weights", "exact_weights",

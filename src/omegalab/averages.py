@@ -1,9 +1,9 @@
 """Cesaro/logarithmic averaging engines and the averages along Omega(n).
 
-Every average over [1, N] is a fold over sieve segments, reduced through the
-per-k totals of an OmegaProfile; the value of any bounded a(Omega(n)) over
-[N] is exactly sum_k pi_k(N) a(k) / N, so no pass ever materializes all
-Omega values at once.  That sum is one dot product, _dot, and every average
+Every average over [1, N] is reduced through the per-k totals of an
+OmegaProfile; the value of any bounded a(Omega(n)) over [N] is exactly
+sum_k pi_k(N) a(k) / N, so nothing ever materializes all Omega values at
+once.  That sum is one dot product, _dot, and every average
 along Omega in the package reduces through it.  The Erdos-Kac normalizer
 always uses log log N with the outer N (not log log n), and n in {1, 2} are
 skipped in every phi-normalized sum.

@@ -49,7 +49,16 @@ def _load_library(modules=LIBRARY) -> None:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        try:
+            args = parser.parse_args(argv)
+        finally:  # --help writes its text, and a usage error its message, then exits
+            _say()
+            sys.stdout.flush()
+    except OSError as exc:  # the help text is lost
+        _drop("stdout")
+        _say(f"omegalab: stdout: {exc.strerror}")
+        return EXIT_USAGE
     _load_library(SUBCOMMAND_MODULES[args.subcommand])
     try:
         _check_args(args)
@@ -57,10 +66,10 @@ def main(argv=None) -> int:
         if table is not None:  # None: the handler wrote its own document
             _emit(args, *table)
     except RangeTooLargeError as exc:  # SearchExhaustedError too
-        print(f"omegalab: {exc}", file=sys.stderr)
+        _say(f"omegalab: {exc}")
         return EXIT_RESOURCE
     except OmegalabError as exc:
-        print(f"omegalab: {exc}", file=sys.stderr)
+        _say(f"omegalab: {exc}")
         return EXIT_USAGE
     return EXIT_OK
 
@@ -104,7 +113,7 @@ def _output_args(sub, table=True, floats=True):
 
 
 def _sieve_args(sub):
-    """--workers for a sieve pass, and --quiet for the progress line of every profile."""
+    """--workers, which is only checked, and --quiet for the progress line of every profile."""
     sub.add_argument("--workers", type=int, default=1)
     sub.add_argument("--quiet", action="store_true", help="suppress progress output")
 
@@ -113,36 +122,46 @@ def _limit_arg(sub):
     sub.add_argument("--limit", type=int, required=True)
 
 
+def _drop(stream: str) -> None:
+    """Point sys.stdout or sys.stderr at os.devnull after a failed write, so that
+    what the broken stream still buffers is not flushed again and fails at exit."""
+    setattr(sys, stream, open(os.devnull, "w"))
+
+
+def _say(*lines: str) -> None:
+    """Write lines to stderr and flush it.  stderr holds no result: a failed
+    write drops the stream and the run goes on."""
+    try:
+        for line in lines:
+            print(line, file=sys.stderr)
+        sys.stderr.flush()
+    except OSError:
+        _drop("stderr")
+
+
+def _check_limit(n: int) -> None:
+    """--limit is >= 1 and within HARD_LIMIT, before the progress line and any table."""
+    if n < 1:
+        raise InvalidRangeError(f"--limit must be >= 1, got {n}")
+    sieve._check_limit(n + 1)
+
+
 def _progress(args, message: str) -> None:
     if not args.quiet:
-        print(message, file=sys.stderr)
+        _say(message)
 
 
-def _check_limits(checkpoints) -> None:
-    """Each --limit checkpoint is >= 1 and within HARD_LIMIT, before the
-    progress line and before any span list or table is built."""
-    if min(checkpoints) < 1:
-        raise InvalidRangeError(f"--limit must be >= 1, got {min(checkpoints)}")
-    sieve._check_limit(max(checkpoints) + 1)
-
-
-def _profiles(args, checkpoints):
-    """Sieved profiles, with harmonic masses, at each checkpoint, from one
-    pass over [1, max(checkpoints)]."""
-    _check_limits(checkpoints)
-    n = max(checkpoints)
-    spans = sieve.segment_spans(n)
-    _progress(args, f"sieving [1, {n}] in {len(spans)} segments "
-                    f"({sieve._pool_size(args.workers, len(spans))} workers)")
-    return sieve.omega_profiles(checkpoints, args.workers)
+def _counting(args, n, what=""):
+    """Check --limit n, then say what is counted at n: there is no sieve pass,
+    so --workers is only checked."""
+    _check_limit(n)
+    _progress(args, f"counting pi_k({n}){what} from prime counts: no sieve pass, "
+                    f"--workers {args.workers} not used")
 
 
 def _profile(args, n):
-    """The pi_k profile at n, counted from prime counts: no sieve pass and no
-    harmonic mass, so --workers is only checked."""
-    _check_limits([n])
-    _progress(args, f"counting pi_k({n}) from prime counts: no sieve pass, "
-                    f"--workers {args.workers} not used")
+    """The pi_k profile at n, with no harmonic mass."""
+    _counting(args, n)
     return sieve.pi_k_profile(n)
 
 
@@ -178,6 +197,7 @@ def _write(args, text):
             sys.stdout.write(text)
             sys.stdout.flush()
         except OSError as exc:
+            _drop("stdout")
             raise OmegalabError(f"stdout: {exc.strerror}") from None
         return
     try:
@@ -226,9 +246,12 @@ def _decades(limit):
 
 def _cmd_pnt(args):
     checkpoints = list(_decades(args.limit)) if args.stride == "decade" else [args.limit]
+    _check_limit(args.limit)  # the last and largest checkpoint, before the first count
     rows = []
     orbit = dynamics.rotation_two_points_liouville()
-    for n, prof in zip(checkpoints, _profiles(args, checkpoints)):
+    for n in checkpoints:
+        _counting(args, n, " and the harmonic mass")
+        prof = sieve.omega_profile(n, args.workers)
         ces = averages.average_along_omega(orbit, prof, averages.AverageScheme.CESARO)
         log = averages.average_along_omega(orbit, prof, averages.AverageScheme.LOGARITHMIC)
         rows.append((n, ces.real, log.real))
@@ -389,8 +412,14 @@ def _cmd_counterexample(args):
     return ("N", "omega_average", "genericity_defect"), rows, {"kmax": args.kmax}
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        """argparse's, except that a failed write raises, which argparse would not."""
+        (file or sys.stdout).write(self.format_help())
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="omegalab",
         description="Prime-factor statistics and ergodic averages along Omega(n)",
     )

@@ -1,7 +1,7 @@
 """The four exception classes; the class an error is raised with is its CLI exit code.
 
 - OmegalabError: the base class, exit 2.  Raised directly where the input
-  is fine but a file cannot be written: --out, or the profile cache.
+  is fine but a file cannot be written: --out.
 - InvalidRangeError: bad input of any kind (a range, spec, block, window,
   set or parameter), exit 2.
 - RangeTooLargeError: a resource limit (range, span count, window size,

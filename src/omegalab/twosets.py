@@ -19,15 +19,15 @@ from .errors import InvalidRangeError, RangeTooLargeError, SearchExhaustedError
 from .sieve import (
     OmegaProfile,
     _check_limit,
-    _prime_segments,
     base_primes,
+    omega_profile,
     segment_spans,
     sieve_segment,
 )
 
 MAX_SET_SIZE = 50_000  # caps |B1| = |B2|, and so the search's time and output
 MAX_RHO_INTERVALS = 10**5  # caps the rho-adic intervals of a search or a validation
-MAX_SEARCH_LIMIT = 10**9  # caps the time of the floor's pass over the primes <= the limit
+MAX_SEARCH_LIMIT = 10**9  # caps the search's prime table, which doubles up to the limit
 MAX_TK_N = 10**7  # tk_discrepancy peaks at 20 B (Cesaro), 28 B (log) per n: 280 MB (tracemalloc)
 _FIRST_TABLE_LIMIT = 2**20  # the search's prime table starts here and doubles
 ROW_SEGMENT = 2**17  # the m of the search's 2-almost primes built at once
@@ -184,39 +184,6 @@ def _almost_primes_2(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     return np.stack((ms[order], ps[order], qs[order]), axis=1)
 
 
-def _prime_harmonic_sums(limit: int) -> tuple[float, float]:
-    """(sum of 1/p over the primes p <= limit, sum of 1/m over the 2-almost primes m <= limit).
-
-    The second is sum_{p <= sqrt(limit)} (1/p) (S(limit // p) - S(p - 1)),
-    where S(x) sums 1/q over the primes q <= x.  Both are read off one pass
-    over _prime_segments: S at each cut is the running sum of the segments
-    before it plus a prefix of its own, so memory stays within one segment.
-    Each segment's running sums are written into one reused buffer, in the
-    order a new array would get them, so the bits do not change.
-    """
-    small = base_primes(math.isqrt(limit))
-    cuts = np.concatenate((small - 1, limit // small))
-    order = np.argsort(cuts)
-    ascending = cuts[order]
-    at = np.empty(len(cuts))  # S(cuts[i])
-    total = 0.0
-    done = 0  # the ascending cuts read so far
-    buffer = np.empty(0)
-    for chunk in _prime_segments(limit):
-        if len(buffer) <= len(chunk):
-            buffer = np.empty(len(chunk) + 1)
-        sums = buffer[: len(chunk) + 1]  # S before each prime, then after the last
-        sums[0] = total
-        np.divide(1.0, chunk, out=sums[1:])
-        np.add.accumulate(sums, out=sums)
-        stop = int(np.searchsorted(ascending, chunk[-1]))
-        at[order[done:stop]] = sums[np.searchsorted(chunk, ascending[done:stop], side="right")]
-        total, done = float(sums[-1]), stop
-    at[order[done:]] = total
-    below, quotient = at[: len(small)], at[len(small) :]
-    return total, math.fsum(((quotient - below) / small).tolist())
-
-
 def _scan(epsilon: float, rho: float, search_limit: int):
     """construct_pair's scan: whether it reached epsilon, B1 and B2 as lists
     of int64 chunks, their couplings (None if no element was taken) and their
@@ -296,9 +263,8 @@ def construct_pair(epsilon: float, rho: float, search_limit: int) -> PrimeSetPai
     The scan (_scan) holds a table of primes that doubles from 2**20 and
     the 2-almost primes of one segment of m.  Each holds every element of
     the intervals it serves, so the result is the one a scan element by
-    element over whole tables would give.  The scan's arrays and couplings
-    are released before the floor's pass, the only part that sieves to
-    search_limit.
+    element over whole tables would give.  The floor's harmonic sums are
+    omega_profile's inv_1 and inv_2 at search_limit, counted with no sieve.
     """
     if not 0 < epsilon < 1:
         raise InvalidRangeError("epsilon must lie in (0, 1)")
@@ -306,7 +272,7 @@ def construct_pair(epsilon: float, rho: float, search_limit: int) -> PrimeSetPai
         raise InvalidRangeError("rho must lie in (1, 1 + epsilon]")
     if search_limit < 1:
         raise InvalidRangeError(f"search limit must be >= 1, got {search_limit}")
-    if search_limit > MAX_SEARCH_LIMIT:  # before the floor's pass sieves to the limit
+    if search_limit > MAX_SEARCH_LIMIT:  # before the scan's prime table
         raise RangeTooLargeError(
             f"search limit {search_limit} is over the cap of {MAX_SEARCH_LIMIT}"
         )
@@ -316,7 +282,8 @@ def construct_pair(epsilon: float, rho: float, search_limit: int) -> PrimeSetPai
     reason = f"best achieved {achieved}"
     if b1:  # the diagonal terms alone give coupling(B) >= 1/(2 sum_{m in B} 1/m)
         own = tuple(0.5 / h for h in harmonics)
-        pool = tuple(0.5 / h for h in _prime_harmonic_sums(search_limit))
+        # the sums of 1/m over every prime and every 2-almost prime <= search_limit
+        pool = tuple(0.5 / h for h in omega_profile(search_limit).inv_weights[1:3].tolist())
         reason += (f"; proven floor 1/(2 sum 1/m): ({own[0]:.3g}, {own[1]:.3g}) for these "
                    f"sets, ({pool[0]:.3g}, {pool[1]:.3g}) for any sets <= {search_limit}")
     raise SearchExhaustedError(

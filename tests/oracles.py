@@ -3,13 +3,14 @@
 import heapq
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
 from omegalab.averages import RealTestFunction
 from omegalab.errors import InvalidRangeError
-from omegalab.sieve import base_primes
-from omegalab.twosets import _prime_harmonic_sums, rho_index
+from omegalab.sieve import TUPLE_CHUNK, _harmonic_minus_one, base_primes
+from omegalab.twosets import rho_index
 from omegalab.weights import GaussianWindowSpec, gaussian_weights
 
 
@@ -23,22 +24,57 @@ def eratosthenes(limit: int) -> np.ndarray:
     return np.flatnonzero(flags[: limit + 1]).astype(np.int64)
 
 
-def prime_counts_one_prime_at_a_time(N: int):
-    """(small, large) of sieve.prime_counts_at_quotients, from Lucy_Hedgehog's
-    sieve with every prime <= isqrt(N) applied alone, in order."""
+def prime_counts_one_prime_at_a_time(N: int, reciprocal: bool = False):
+    """(small, large) of sieve.prime_counts_at_quotients, or with reciprocal
+    those of the prime reciprocal sums omega_profile reads, from
+    Lucy_Hedgehog's sieve with every prime <= isqrt(N) applied alone, in
+    order.  The reciprocal tables start from the library's H(v) - 1."""
     r = math.isqrt(N)
     small = np.arange(-1, r, dtype=np.int64)  # small[v] = v - 1
     large = np.zeros(r + 1, dtype=np.int64)
     large[1:] = N // np.arange(1, r + 1, dtype=np.int64) - 1
+    if reciprocal:
+        small = _harmonic_minus_one(np.arange(r + 1))
+        large = np.concatenate(([0.0], _harmonic_minus_one(large[1:] + 1)))
     for p in base_primes(r).tolist():
-        below = int(small[p - 1])  # S(p - 1) = pi(p - 1)
+        weight = (lambda d: d / p) if reciprocal else (lambda d: d)  # f(p) = 1/p or 1
+        below = small[p - 1]  # S(p - 1)
         m = min(r, N // (p * p))  # large[i] with N // i >= p * p
         q = min(m, r // p)  # i <= q: S(N // (i p)) = large[i p]
-        large[1 : q + 1] -= large[p : q * p + 1 : p] - below
-        large[q + 1 : m + 1] -= small[N // (p * np.arange(q + 1, m + 1))] - below
+        large[1 : q + 1] -= weight(large[p : q * p + 1 : p] - below)
+        large[q + 1 : m + 1] -= weight(small[N // (p * np.arange(q + 1, m + 1))] - below)
         if p * p <= r:
-            small[p * p :] -= np.repeat(small[p : r // p + 1], p)[: r + 1 - p * p] - below
+            small[p * p :] -= weight(np.repeat(small[p : r // p + 1], p)[: r + 1 - p * p] - below)
     return small, large
+
+
+def harmonic_masses_by_fractions(checkpoints, omega) -> dict:
+    """{N: [the exact sum of 1/n over n <= N with Omega(n) = k, for k <= log2 N]}
+    for each N in checkpoints, with omega[n - 1] = Omega(n) for n <= max N.
+
+    Each 1/n is (L // n) / L over L = lcm(1..max N), so the sums are integer
+    sums; only the values at the checkpoints become fractions.
+    """
+    n_max = max(checkpoints)
+    L = math.lcm(*range(1, n_max + 1))
+    numerators = [0] * (n_max.bit_length() + 1)
+    wanted, masses = set(checkpoints), {}
+    for n, k in enumerate(omega[:n_max].tolist(), start=1):
+        numerators[k] += L // n
+        if n in wanted:
+            masses[n] = [Fraction(a, L) for a in numerators[: n.bit_length()]]
+    return masses
+
+
+def harmonic_mass_bound(N: int, inv: np.ndarray) -> np.ndarray:
+    """omega_profile's bound on |inv_k - the sum of 1/n over Omega(n) = k|,
+    for each k, as its docstring states it."""
+    u, lam = 2.0**-53, math.log(N)
+    primes = eratosthenes(math.isqrt(N)).tolist()
+    M = math.prod(p / (p - 1) for p in primes)
+    G = math.prod(1 + 2 / p for p in primes)
+    E = 2 * u * lam * (len(primes) + 4) * G
+    return 2 * M * (E + u * lam) + TUPLE_CHUNK * u * inv
 
 
 def omega_oracle(n: int) -> int:
@@ -384,7 +420,7 @@ def two_sets_scan_oracle(epsilon: float, rho: float, search_limit: int, max_set_
     factors, from a heap merge of the ascending rows p * q (q >= p prime), so
     no table is built.  Each kept element goes to an IncrementalCoupling on
     its own.  The floor over all sets <= search_limit in the message is
-    computed as construct_pair computes it; its tests are separate.
+    math.fsum of 1/m over every prime and every 2-almost prime.
     """
     primes = eratosthenes(search_limit)
     plist = primes.tolist()
@@ -419,7 +455,9 @@ def two_sets_scan_oracle(epsilon: float, rho: float, search_limit: int, max_set_
     reason = f"best achieved {achieved}"
     if b1:
         own = (0.5 / c1.harmonic, 0.5 / c2.harmonic)
-        pool = tuple(0.5 / h for h in _prime_harmonic_sums(search_limit))
+        semiprimes = almost_primes_2_by_rows(search_limit, primes)[:, 0]
+        pool = (0.5 / math.fsum((1.0 / primes).tolist()),
+                0.5 / math.fsum((1.0 / semiprimes).tolist()))
         reason += (f"; proven floor 1/(2 sum 1/m): ({own[0]:.3g}, {own[1]:.3g}) for these "
                    f"sets, ({pool[0]:.3g}, {pool[1]:.3g}) for any sets <= {search_limit}")
     message = f"coupling target {epsilon} not reached by limit {search_limit}: {reason}"

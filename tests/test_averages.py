@@ -352,9 +352,10 @@ def test_every_average_along_omega_reduces_through_dot():
     outside = {"sieve", "averages"}
     assert {o for o in owners(".pik") if o.split(".")[0] not in outside} == {
         "cli._cmd_pik", "weights.exact_weights"}
-    # OmegaProfile.harmonic_sum is the profile's own method
+    # OmegaProfile.harmonic_sum is the profile's own method; the two-sets floor
+    # reads the sums of 1/p and of 1/m over the 2-almost primes, inv_1 and inv_2
     assert {o for o in owners(".inv_weights") if not o.startswith("averages.")} == {
-        "sieve.OmegaProfile"}
+        "sieve.OmegaProfile", "twosets.construct_pair"}
 
 
 def test_erfc_and_harmonic_sum_are_defined_once():

@@ -530,6 +530,35 @@ def test_failed_write_to_stdout_is_one_line_usage_error(argv):
         EXIT_USAGE, "omegalab: stdout: No space left on device\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no full device")
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("argv, full, code, err", [
+    # a result lost to the device, and a help text: one line, exit 2
+    (["pik", "--limit", "1000", "--quiet"], "stdout", EXIT_USAGE,
+     "omegalab: stdout: No space left on device\n"),
+    (["pik", "--help"], "stdout", EXIT_USAGE, "omegalab: stdout: No space left on device\n"),
+    # a progress line or an error line lost: the run exits as it would have
+    (["pik", "--limit", "1000"], "stderr", EXIT_OK, None),
+    (["pik", "--limit", "0"], "stderr", EXIT_USAGE, None),
+    (["pik", "--limit", "x"], "stderr", EXIT_USAGE, None),
+    (["twosets", "--limit", "1000", "--epsilon", "0.05", "--rho", "1.05"], "stderr",
+     EXIT_RESOURCE, None),
+])
+def test_a_full_device_ends_the_run_in_its_exit_code(unbuffered, argv, full, code, err):
+    """A stream on a full device, with Python's streams buffered ("") or not:
+    no traceback, and the exit code of the run, never 1 or 120."""
+    env = {**_cli_env(), "PYTHONUNBUFFERED": unbuffered}
+    with open("/dev/full", "w") as device:
+        streams = {full: device, ({"stdout", "stderr"} - {full}).pop(): subprocess.PIPE}
+        result = subprocess.run([sys.executable, "-m", "omegalab.cli", *argv], env=env,
+                                text=True, timeout=60, **streams)
+    assert result.returncode == code
+    if full == "stdout":
+        assert result.stderr == err
+    elif code == EXIT_OK:
+        assert result.stdout.startswith("k,pi_k,weight\n")
+
+
 def test_failed_flush_of_stdout_is_one_line_usage_error(capsys, monkeypatch):
     """A write that stdout buffers and then fails to flush fails in _write too."""
     class Full(io.StringIO):
@@ -541,13 +570,26 @@ def test_failed_flush_of_stdout_is_one_line_usage_error(capsys, monkeypatch):
     assert capsys.readouterr().err == "omegalab: stdout: No space left on device\n"
 
 
-def test_progress_line_shows_the_processes_used(capsys, serial_pool, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LENGTH", 1000)
-    code = main(["pnt", "--limit", "10000", "--workers", "100000"])
+def test_pnt_progress_lines_name_each_count(capsys):
+    code = main(["pnt", "--limit", "1000", "--stride", "decade", "--workers", "3"])
     assert code == EXIT_OK
-    assert serial_pool == [4]
-    assert capsys.readouterr().err == "sieving [1, 10000] in 10 segments (4 workers)\n"
+    assert capsys.readouterr().err == "".join(
+        f"counting pi_k({n}) and the harmonic mass from prime counts: no sieve pass, "
+        "--workers 3 not used\n" for n in (10, 100, 1000))
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_omegalab_cache_is_ignored(capsys, tmp_path, monkeypatch, workers):
+    """The variable named the profile store, which is gone: a file there once
+    failed pnt, and now nothing reads or writes it."""
+    _, fresh = run(capsys, "pnt", "--limit", "5000", "--stride", "decade", "--quiet")
+    blocker = tmp_path / "cache"
+    blocker.write_bytes(b"")
+    monkeypatch.setenv("OMEGALAB_CACHE", str(blocker))
+    code, out = run(capsys, "pnt", "--limit", "5000", "--stride", "decade",
+                    "--workers", workers, "--quiet")
+    assert (code, out) == (EXIT_OK, fresh)
+    assert [p.name for p in tmp_path.iterdir()] == ["cache"] and blocker.read_bytes() == b""
 
 
 # The subcommands that read only pi_k, with options that make each one run.
@@ -556,10 +598,9 @@ PI_K_ARGVS = [["pik"], ["weyl", "--beta", "0.5"], ["erdos-kac"], ["correlate"], 
 
 
 @pytest.mark.parametrize("argv", PI_K_ARGVS)
-def test_pi_k_subcommands_say_that_nothing_is_sieved(capsys, serial_pool, argv):
+def test_pi_k_subcommands_say_that_nothing_is_sieved(capsys, argv):
     code = main([*argv, "--limit", "10000", "--workers", "2"])
     assert code == EXIT_OK
-    assert serial_pool == []
     assert capsys.readouterr().err == (
         "counting pi_k(10000) from prime counts: no sieve pass, --workers 2 not used\n")
 
@@ -705,7 +746,7 @@ def test_bad_workers_or_precision_fail_before_the_handler(capsys, monkeypatch, a
      ["correlate", "--system", "rot:m=3,r=1,m=5"]],
 )
 def test_bad_options_fail_before_sieving(capsys, monkeypatch, argv):
-    monkeypatch.setattr(sieve, "omega_profiles", lambda *a, **k: pytest.fail("sieved"))
+    monkeypatch.setattr(sieve, "omega_profile", lambda *a, **k: pytest.fail("counted"))
     monkeypatch.setattr(sieve, "pi_k_profile", lambda *a, **k: pytest.fail("counted"))
     code = main([*argv, "--limit", str(10**10), "--workers", "2"])  # no --quiet
     captured = capsys.readouterr()
@@ -741,16 +782,12 @@ def test_bad_range_or_empty_window_fails_before_sieving(capsys, monkeypatch, arg
     (["weights", "--limit", "1000", "--C", "0.01"],
      "the window of C = 0.01 at log log N = 1.9326447339160655 holds no integer k"),
     (["pik", "--limit", "100", "--out", "{tmp}"], "--out {tmp}: is a directory"),
-    (["pnt", "--limit", "100", "--quiet", "--workers", "2"],  # OMEGALAB_CACHE is a file
-     "cannot write the profile cache {cache}: [Errno 17] File exists: '{cache}'"),
 ])
 def test_usage_errors_keep_their_exact_message(capsys, tmp_path, monkeypatch, argv, message):
     paths = {"tmp": tmp_path, "blocks": tmp_path / "blocks.json",
-             "inverted": tmp_path / "inverted.json", "cache": tmp_path / "cache"}
+             "inverted": tmp_path / "inverted.json"}
     paths["blocks"].write_text("[[1, 13], [19, 35]]")
     paths["inverted"].write_text("[[5,3]]")
-    paths["cache"].write_bytes(b"")
-    monkeypatch.setenv("OMEGALAB_CACHE", str(paths["cache"]))  # only pnt reaches the store
     code = main([arg.format(**paths) for arg in argv])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
@@ -762,7 +799,7 @@ def test_usage_errors_keep_their_exact_message(capsys, tmp_path, monkeypatch, ar
 @pytest.mark.parametrize("cmd", ["erdos-kac", "correlate"])
 def test_ek_limit_below_three_fails_before_sieving(capsys, monkeypatch, cmd, limit):
     monkeypatch.setattr(kernels, "omega_segment", lambda *a, **k: pytest.fail("sieved"))
-    monkeypatch.setattr(sieve, "omega_profiles", lambda *a, **k: pytest.fail("sieved"))
+    monkeypatch.setattr(sieve, "omega_profile", lambda *a, **k: pytest.fail("counted"))
     monkeypatch.setattr(sieve, "pi_k_profile", lambda *a, **k: pytest.fail("counted"))
     code = main([cmd, "--limit", limit])  # no --quiet
     captured = capsys.readouterr()
@@ -778,7 +815,7 @@ def test_ek_limit_below_three_fails_before_sieving(capsys, monkeypatch, cmd, lim
 ])
 def test_limit_below_one_fails_before_the_progress_line(capsys, monkeypatch, argv, limit):
     monkeypatch.setattr(kernels, "omega_segment", lambda *a, **k: pytest.fail("sieved"))
-    monkeypatch.setattr(sieve, "omega_profiles", lambda *a, **k: pytest.fail("sieved"))
+    monkeypatch.setattr(sieve, "omega_profile", lambda *a, **k: pytest.fail("counted"))
     monkeypatch.setattr(sieve, "pi_k_profile", lambda *a, **k: pytest.fail("counted"))
     code = main([*argv, "--limit", limit])  # no --quiet
     captured = capsys.readouterr()
@@ -830,32 +867,6 @@ def test_grid_where_stepping_stalls_ends_cleanly(grid):
                             capture_output=True, text=True, timeout=30)
     assert result.returncode in (EXIT_OK, EXIT_USAGE)
     assert len(result.stderr.splitlines()) <= 1
-
-
-def test_truncated_cache_file_is_resieved(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LENGTH", 2048)
-    _, fresh = run(capsys, "pnt", "--limit", "5000", "--quiet")
-    monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
-    run(capsys, "pnt", "--limit", "5000", "--quiet")
-    victim = sorted(tmp_path.iterdir())[0]
-    victim.write_bytes(victim.read_bytes()[:-100])
-    code, out = run(capsys, "pnt", "--limit", "5000", "--quiet")
-    assert code == EXIT_OK
-    assert out == fresh
-    code, out = run(capsys, "pnt", "--limit", "5000", "--quiet")
-    assert code == EXIT_OK
-    assert out == fresh
-
-
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_unwritable_cache_is_usage_error(capsys, tmp_path, monkeypatch, workers):
-    blocker = tmp_path / "cache"
-    blocker.write_bytes(b"")
-    monkeypatch.setenv("OMEGALAB_CACHE", str(blocker))
-    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LENGTH", 50)
-    code, out = run(capsys, "pnt", "--limit", "100", "--workers", workers, "--quiet")
-    assert code == EXIT_USAGE
-    assert out == ""
 
 
 @pytest.mark.parametrize(

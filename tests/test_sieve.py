@@ -1,11 +1,8 @@
 import ast
 import math
-import multiprocessing
-import os
-import struct
-import tempfile
 import tracemalloc
-import zlib
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,17 +12,21 @@ from hypothesis import strategies as st
 from oracles import (
     bulk_omega_oracle,
     eratosthenes,
+    harmonic_mass_bound,
+    harmonic_masses_by_fractions,
     omega_oracle,
     prime_counts_one_prime_at_a_time,
 )
 
 import omegalab
 from omegalab import (
+    AverageScheme,
+    average_along_omega,
     kernels,
     liouville,
     omega_profile,
-    omega_profiles,
     pi_k_profile,
+    rotation_two_points_liouville,
     sieve,
     sieve_segment,
 )
@@ -41,21 +42,14 @@ from omegalab.kernels import (
     omega_segment,
 )
 from omegalab.sieve import (
-    CACHE_MAGIC,
+    _HARMONIC_CUT,
     DEFAULT_SEGMENT_LENGTH,
     HARD_LIMIT,
     MAX_OMEGA,
     MAX_SEGMENT_LENGTH,
     MAX_SEGMENTS,
-    PROFILE_FILE_SIZE,
-    RECORD_DTYPE,
-    REDUCE_BLOCK,
-    _cache_read,
-    _cache_write,
-    _profile_chunk,
-    _reduce,
+    _harmonic_minus_one,
     base_primes,
-    map_segments,
     segment_spans,
 )
 
@@ -134,8 +128,8 @@ def test_sieve_matches_trial_division_to_one_million(omega_to_1e6):
 def test_a_pass_sieves_its_base_primes_once_per_power_of_two(profile_1e8):
     base_primes.cache_clear()
     profile = omega_profile(10**8)
-    # the 24 spans ask for the primes up to 2**11, 2**12, 2**13 or 2**14
-    assert base_primes.cache_info().misses <= 4
+    # both tables of the count ask for the primes up to 10**4: one sieve
+    assert base_primes.cache_info().misses == 1
     assert profile.pik[1:3].tolist() == [5_761_455, 17_427_258]  # published
     assert profile.pik.tobytes() == profile_1e8.pik.tobytes()
     assert profile.inv_weights.tobytes() == profile_1e8.inv_weights.tobytes()
@@ -314,57 +308,6 @@ def per_k_fsum(counts, recips, bins):
     return [math.fsum(recips[order[edges[k] : edges[k + 1]]]) for k in range(bins)]
 
 
-# A block sums at most REDUCE_BLOCK positive 1/n in order, within
-# (REDUCE_BLOCK - 1) * 2**-53 relative of its exact sum, and a record adds
-# at most MAX_SEGMENT_LENGTH / (2 * REDUCE_BLOCK) = 128 positive block sums
-# in order.  2 * REDUCE_BLOCK * 2**-53 bounds both together.
-RECORD_INV_BOUND = 2 * REDUCE_BLOCK * 2.0**-53
-
-
-def assert_chunk_matches_bincount(lo, hi, cuts):
-    """_profile_chunk at every cut and then the span end, over the odd n from
-    lo: the ends ascend with hi last; pik equals one bincount; inv equals the
-    reduction of a span that ends there, bit for bit, and at hi the per-k
-    fsum of 1/n within RECORD_INV_BOUND."""
-    counts = omega_segment(lo, hi, base_primes(math.isqrt(hi - 1)))
-    parts = _profile_chunk((lo, hi), tuple(cuts))
-    assert [end for end, _, _ in parts] == [n + 1 for n in sorted(cuts)] + [hi]
-    for end, got_pik, got_inv in parts:
-        odd = end // 2 - lo // 2  # the odd n in [lo, end)
-        assert np.array_equal(got_pik, np.bincount(counts[:odd], minlength=MAX_OMEGA + 1))
-        ((_, alone_inv),) = _reduce(counts[:odd], lo, [end])
-        assert got_inv.tobytes() == alone_inv.tobytes()
-    recips = 1.0 / np.arange(lo | 1, hi, 2, dtype=np.float64)
-    for got, ref in zip(parts[-1][2], per_k_fsum(counts, recips, MAX_OMEGA + 1)):
-        assert abs(got - ref) <= RECORD_INV_BOUND * ref
-
-
-@pytest.mark.parametrize(
-    "lo, hi",
-    [
-        (1, 3 * REDUCE_BLOCK // 2),
-        (1, 3 * REDUCE_BLOCK),
-        (10**7 + 3, 10**7 + 3 + 2 * REDUCE_BLOCK + 777),
-        (10**7 + 4, 10**7 + 4 + 2 * REDUCE_BLOCK + 777),
-    ],
-)
-def test_profile_chunk_matches_whole_segment_bincount(lo, hi):
-    assert_chunk_matches_bincount(lo, hi, ())
-    # Cuts on both sides of a block edge, whose first odd n is edge, and at
-    # the last cut a span allows.
-    edge = (lo | 1) + 2 * REDUCE_BLOCK
-    cuts = [n for n in (hi - 2, edge - 1, lo, edge, edge - 2) if n < hi - 1]
-    assert_chunk_matches_bincount(lo, hi, cuts)
-
-
-@settings(deadline=None)
-@given(st.integers(1, HARD_LIMIT), st.integers(1, 5 * REDUCE_BLOCK + 777), st.data())
-def test_profile_chunk_matches_bincount_on_random_spans(lo, length, data):
-    hi = min(lo + length, HARD_LIMIT + 1)
-    cuts = data.draw(st.sets(st.integers(lo, hi - 2), max_size=6)) if hi - 2 >= lo else set()
-    assert_chunk_matches_bincount(lo, hi, cuts)
-
-
 # N = 1 .. 300, 2**j - 1, 2**j and 2**j + 1, the ends of the first default
 # spans and one past them, and for a >= 1, (3 * 2**22) >> a inside a span.
 COUNTED_CHECKPOINTS = sorted({
@@ -376,13 +319,22 @@ COUNTED_CHECKPOINTS = sorted({
 })
 
 
-def test_counted_pi_k_match_the_sieve_pass(profile_1e6, profile_1e8):
-    """Every pi_k of pi_k_profile against the sieve pass, which shares no step with it."""
-    for prof in [*omega_profiles(COUNTED_CHECKPOINTS), profile_1e6, profile_1e8]:
-        counted = pi_k_profile(prof.N)
-        assert counted.pik.dtype == prof.pik.dtype
-        assert counted.pik.tolist() == prof.pik.tolist(), prof.N
-        assert counted.inv_weights is None
+def test_counted_pi_k_match_the_sieve_pass():
+    """Every pi_k of pi_k_profile and omega_profile against bincounts of
+    sieve_segment over the spans of [1, max N], which share no step with them."""
+    hist = np.zeros(MAX_OMEGA + 1, dtype=np.int64)
+    done = 0  # the n <= done are in hist
+    for lo, hi in segment_spans(max(COUNTED_CHECKPOINTS)):
+        counts = sieve_segment(lo, hi)
+        for N in [*(n for n in COUNTED_CHECKPOINTS if lo <= n < hi), hi - 1]:
+            hist += np.bincount(counts[done + 1 - lo : N + 1 - lo], minlength=MAX_OMEGA + 1)
+            done = N
+            if N in COUNTED_CHECKPOINTS:
+                counted, harmonic = pi_k_profile(N), omega_profile(N)
+                assert counted.pik.dtype == harmonic.pik.dtype == np.int64
+                assert counted.pik.tolist() == hist[: counted.k_max + 1].tolist(), N
+                assert harmonic.pik.tobytes() == counted.pik.tobytes(), N
+                assert counted.inv_weights is None
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
@@ -480,11 +432,12 @@ def test_counted_profile_checks_the_partition_identity(monkeypatch):
 
 
 def test_counted_profile_checks_its_limit():
-    for bad in (0, -7):
-        with pytest.raises(InvalidRangeError):
-            pi_k_profile(bad)
-    with pytest.raises(RangeTooLargeError, match="exceeds the configured limit"):
-        pi_k_profile(HARD_LIMIT + 1)
+    for count in (pi_k_profile, omega_profile):
+        for bad in (0, -7):
+            with pytest.raises(InvalidRangeError):
+                count(bad)
+        with pytest.raises(RangeTooLargeError, match="exceeds the configured limit"):
+            count(HARD_LIMIT + 1)
 
 
 def test_a_counted_profile_has_no_harmonic_mass():
@@ -492,14 +445,34 @@ def test_a_counted_profile_has_no_harmonic_mass():
         pi_k_profile(1000).harmonic_sum()
 
 
+def test_harmonic_table_against_exact_sums():
+    """H(v) - 1 within 2 u ln v of the exact sum at every v <= _HARMONIC_CUT
+    (fixed point with 2**-200 units), and Euler-Maclaurin's within 6 u ln v
+    of a 40-digit evaluation of the same series, taken to 1/(120 v**4), above
+    the cut: omega_profile's bound starts from these."""
+    u, scale = 2.0**-53, 2**200
+    table = _harmonic_minus_one(np.arange(_HARMONIC_CUT + 1)).tolist()
+    exact = 0
+    for v in range(2, _HARMONIC_CUT + 1):
+        exact += scale // v  # short of scale * (H(v) - 1) by less than v
+        assert abs(int(table[v] * scale) - exact) * 2.0**-200 <= 2 * u * math.log(v), v
+    rng = np.random.default_rng(36)
+    above = [_HARMONIC_CUT + d for d in range(1, 200)] + rng.integers(2**16, HARD_LIMIT, 200).tolist()
+    gamma = Decimal("0.5772156649015328606065120900824024310422")
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for v, got in zip(above, _harmonic_minus_one(np.array(above)).tolist()):
+            x = Decimal(v)
+            want = x.ln() + gamma - 1 + 1 / (2 * x) - 1 / (12 * x**2) + 1 / (120 * x**4)
+            assert abs(Decimal(got) - want) <= Decimal(6 * u * math.log(v)), v
+
+
 @pytest.mark.parametrize("N", [10**6, 10**7])
 def test_inv_within_a_measured_bound_of_per_k_fsum(N):
     """Each inv_k against math.fsum of its 1/n, which is correctly rounded.
 
-    The fold adds 2**-a inv_{k-a}^odd(N >> a) in ascending a, each a sum
-    of block sums.  Measured worst relative gap over k: 3.1e-15 at 10^6
-    and 3.2e-15 at 10^7, against 3.2e-14 and 8.2e-14 for one sequential
-    sum over every n in index order.
+    Measured worst relative gap over k: 2.6e-16 at 10^6 and 4.3e-16 at
+    10^7, against 3.1e-15 and 3.2e-15 for the sieve pass this count replaced.
     """
     prof = omega_profile(N)
     omega = np.concatenate([sieve_segment(lo, hi) for lo, hi in segment_spans(N)])
@@ -508,20 +481,57 @@ def test_inv_within_a_measured_bound_of_per_k_fsum(N):
         assert abs(got - ref) <= 1e-14 * ref, k
 
 
-def test_pool_starts_at_most_one_process_per_cpu_and_span(serial_pool, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    for workers, n_max, size in ((100_000, 10**4, 4), (3, 10**4, 3), (100_000, 2500, 3)):
-        serial_pool.clear()
-        chunks = map_segments(segment_spans(n_max, 1000), _profile_chunk, workers)
-        assert serial_pool == [size]
-        serial = [_profile_chunk(span) for span in segment_spans(n_max, 1000)]
-        assert [[(end, inv.tobytes()) for end, _, inv in c] for c in chunks] == [
-            [(end, inv.tobytes()) for end, _, inv in c] for c in serial]
-    serial_pool.clear()
-    map_segments(segment_spans(1000, 1000), _profile_chunk, 100_000)  # one span: no pool
-    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one process
-    map_segments(segment_spans(10**4, 1000), _profile_chunk, 100_000)
-    assert serial_pool == []
+def test_reciprocal_table_matches_one_prime_at_a_time():
+    """The batched primes of the prime reciprocal sums give the floats of one
+    prime at a time, bit for bit, as _quotient_sums proves."""
+    for N in [*range(1, 1001), *(n for n in _prime_count_cases() if 1000 < n < 10**10)]:
+        small, large, _ = sieve._quotient_sums(N, _harmonic_minus_one)
+        expected_small, expected_large = prime_counts_one_prime_at_a_time(N, reciprocal=True)
+        assert small.tobytes() == expected_small.tobytes(), N
+        assert large.tobytes() == expected_large.tobytes(), N
+
+
+def assert_within_the_bound(prof, exact):
+    """Each inv_k within omega_profile's bound of exact[k], and the logarithmic
+    Liouville average within the bound its docstring derives from them."""
+    bound = harmonic_mass_bound(prof.N, prof.inv_weights)
+    gaps = [abs(Fraction(got) - Fraction(want))
+            for got, want in zip(prof.inv_weights.tolist(), exact, strict=True)]
+    assert all(gap <= b for gap, b in zip(gaps, bound.tolist())), prof.N
+    u, B, H = 2.0**-53, math.fsum(bound), prof.harmonic_sum()
+    log = average_along_omega(rotation_two_points_liouville(), prof, AverageScheme.LOGARITHMIC)
+    signed = sum(Fraction(s) * (-1) ** k for k, s in enumerate(exact)) / sum(map(Fraction, exact))
+    assert abs(Fraction(log.real) - signed) <= 2 * (B + u * H) / (H - B - u * H) + u, prof.N
+    return max(gaps)
+
+
+def test_harmonic_mass_against_exact_fractions(omega_to_1e6):
+    """inv_k at every N <= 200 and at seeded N <= 10^4 against the exact sums
+    of 1/n.  Measured worst gap: 1.8e-15, where the bound is 7.6e-14 or more."""
+    rng = np.random.default_rng(37)
+    checkpoints = sorted({*range(1, 201), *rng.integers(201, 10**4, 40).tolist(), 10**4})
+    exact = harmonic_masses_by_fractions(checkpoints, omega_to_1e6)
+    worst = max(assert_within_the_bound(omega_profile(N), exact[N]) for N in checkpoints)
+    assert worst <= 2**-47
+
+
+def test_harmonic_mass_against_per_k_fsum(omega_to_1e6):
+    """inv_k at every N <= 3000, and at 10^5 and 10^6, against math.fsum of
+    the 1/n with Omega(n) = k, Omega from trial division.  Measured worst
+    gap: 1.8e-15 (N = 2060), where the bound is 5.7e-10 at 10^6."""
+    running = [[] for _ in range(MAX_OMEGA + 1)]
+    worst = 0
+    for N, k in enumerate(omega_to_1e6[:3000].tolist(), start=1):
+        running[k].append(1.0 / N)
+        prof = omega_profile(N)
+        worst = max(worst, assert_within_the_bound(
+            prof, [math.fsum(terms) for terms in running[: prof.k_max + 1]]))
+    for N in (10**5, 10**6):
+        prof = omega_profile(N)
+        recips = 1.0 / np.arange(1, N + 1, dtype=np.float64)
+        worst = max(worst, assert_within_the_bound(
+            prof, per_k_fsum(omega_to_1e6[:N], recips, prof.k_max + 1)))
+    assert worst <= 2**-47
 
 
 @settings(max_examples=200, deadline=None)
@@ -556,51 +566,10 @@ def test_histogram_small_oracle():
     assert hist == brute
 
 
-def test_warm_tail_sieves_only_the_spans_that_hold_a_cut(tmp_path, monkeypatch):
-    """Cuts spread over [2, N]: per k, the last n with k - log log n above
-    C sqrt(log log N), and the one before the first n with it below -C sqrt(...)."""
-    N, C, length = 10**5 + 3, 1.0, 12345
-    ns = np.arange(3, N + 1)
-    loglog = np.log(np.log(ns.astype(np.float64)))
-    band = C * math.sqrt(math.log(math.log(N)))
-    cuts = {2, N}
-    for k in range(int(math.log2(N)) + 1):
-        dev = np.float64(k) - loglog
-        above, below = ns[dev > band], ns[-dev > band]
-        cuts.add(int(above.max()) if len(above) else 2)
-        cuts.add(int(below.min()) - 1 if len(below) else N)
-    cuts = sorted(cuts)
-    spans = segment_spans(N, length)
-
-    # The store then holds every span, and the odd prefixes at N >> a; the
-    # fold needs the odd prefixes at c >> a for every cut c.
-    stored = {hi - 1 for _, hi in spans} | {N >> a for a in range(N.bit_length())}
-    needed = {c >> a for c in cuts for a in range(c.bit_length())} - stored
-    holding = [(lo, hi) for lo, hi in spans if any(lo <= n < hi - 1 for n in needed)]
-    assert 0 < len(holding) < len(spans)
-
-    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LENGTH", length)
-    cold = omega_profiles(cuts)
-    monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
-    omega_profile(N)
-    sieved = []
-    real_kernel = kernels.omega_segment
-
-    def counting_kernel(lo, hi, primes):
-        sieved.append((lo, hi))
-        return real_kernel(lo, hi, primes)
-
-    monkeypatch.setattr(kernels, "omega_segment", counting_kernel)
-    for warm, ref in zip(omega_profiles(cuts), cold, strict=True):
-        assert warm.pik.tobytes() == ref.pik.tobytes()
-        assert warm.inv_weights.tobytes() == ref.inv_weights.tobytes()
-    assert sieved == holding
-
-
-def test_only_the_profile_path_sieves():
-    """omega_segment, sieve_segment and map_segments are named only where the
-    profile path, the sieve table and the two-sets Omega lookup need them."""
-    names = {"omega_segment", "sieve_segment", "map_segments"}
+def test_only_the_sieve_table_and_the_two_sets_lookup_sieve():
+    """omega_segment and sieve_segment are named only where the sieve table
+    and the two-sets Omega lookup need them: no profile sieves."""
+    names = {"omega_segment", "sieve_segment"}
     found = set()
     for path in sorted(Path(omegalab.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -615,11 +584,9 @@ def test_only_the_profile_path_sieves():
                 if name in names:
                     found.add((owner, name))
     assert found == {
-        ("sieve._profile_chunk", "omega_segment"),
         ("sieve._omega_range", "omega_segment"),
         ("cli._cmd_sieve", "sieve_segment"),
         ("twosets._omega_of", "sieve_segment"),
-        ("sieve.omega_profiles", "map_segments"),
     }
 
 
@@ -676,235 +643,6 @@ def test_segment_validation(monkeypatch):
             sieve_segment(lo, hi)
 
 
-def with_crc(body: bytes) -> bytes:
-    return body + struct.pack("<I", zlib.crc32(body))
-
-
-def no_kernel(*args):
-    raise AssertionError("a stored span was sieved again")
-
-
-def profile_file_bytes(lo, hi, pik, inv):
-    """A store file of [lo, hi), encoded here from the format, not by sieve's writer."""
-    return with_crc(b"OMP2" + struct.pack("<QQ", lo, hi)
-                    + pik.astype("<i8").tobytes() + inv.astype("<f8").tobytes())
-
-
-def test_segment_cache_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
-    ((_, pik, inv),) = _profile_chunk((1000, 2000))
-    record = np.array([(pik, inv)], dtype=RECORD_DTYPE)
-    _cache_write(1000, 2000, record)
-    (path,) = tmp_path.iterdir()
-    assert path.name == "span_1000_2000.omp"
-    assert path.read_bytes() == profile_file_bytes(1000, 2000, pik, inv)
-    assert path.stat().st_size == PROFILE_FILE_SIZE < 1100
-    assert _cache_read(1000, 2000).tobytes() == record.tobytes()
-
-
-def test_segment_cache_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
-    ((_, pik, inv),) = _profile_chunk((5000, 6000))
-    files = os.listdir(tmp_path)
-    assert len(files) == 1
-    monkeypatch.setattr(kernels, "omega_segment", no_kernel)
-    ((_, again_pik, again_inv),) = _profile_chunk((5000, 6000))
-    assert np.array_equal(pik, again_pik)
-    assert inv.tobytes() == again_inv.tobytes()
-
-
-@pytest.mark.parametrize(
-    "damage",
-    [
-        lambda data: data[:-1],  # truncated
-        lambda data: data[:10],  # truncated header
-        lambda data: b"XXXX" + data[4:],  # bad magic
-        lambda data: data[:4] + struct.pack("<QQ", 4000, 5000) + data[20:],  # other range
-        # other range with a valid checksum
-        lambda data: with_crc(data[:4] + struct.pack("<QQ", 4000, 5000) + data[20:-4]),
-        lambda data: b"",  # empty
-        lambda data: data + b"\0",  # one byte longer than PROFILE_FILE_SIZE
-    ],
-)
-def test_segment_cache_damaged_file_is_a_miss(tmp_path, monkeypatch, damage):
-    monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
-    ((_, fresh_pik, fresh_inv),) = _profile_chunk((5000, 6000))
-    (path,) = tmp_path.iterdir()
-    whole = path.read_bytes()
-    path.write_bytes(damage(whole))
-    assert _cache_read(5000, 6000) is None
-    ((_, pik, inv),) = _profile_chunk((5000, 6000))
-    assert np.array_equal(pik, fresh_pik)
-    assert inv.tobytes() == fresh_inv.tobytes()
-    assert path.read_bytes() == whole  # rewritten whole
-    assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temporary left
-
-
-def test_store_file_of_the_all_n_format_is_a_miss(tmp_path, monkeypatch):
-    """An OMP1 file held the sums over every n of its span: a miss, rewritten."""
-    counts = sieve_segment(5000, 6000)
-    all_n = np.array([(np.bincount(counts, minlength=MAX_OMEGA + 1),
-                       np.bincount(counts, 1.0 / np.arange(5000, 6000), minlength=MAX_OMEGA + 1))],
-                     dtype=RECORD_DTYPE)
-    path = tmp_path / "span_5000_6000.omp"
-    path.write_bytes(with_crc(b"OMP1" + struct.pack("<QQ", 5000, 6000) + all_n.tobytes()))
-    monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
-    assert _cache_read(5000, 6000) is None
-    ((_, pik, inv),) = _profile_chunk((5000, 6000))
-    assert pik.sum() == 500 < all_n["pik"].sum()  # the odd n only
-    assert path.read_bytes() == profile_file_bytes(5000, 6000, pik, inv)
-    assert path.read_bytes()[:4] == CACHE_MAGIC == b"OMP2"
-
-
-def test_flipped_bit_in_inv_is_a_miss(tmp_path, monkeypatch):
-    monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
-    _profile_chunk((5000, 6000))
-    (path,) = tmp_path.iterdir()
-    whole = path.read_bytes()
-    data = bytearray(whole)
-    data[len(CACHE_MAGIC) + 16 + RECORD_DTYPE.fields["inv"][1] + 8 * 3] ^= 1  # inv[3]
-    path.write_bytes(bytes(data))
-    assert _cache_read(5000, 6000) is None
-    _profile_chunk((5000, 6000))
-    assert path.read_bytes() == whole
-
-
-# A valid store file of [5000, 6000) with an arbitrary record, and ways to damage it.
-STORED_PIK = np.arange(MAX_OMEGA + 1, dtype=np.int64) * 7
-STORED_INV = 1.0 / np.arange(1, MAX_OMEGA + 2)
-STORED_FILE = profile_file_bytes(5000, 6000, STORED_PIK, STORED_INV)
-
-
-@st.composite
-def store_file_bytes(draw):
-    """Random bytes, or STORED_FILE truncated, extended, bit-flipped or naming
-    another range, with its CRC kept or recomputed."""
-    if draw(st.booleans()):
-        return draw(st.binary(max_size=2 * PROFILE_FILE_SIZE))
-    data = bytearray(STORED_FILE)
-    if draw(st.booleans()):
-        lo, hi = draw(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)))
-        data[4:20] = struct.pack("<QQ", lo, hi)
-    for i in draw(st.lists(st.integers(0, 8 * PROFILE_FILE_SIZE - 1), max_size=3)):
-        data[i // 8] ^= 1 << i % 8
-    size = draw(st.sampled_from(["kept", "extended", "truncated"]))
-    if size == "extended":
-        data += draw(st.binary(min_size=1, max_size=PROFILE_FILE_SIZE))
-    elif size == "truncated":
-        del data[draw(st.integers(0, PROFILE_FILE_SIZE - 1)) :]
-    if draw(st.booleans()) and len(data) >= 4:
-        data = bytearray(with_crc(bytes(data[:-4])))
-    return bytes(data)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(store_file_bytes(), st.just(STORED_FILE)))
-def test_any_bytes_in_the_store_read_as_a_miss_or_the_stored_record(data):
-    """_cache_read never raises: it returns None, or the record of a whole,
-    valid file of its own range."""
-    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
-        patch.setenv("OMEGALAB_CACHE", directory)
-        Path(sieve._cache_path(5000, 6000)).write_bytes(data)
-        got = _cache_read(5000, 6000)
-    valid = (len(data) == PROFILE_FILE_SIZE and data[:20] == STORED_FILE[:20]
-             and data == with_crc(data[:-4]))
-    assert (got is not None) == valid
-    if got is not None:
-        assert profile_file_bytes(5000, 6000, got["pik"][0], got["inv"][0]) == data
-
-
-def odd_cuts(checkpoints, span_length, n_max):
-    """The N >> a of the checkpoints that are not span ends: one store record each."""
-    ends = set(range(span_length, n_max, span_length)) | {n_max}
-    return {n >> a for n in checkpoints for a in range(n.bit_length())} - ends
-
-
-def test_warm_store_profiles_need_no_kernel(tmp_path, monkeypatch):
-    checkpoints = [5000, 20000, 60000]  # span ends at segment length 5000
-    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LENGTH", 5000)
-    reference = omega_profiles(checkpoints)
-    monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
-    omega_profiles(checkpoints)
-    assert len(os.listdir(tmp_path)) == 12 + len(odd_cuts(checkpoints, 5000, 60000))
-    monkeypatch.setattr(kernels, "omega_segment", no_kernel)  # forked workers inherit it
-    for workers in (1, 2):
-        warm = omega_profiles(checkpoints, workers)
-        for prof, ref in zip(warm, reference):
-            assert prof.pik.tobytes() == ref.pik.tobytes()
-            assert prof.inv_weights.tobytes() == ref.inv_weights.tobytes()
-
-
-def test_checkpoint_inside_a_span_on_a_warm_store(tmp_path, monkeypatch):
-    monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
-    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LENGTH", 5000)
-    omega_profiles([60000])
-    checkpoints = [12345, 7, 60000, 59999]
-    warm = omega_profiles(checkpoints)
-    assert len(os.listdir(tmp_path)) == 12 + len(odd_cuts(checkpoints, 5000, 60000))
-    with monkeypatch.context() as patch:  # every span and cut record is stored now
-        patch.setattr(kernels, "omega_segment", no_kernel)
-        again = omega_profiles(checkpoints)
-    for prof, ref in zip(again, warm):
-        assert prof.inv_weights.tobytes() == ref.inv_weights.tobytes()
-    monkeypatch.delenv("OMEGALAB_CACHE")
-    for prof in warm:
-        ref = omega_profile(prof.N)
-        assert prof.pik.tobytes() == ref.pik.tobytes()
-        assert prof.inv_weights.tobytes() == ref.inv_weights.tobytes()
-
-
-@st.composite
-def merge_checkpoints(draw):
-    """(segment length, checkpoints <= 10^5): random N, span ends, the last cut
-    a span allows (hi - 2), and N that share some N >> a."""
-    length = draw(st.sampled_from([1000, 4097, 12345]))
-    span_end = st.integers(1, 10**5 // length).map(lambda j: j * length)
-    m = draw(st.integers(1, 3000))  # n >> a == m for every n drawn from shared
-    shared = st.integers(1, 5).flatmap(lambda a: st.integers(m << a, ((m + 1) << a) - 1))
-    n = st.one_of(st.integers(1, 10**5), span_end, span_end.map(lambda e: e - 1), shared)
-    return length, draw(st.lists(n, min_size=1, max_size=6))
-
-
-@settings(max_examples=60, deadline=None)
-@given(merge_checkpoints())
-def test_merged_profiles_match_each_profile_alone(case):
-    length, checkpoints = case
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sieve, "DEFAULT_SEGMENT_LENGTH", length)
-        profiles = omega_profiles(checkpoints, workers=1)
-        for prof, n in zip(profiles, checkpoints, strict=True):
-            alone = omega_profile(n)
-            assert prof.N == n
-            assert prof.pik.tobytes() == alone.pik.tobytes()
-            assert prof.inv_weights.tobytes() == alone.inv_weights.tobytes()
-
-
-def rewrite_span(record, times):
-    for _ in range(times):
-        _cache_write(5000, 6000, record)
-
-
-def test_racing_writers_never_show_a_partial_file(tmp_path, monkeypatch):
-    ((_, pik, inv),) = _profile_chunk((5000, 6000))
-    record = np.array([(pik, inv)], dtype=RECORD_DTYPE)
-    monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
-    fork = multiprocessing.get_context("fork")
-    writers = [fork.Process(target=rewrite_span, args=(record, 400)) for _ in range(2)]
-    for writer in writers:
-        writer.start()
-    reads = []
-    while any(writer.is_alive() for writer in writers):
-        reads.append(_cache_read(5000, 6000))
-    for writer in writers:
-        writer.join()
-    assert [writer.exitcode for writer in writers] == [0, 0]
-    reads.append(_cache_read(5000, 6000))
-    assert reads[-1] is not None
-    for got in reads:
-        assert got is None or got.tobytes() == record.tobytes()
-    assert [p.name for p in tmp_path.iterdir()] == ["span_5000_6000.omp"]
-
-
 def test_segment_spans_rejects_nonpositive_length():
     assert segment_spans(10) == [(1, 11)]
     assert segment_spans(10, 4) == [(1, 5), (5, 9), (9, 11)]
@@ -934,16 +672,13 @@ def test_segment_count_over_the_cap_raises_before_the_spans_are_built():
     assert peak < 10**6  # 10^10 span tuples were not built
 
 
-def test_segment_span_cap_is_exact(monkeypatch):
+def test_segment_span_cap_is_exact():
     assert len(segment_spans(HARD_LIMIT)) == -(-HARD_LIMIT // DEFAULT_SEGMENT_LENGTH) == 2385
     assert len(segment_spans(MAX_SEGMENTS, 1)) == MAX_SEGMENTS
     assert len(segment_spans(10 * MAX_SEGMENTS, 10)) == MAX_SEGMENTS
     for n_max, length in ((MAX_SEGMENTS + 1, 1), (10 * MAX_SEGMENTS + 1, 10), (HARD_LIMIT, 1)):
         with pytest.raises(RangeTooLargeError, match="over the cap"):
             segment_spans(n_max, length)
-        monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LENGTH", length)
-        with pytest.raises(RangeTooLargeError, match="over the cap"):
-            omega_profile(n_max)
 
 
 def test_profile_worker_counts_agree_at_1e6(profile_1e6):
@@ -954,84 +689,21 @@ def test_profile_worker_counts_agree_at_1e6(profile_1e6):
 
 
 def test_profile_checks_partition_identity(monkeypatch):
-    def lossy_chunk(span, cuts=()):
-        parts = _profile_chunk(span, cuts)
-        _, pik, _ = parts[-1]  # the span's own record
-        pik[1] -= 1
-        return parts
+    real_table = sieve.prime_counts_at_quotients
 
-    monkeypatch.setattr(sieve, "_profile_chunk", lossy_chunk)
-    with pytest.raises(InvalidRangeError, match=r"partition the odd n <= 1000$"):
+    def one_prime_short(N):
+        small, large, primes = real_table(N)
+        large[1] -= 1  # pi(N)
+        return small, large, primes
+
+    monkeypatch.setattr(sieve, "prime_counts_at_quotients", one_prime_short)
+    with pytest.raises(InvalidRangeError, match=r"^pi_k counts do not partition \[1, 1000\]$"):
         omega_profile(1000)
-
-
-def test_profile_checks_the_fold_covers_one_to_n(monkeypatch):
-    """Odd prefixes that each partition the odd n but put an n above
-    floor(log2 N) fail the partition of [1, N]."""
-    real_chunk = _profile_chunk
-
-    def high_chunk(span, cuts=()):
-        parts = real_chunk(span, cuts)
-        for _, counts, _ in parts:
-            counts[1] -= 1
-            counts[MAX_OMEGA - 20] += 1
-        return parts
-
-    monkeypatch.setattr(sieve, "_profile_chunk", high_chunk)
-    with pytest.raises(InvalidRangeError, match=r"partition \[1, 1000\]$"):
-        omega_profile(1000)
-
-
-# Span boundaries at the default length: 2**22 ends the first span, and
-# 2**22 + 1 is a partial span of length 1.  The first REDUCE_BLOCK odd n
-# end at 131071.
-PROFILE_CHECKPOINTS = [
-    10**6, 2**22 + 1, 1, 65536, 10, 2**22, 65535, 10**5, 2, 3 * 10**6 + 7, 65537, 10**5,
-    131071, 131072, 131073,
-]
-
-
-@pytest.mark.parametrize("segment_length", [None, 12345, 1 << 16])
-def test_omega_profiles_match_standalone_profiles(segment_length, monkeypatch):
-    if segment_length is not None:
-        monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LENGTH", segment_length)
-    standalone = {n: omega_profile(n) for n in set(PROFILE_CHECKPOINTS)}
-    for workers in (1, 2):
-        profiles = omega_profiles(PROFILE_CHECKPOINTS, workers)
-        assert [p.N for p in profiles] == PROFILE_CHECKPOINTS
-        for prof in profiles:
-            ref = standalone[prof.N]
-            assert prof.pik.tobytes() == ref.pik.tobytes()
-            assert prof.inv_weights.tobytes() == ref.inv_weights.tobytes()
-
-
-def test_omega_profiles_rejects_bad_checkpoints():
-    for bad in ([], [0], [10, 0, 5], [-3]):
-        with pytest.raises(InvalidRangeError):
-            omega_profiles(bad)
 
 
 @pytest.mark.parametrize("workers", [0, -3])
 def test_nonpositive_workers_are_rejected(workers):
-    with pytest.raises(InvalidRangeError):
-        omega_profiles([1000], workers)
+    with pytest.raises(InvalidRangeError, match=f"^workers must be >= 1, got {workers}$"):
+        omega_profile(1000, workers)
 
 
-@pytest.mark.parametrize("sub", ["", "sub"])
-def test_unwritable_cache_is_cache_write_error(tmp_path, monkeypatch, sub):
-    blocker = tmp_path / "not_a_dir"
-    blocker.write_bytes(b"")
-    monkeypatch.setenv("OMEGALAB_CACHE", str(blocker / sub))
-    with pytest.raises(OmegalabError, match="^cannot write the profile cache "):
-        omega_profile(99)
-
-
-def test_failed_cache_write_leaves_no_temporary(tmp_path, monkeypatch):
-    def failing_replace(src, dst):
-        raise PermissionError(13, "Permission denied", dst)
-
-    monkeypatch.setenv("OMEGALAB_CACHE", str(tmp_path))
-    monkeypatch.setattr(os, "replace", failing_replace)
-    with pytest.raises(OmegalabError, match="^cannot write the profile cache .*Permission denied"):
-        omega_profile(99)
-    assert list(tmp_path.iterdir()) == []

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from omegalab.averages import AverageScheme, RealTestFunction, smoothed_indicator
 from omegalab import twosets
 from omegalab.errors import InvalidRangeError, RangeTooLargeError, SearchExhaustedError
-from omegalab.sieve import DEFAULT_SEGMENT_LENGTH, base_primes
+from omegalab.sieve import DEFAULT_SEGMENT_LENGTH, base_primes, omega_profile
 from omegalab.twosets import (
     MAX_RHO_INTERVALS,
     MAX_SEARCH_LIMIT,
@@ -20,7 +20,6 @@ from omegalab.twosets import (
     PrimeSetPair,
     _almost_primes_2,
     _interval_counts,
-    _prime_harmonic_sums,
     _rho_bounds,
     construct_pair,
     invariance_gap,
@@ -189,7 +188,8 @@ def assert_floor_sums_match_the_tables(x):
     primes = eratosthenes(x)
     prime_sum = math.fsum((1.0 / primes).tolist())
     table_sum = math.fsum(1.0 / m for m in _almost_primes_2(0, x, primes)[:, 0].tolist())
-    assert _prime_harmonic_sums(x) == pytest.approx((prime_sum, table_sum), rel=1e-12), x
+    floor_sums = omega_profile(x).inv_weights[1:3].tolist()  # the exit-3 floor's sums
+    assert floor_sums == pytest.approx([prime_sum, table_sum], rel=1e-12), x
 
 
 @pytest.mark.parametrize("x", [4, 5, 9, 10, 30, 1000, 2**20 + 1])
@@ -211,12 +211,14 @@ def test_table_free_floor_across_prime_segment_edges(prime_segment, length):
 def test_table_free_floor_peak_is_one_segment():
     tracemalloc.start()
     try:
-        sums = _prime_harmonic_sums(10**7)
+        sums = omega_profile(10**7).inv_weights[1:3]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert 0.5 / sums[0] == pytest.approx(0.164, abs=5e-4)  # the floor in the exit-3 message
-    assert peak < 8 * 10**6  # base_primes(10**7) and 1 / p took 15.6 MB
+    # one segment of prime flags and the build of the harmonic table: a pass
+    # over the primes <= 10**7 took 5.8 MB, and base_primes(10**7) and 1 / p 15.6 MB
+    assert peak < 4 * 10**6
 
 
 def test_almost_primes_table_from_a_longer_prime_array():
@@ -275,15 +277,6 @@ def _recording_search(monkeypatch):
     return rows, tables
 
 
-def _scan_tables(search, tables, limit):
-    """The base_primes limits of the scan: all but the floor's, which an
-    exhausted search with elements asks for last."""
-    if search[0] and search[3]:
-        assert tables[-1] == math.isqrt(limit)
-        return tables[:-1]
-    return tables
-
-
 def assert_segment_policy(rows, tables, rho, limit, width):
     """Each segment starts at the bound of the last interval scanned and
     ends at the last interval end within its first interval's end or
@@ -317,7 +310,7 @@ def test_growing_table_gives_the_same_search(monkeypatch, epsilon, rho, limit, c
     monkeypatch.setattr(twosets, "ROW_SEGMENT", 2**62)
     whole = _search(epsilon, rho, limit)
     assert rows == [(0, limit)]  # one unsegmented table
-    assert _scan_tables(whole, tables, limit) == [limit]
+    assert tables == [limit]
     assert whole == two_sets_scan_oracle(epsilon, rho, limit, cap)
     for width in (16, 1000):
         rows.clear()
@@ -326,7 +319,7 @@ def test_growing_table_gives_the_same_search(monkeypatch, epsilon, rho, limit, c
         monkeypatch.setattr(twosets, "ROW_SEGMENT", width)
         grown = _search(epsilon, rho, limit)
         assert grown == whole  # the same lists, bit-identical couplings, the same message
-        limits = _scan_tables(grown, tables, limit)
+        limits = tables
         assert limits[0] == min(64, limit) and limits[-1] <= limit
         assert all(b == min(2 * a, limit) for a, b in zip(limits, limits[1:]))
         assert limits[-1] >= max(whole[1] or [0])  # B2 past 64 forces doublings
@@ -361,7 +354,7 @@ def test_short_search_builds_only_the_first_table(monkeypatch):
     monkeypatch.setattr(twosets, "MAX_SET_SIZE", 300)
     segmented = _search(0.1, 1.05, 10**7)
     assert segmented[3] is not None  # exhausted
-    assert tables == [2**20, math.isqrt(10**7)]  # the first prime table, then the floor's
+    assert tables == [2**20]  # the first prime table: the floor is counted
     # one segment of 2-almost primes: up to the last interval end within ROW_SEGMENT
     ends = [math.floor(1.05 ** (j + 1)) for j in range(rho_index(10**7, 1.05) + 1)]
     assert rows == [(0, max(e for e in ends if e <= twosets.ROW_SEGMENT))]
@@ -402,7 +395,7 @@ def test_search_peak_is_one_segment():
 @pytest.mark.parametrize("limit", [10**7, 2**20, 50_000, 1000])
 def test_search_sieves_only_as_far_as_its_table(monkeypatch, limit):
     """The scan asks base_primes for its table's limit, min(2**20, limit) when
-    it stops near 6.1e5; the floor for the primes <= isqrt(limit), its cuts."""
+    it stops near 6.1e5, and for nothing else: the floor is counted."""
     limits = []
 
     def recording_base_primes(n):
@@ -412,7 +405,7 @@ def test_search_sieves_only_as_far_as_its_table(monkeypatch, limit):
     monkeypatch.setattr(twosets, "base_primes", recording_base_primes)
     with pytest.raises(SearchExhaustedError):
         construct_pair(0.1, 1.05, limit)
-    assert limits == [min(2**20, limit), math.isqrt(limit)]
+    assert limits == [min(2**20, limit)]
 
 
 def test_rho_close_to_one_fails_before_allocating():
