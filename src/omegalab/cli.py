@@ -220,11 +220,13 @@ MAX_SIEVE_ROWS = 10**5
 
 
 def _cmd_sieve(args):
-    counts = sieve.sieve_segment(args.lo, args.hi)  # checks the range first
-    if len(counts) > MAX_SIEVE_ROWS:  # before any row is built
+    sieve._check_segment(args.lo, args.hi)  # sieve_segment's own checks come first
+    if args.hi - args.lo > MAX_SIEVE_ROWS:  # before any integer is sieved
         raise RangeTooLargeError(
-            f"[{args.lo}, {args.hi}) has {len(counts)} rows, over the cap of {MAX_SIEVE_ROWS}"
+            f"[{args.lo}, {args.hi}) has {args.hi - args.lo} rows, "
+            f"over the cap of {MAX_SIEVE_ROWS}"
         )
+    counts = sieve.sieve_segment(args.lo, args.hi)
     rows = [(n, c, sieve.liouville(c)) for n, c in zip(range(args.lo, args.hi), counts.tolist())]
     return ("n", "omega", "liouville"), rows, {"lo": args.lo, "hi": args.hi}
 

@@ -107,6 +107,12 @@ def sieve_segment(lo: int, hi: int) -> np.ndarray:
 
     At most DEFAULT_SEGMENT_LENGTH integers, one default segment.
     """
+    _check_segment(lo, hi)
+    return _omega_range(lo, hi)
+
+
+def _check_segment(lo: int, hi: int) -> None:
+    """sieve_segment's checks of [lo, hi), which need no sieve."""
     if lo >= hi or lo < 1:
         raise InvalidRangeError(f"invalid range [{lo}, {hi})")
     _check_limit(hi)
@@ -114,7 +120,6 @@ def sieve_segment(lo: int, hi: int) -> np.ndarray:
         raise RangeTooLargeError(
             f"[{lo}, {hi}) has more than {DEFAULT_SEGMENT_LENGTH} integers in one range"
         )
-    return _omega_range(lo, hi)
 
 
 def _omega_range(lo: int, hi: int) -> np.ndarray:
@@ -227,13 +232,19 @@ def _harmonic_table() -> np.ndarray:
     within u (H(v) - 1) of the exact sum of the rounded 1/n, u = 2**-53.
     Built on first use; read-only, since the cache shares it.
     """
-    terms = np.zeros(_HARMONIC_CUT + 1)
-    np.divide(1.0, np.arange(2, _HARMONIC_CUT + 1), out=terms[2:])
-    sums = np.cumsum(terms)
-    step = sums[1:] - sums[:-1]  # TwoSum of sums[v - 1] + terms[v]
-    errors = np.zeros_like(terms)
-    errors[1:] = (sums[:-1] - (sums[1:] - step)) + (terms[1:] - step)
-    table = sums + np.cumsum(errors)
+    terms = np.arange(_HARMONIC_CUT + 1, dtype=np.float64)
+    terms[:2] = 0.0
+    np.divide(1.0, terms[2:], out=terms[2:])
+    table = np.cumsum(terms)  # the sums; the errors are added in place below
+    errors = np.empty_like(terms)
+    errors[0] = 0.0
+    e = errors[1:]  # TwoSum of table[v - 1] + terms[v], in place, into e[v - 1]
+    np.subtract(table[1:], table[:-1], out=e)  # the step
+    terms[1:] -= e  # terms[v]'s error
+    np.subtract(table[1:], e, out=e)  # the virtual table[v - 1]
+    np.subtract(table[:-1], e, out=e)  # table[v - 1]'s error
+    e += terms[1:]
+    table += np.cumsum(errors, out=errors)
     table.flags.writeable = False
     return table
 

@@ -36,7 +36,11 @@ ROW_SEGMENT = 2**17  # the m of the search's 2-almost primes built at once
 @dataclass(frozen=True)
 class PrimeSetPair:
     """Matched sets B1 (primes) and B2 (2-almost primes) with equal
-    cardinality in every rho-adic interval (rho^j, rho^{j+1}]."""
+    cardinality in every rho-adic interval (rho^j, rho^{j+1}].
+
+    b1 and b2 may be given as any sequences of ints, int64 arrays among
+    them; they are validated as int64 arrays and stored as tuples of ints.
+    """
 
     b1: tuple
     b2: tuple
@@ -45,40 +49,66 @@ class PrimeSetPair:
     couplings: tuple | None = field(default=None, compare=False)  # from construct_pair
 
     def __post_init__(self):
-        if not self.b1 or not self.b2:
+        if len(self.b1) == 0 or len(self.b2) == 0:
             raise InvalidRangeError("pair sets must be non-empty")
         if not 0 < self.epsilon < 1:
             raise InvalidRangeError("epsilon must lie in (0, 1)")
         if not 1 < self.rho <= 1 + self.epsilon:
             raise InvalidRangeError("rho must lie in (1, 1 + epsilon]")
-        for elems, k, what in ((self.b1, 1, "in B1 is not prime"),
-                               (self.b2, 2, "in B2 is not a 2-almost prime")):
-            bad = np.flatnonzero(_omega_of(elems) != k)
-            if len(bad):
-                raise InvalidRangeError(f"{elems[bad[0]]} {what}")
-        by_interval_1 = _interval_counts(self.b1, self.rho)
-        by_interval_2 = _interval_counts(self.b2, self.rho)
-        if by_interval_1 != by_interval_2:
+        b1 = _elements(self.b1)
+        try:
+            b2 = _elements(self.b2)
+        except (InvalidRangeError, RangeTooLargeError):  # B1's kinds come first
+            _check_kinds(b1)
+            raise
+        _check_kinds(b1, b2)
+        counts = [_interval_histogram(values, self.rho) for values in (b1, b2)]
+        if not np.array_equal(*counts):
             raise InvalidRangeError("rho-adic interval cardinalities differ")
+        object.__setattr__(self, "b1", tuple(b1.tolist()))
+        object.__setattr__(self, "b2", tuple(b2.tolist()))
 
 
-def _omega_of(elems) -> np.ndarray:
-    """Omega(m) for each m in elems, from sieve_segment.
-
-    Each segment span that holds elements is sieved from its smallest to its
-    largest element, so memory stays within one segment."""
-    if min(elems) < 1:
+def _elements(elems) -> np.ndarray:
+    """elems as an int64 array, once every element lies in [1, HARD_LIMIT]."""
+    values = np.asarray(elems)  # an object array for ints past int64, which the checks reject
+    if values.min() < 1:
         raise InvalidRangeError("n must be >= 1")
-    _check_limit(max(elems) + 1)
-    values, where = np.unique(np.asarray(elems, dtype=np.int64), return_inverse=True)
-    omega = np.empty(len(values), dtype=np.uint8)
-    for lo, hi in segment_spans(int(values[-1])):
-        a, b = np.searchsorted(values, [lo, hi]).tolist()
-        if a < b:
-            first, last = int(values[a]), int(values[b - 1])
-            counts = sieve_segment(first, last + 1)
-            omega[a:b] = counts[values[a:b] - first]
-    return omega[where]
+    _check_limit(int(values.max()) + 1)
+    return values.astype(np.int64, copy=False)
+
+
+def _check_kinds(*sets: np.ndarray) -> None:
+    """Raise for the first element of B1 = sets[0] that is not prime, then for
+    the first of B2 = sets[1], if given, that is not a 2-almost prime."""
+    for values, omega, k, what in zip(sets, _omega_of(sets), (1, 2),
+                                      ("in B1 is not prime", "in B2 is not a 2-almost prime")):
+        bad = np.flatnonzero(omega != k)
+        if len(bad):
+            raise InvalidRangeError(f"{values[bad[0]]} {what}")
+
+
+def _omega_of(sets) -> list[np.ndarray]:
+    """Omega(m) for each m of each int64 array, from sieve_segment.
+
+    Each segment span that holds elements of any array is sieved once, from
+    its smallest to its largest element, so memory stays within one segment.
+    An array that is not ascending is read in sorted order."""
+    orders = [None if np.all(v[1:] >= v[:-1]) else np.argsort(v) for v in sets]
+    ascending = [v if order is None else v[order] for v, order in zip(sets, orders)]
+    omegas = [np.empty(len(v), dtype=np.uint8) for v in sets]
+    for lo, hi in segment_spans(max(int(v[-1]) for v in ascending)):
+        cuts = [np.searchsorted(v, [lo, hi]).tolist() for v in ascending]
+        held = [(v, a, b) for v, (a, b) in zip(ascending, cuts) if a < b]
+        if held:
+            first = min(int(v[a]) for v, a, _ in held)
+            counts = sieve_segment(first, max(int(v[b - 1]) for v, _, b in held) + 1)
+            for omega, v, (a, b) in zip(omegas, ascending, cuts):
+                omega[a:b] = counts[v[a:b] - first]
+    for omega, order in zip(omegas, orders):
+        if order is not None:
+            omega[order] = omega.copy()
+    return omegas
 
 
 def rho_index(m: int, rho: float) -> int:
@@ -107,11 +137,16 @@ def _rho_bounds(rho: float, j_max: int) -> np.ndarray:
     return np.array([rho ** (j + 1) for j in range(j_max + 1)])
 
 
+def _interval_histogram(values: np.ndarray, rho: float) -> np.ndarray:
+    """[j] = the number of elements with rho-adic index j, as rho_index assigns them."""
+    bounds = _rho_bounds(rho, rho_index(int(values.max(initial=1)), rho))
+    return np.bincount(np.searchsorted(bounds, values, side="left"))
+
+
 def _interval_counts(elems, rho: float) -> dict[int, int]:
     """Number of elements per rho-adic index j, as rho_index assigns them."""
-    bounds = _rho_bounds(rho, rho_index(max(elems, default=1), rho))
-    js = np.searchsorted(bounds, np.asarray(elems, dtype=np.int64), side="left")
-    return dict(zip(*(a.tolist() for a in np.unique(js, return_counts=True))))
+    counts = _interval_histogram(np.asarray(elems, dtype=np.int64), rho)
+    return {j: c for j, c in enumerate(counts.tolist()) if c}
 
 
 class _BatchCoupling:
@@ -245,11 +280,6 @@ def _scan(epsilon: float, rho: float, search_limit: int):
     return False, b1, b2, couplings, (c1.harmonic, c2.harmonic)
 
 
-def _joined(chunks: list[np.ndarray]) -> tuple:
-    """The chunks' elements, in order, as a tuple of ints."""
-    return tuple(np.concatenate(chunks).tolist())
-
-
 def construct_pair(epsilon: float, rho: float, search_limit: int) -> PrimeSetPair:
     """Scan rho-adic intervals ascending, matching primes with 2-almost primes.
 
@@ -277,18 +307,22 @@ def construct_pair(epsilon: float, rho: float, search_limit: int) -> PrimeSetPai
             f"search limit {search_limit} is over the cap of {MAX_SEARCH_LIMIT}"
         )
     reached, b1, b2, achieved, harmonics = _scan(epsilon, rho, search_limit)
+    if b1:  # the pair validates the joined chunks; the chunks are dropped
+        b1, b2 = np.concatenate(b1), np.concatenate(b2)
     if reached:
-        return PrimeSetPair(_joined(b1), _joined(b2), rho, epsilon, achieved)
+        return PrimeSetPair(b1, b2, rho, epsilon, achieved)
     reason = f"best achieved {achieved}"
-    if b1:  # the diagonal terms alone give coupling(B) >= 1/(2 sum_{m in B} 1/m)
+    best_pair = None
+    if len(b1):  # the diagonal terms alone give coupling(B) >= 1/(2 sum_{m in B} 1/m)
         own = tuple(0.5 / h for h in harmonics)
         # the sums of 1/m over every prime and every 2-almost prime <= search_limit
         pool = tuple(0.5 / h for h in omega_profile(search_limit).inv_weights[1:3].tolist())
         reason += (f"; proven floor 1/(2 sum 1/m): ({own[0]:.3g}, {own[1]:.3g}) for these "
                    f"sets, ({pool[0]:.3g}, {pool[1]:.3g}) for any sets <= {search_limit}")
+        best_pair = PrimeSetPair(b1, b2, rho, epsilon, achieved)  # after the floor's count
     raise SearchExhaustedError(
         f"coupling target {epsilon} not reached by limit {search_limit}: {reason}",
-        best_pair=PrimeSetPair(_joined(b1), _joined(b2), rho, epsilon, achieved) if b1 else None,
+        best_pair=best_pair,
         couplings=achieved,
     )
 

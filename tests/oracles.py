@@ -48,6 +48,18 @@ def prime_counts_one_prime_at_a_time(N: int, reciprocal: bool = False):
     return small, large
 
 
+def harmonic_table_by_temporaries(cut: int) -> np.ndarray:
+    """sieve._harmonic_table's entries for v <= cut, from whole-array
+    expressions: each TwoSum step and error is a fresh array."""
+    terms = np.zeros(cut + 1)
+    np.divide(1.0, np.arange(2, cut + 1), out=terms[2:])
+    sums = np.cumsum(terms)
+    step = sums[1:] - sums[:-1]  # TwoSum of sums[v - 1] + terms[v]
+    errors = np.zeros_like(terms)
+    errors[1:] = (sums[:-1] - (sums[1:] - step)) + (terms[1:] - step)
+    return sums + np.cumsum(errors)
+
+
 def harmonic_masses_by_fractions(checkpoints, omega) -> dict:
     """{N: [the exact sum of 1/n over n <= N with Omega(n) = k, for k <= log2 N]}
     for each N in checkpoints, with omega[n - 1] = Omega(n) for n <= max N.

@@ -209,6 +209,14 @@ def test_benchmark_harness_runs_against_the_library(tmp_path):
     record = json.loads(spans.read_text())
     assert set(record) == {"spans", "counts"}
     assert "sieve.omega_profile" in {span["name"] for span in record["spans"]}
+    # the traced PrimeSetPair.__post_init__ validates the pair from its arrays
+    run = traced("cli", str(spans), "--", "twosets", "--limit", "50000", "--epsilon", "0.1",
+                 "--rho", "1.05", "--allow-partial")
+    assert (run.returncode, run.stderr) == (0, "")
+    pair = json.loads(run.stdout)
+    assert (len(pair["b1"]), len(pair["b2"])) == (5111, 5111)
+    names = [span["name"] for span in json.loads(spans.read_text())["spans"]]
+    assert names.count("twosets.validate") == 1
     for command, keys in (("env", {"backend", "numpy"}),
                           ("sweep", {f"kernels.rate_seg{s}" for s in (12, 16, 20, 22)})):
         out = tmp_path / f"{command}.json"

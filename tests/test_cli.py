@@ -344,6 +344,21 @@ def test_sieve_one_row_over_the_cap_is_resource_error(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("lo, hi, message", [
+    (9995805697, 10**10 + 1, "[9995805697, 10000000001) has 4194304 rows, over the cap of 100000"),
+    (1, 100002, "[1, 100002) has 100001 rows, over the cap of 100000"),
+    (1, 10**9, "[1, 1000000000) has more than 4194304 integers in one range"),
+    (9999999990, 10**10 + 2, "range up to 10000000001 exceeds the configured limit 10000000000"),
+])
+def test_sieve_checks_its_row_cap_before_sieving(capsys, monkeypatch, lo, hi, message):
+    """The row cap is checked once sieve_segment's own checks pass, with no
+    integer sieved: the first case is one whole segment at HARD_LIMIT."""
+    monkeypatch.setattr(kernels, "omega_segment", lambda *a: pytest.fail("sieved"))
+    code = main(["sieve", "--lo", str(lo), "--hi", str(hi)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (EXIT_RESOURCE, "", f"omegalab: {message}\n")
+
+
 def test_sieve_at_the_row_cap_emits_every_row(capsys):
     code, out = run(capsys, "sieve", "--lo", "1", "--hi", str(1 + cli.MAX_SIEVE_ROWS))
     assert code == EXIT_OK

@@ -14,6 +14,7 @@ from oracles import (
     eratosthenes,
     harmonic_mass_bound,
     harmonic_masses_by_fractions,
+    harmonic_table_by_temporaries,
     omega_oracle,
     prime_counts_one_prime_at_a_time,
 )
@@ -49,6 +50,7 @@ from omegalab.sieve import (
     MAX_SEGMENT_LENGTH,
     MAX_SEGMENTS,
     _harmonic_minus_one,
+    _harmonic_table,
     base_primes,
     segment_spans,
 )
@@ -465,6 +467,22 @@ def test_harmonic_table_against_exact_sums():
             x = Decimal(v)
             want = x.ln() + gamma - 1 + 1 / (2 * x) - 1 / (12 * x**2) + 1 / (120 * x**4)
             assert abs(Decimal(got) - want) <= Decimal(6 * u * math.log(v)), v
+
+
+def test_harmonic_table_is_built_in_place_bit_for_bit():
+    """The in-place build gives the bits of the whole-array TwoSum, within
+    three arrays of the table's size (tracemalloc)."""
+    _harmonic_table.cache_clear()
+    tracemalloc.start()
+    try:
+        table = _harmonic_table()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    want = harmonic_table_by_temporaries(_HARMONIC_CUT)
+    assert np.array_equal(table.view(np.int64), want.view(np.int64))
+    assert not table.flags.writeable
+    assert peak < 3.5 * table.nbytes
 
 
 @pytest.mark.parametrize("N", [10**6, 10**7])

@@ -389,7 +389,9 @@ def test_search_peak_is_one_segment():
     finally:
         tracemalloc.stop()
     assert len(exc_info.value.best_pair.b2) == 50_000
-    assert peak < 12 * 10**6  # the table over 2**20 and its temporaries took 18.25 MB
+    # the table over 2**20 and its temporaries took 18.25 MB, and validation
+    # from the two tuples 8.6 MB
+    assert peak < 7 * 10**6
 
 
 @pytest.mark.parametrize("limit", [10**7, 2**20, 50_000, 1000])
@@ -490,6 +492,42 @@ def test_prime_set_pair_validation_from_the_sieve(tmp_path, monkeypatch):
     with pytest.raises(InvalidRangeError, match="n must be >= 1"):
         PrimeSetPair(b1=(0, 2), b2=(4, 6), rho=1.05, epsilon=0.1)
     assert list(tmp_path.iterdir()) == []  # the segment cache is not used
+
+
+def test_pair_is_validated_from_int64_arrays_in_one_sieve(monkeypatch):
+    """Arrays and tuples validate alike, and are stored as tuples of ints;
+    each segment span that holds elements of either set is sieved once."""
+    big_prime, big_almost = _first_in_segment_two(1), _first_in_segment_two(2)
+    b1, b2 = (1009, big_prime), (1011, big_almost)
+    second = (big_prime, big_almost)  # the elements in segment two
+    ranges = []
+    sieve_segment = twosets.sieve_segment
+
+    def recording_sieve_segment(lo, hi):
+        ranges.append((lo, hi))
+        return sieve_segment(lo, hi)
+
+    monkeypatch.setattr(twosets, "sieve_segment", recording_sieve_segment)
+    for given in ((b1, b2), (np.array(b1), np.array(b2)), (b1[::-1], b2[::-1])):
+        ranges.clear()
+        pair = PrimeSetPair(*given, rho=1.05, epsilon=0.1)
+        assert (pair.b1, pair.b2) == (tuple(given[0]), tuple(given[1]))
+        assert all(type(m) is int for m in pair.b1 + pair.b2)
+        assert ranges == [(1009, 1012), (min(second), max(second) + 1)]
+
+
+@pytest.mark.parametrize("b1, b2, error, message", [
+    ((4,), (0, 6), InvalidRangeError, "4 in B1 is not prime"),
+    ((4,), (2**70,), InvalidRangeError, "4 in B1 is not prime"),
+    ((0, 4), (2**70,), InvalidRangeError, "n must be >= 1"),
+    ((3,), (2**64 - 1,), RangeTooLargeError,
+     "range up to 18446744073709551615 exceeds the configured limit 10000000000"),
+    ((3,), (-1, 2**64), InvalidRangeError, "n must be >= 1"),
+])
+def test_b1_is_checked_before_the_range_of_b2(b1, b2, error, message):
+    with pytest.raises(error) as exc_info:
+        PrimeSetPair(b1=b1, b2=b2, rho=1.05, epsilon=0.1)
+    assert str(exc_info.value) == message
 
 
 def test_search_carries_its_couplings(monkeypatch):
